@@ -7,14 +7,12 @@ doubles as the correctness oracle for the greedy one.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from . import rules
-from .core import DEFAULT_BUDGET, Profile, enumerate_rankings, make_ranking, make_tiebreak
-from .errors import InvalidParametersError, TooLargeError, VerificationError
+from .core import Profile, enumerate_profiles, make_ranking, make_tiebreak, ranking_positions
+from .errors import InvalidParametersError, VerificationError
 
 
 @dataclass(frozen=True)
@@ -53,13 +51,6 @@ class CcumCertificate:
     manipulator_ballots: tuple | None
 
 
-def _priority_ranks(tiebreak) -> list:
-    prank = [0] * len(tiebreak)
-    for r, o in enumerate(tiebreak):
-        prank[o] = r
-    return prank
-
-
 def _kapproval_recount(ballots, k: int, prank, m: int) -> int:
     # fresh winner recount, independent of any incremental bookkeeping
     approvals = [0] * m
@@ -82,7 +73,7 @@ def ccum_greedy_kapproval(inst: CcumInstance) -> CcumCertificate:
     k = rules.kapproval_k(inst.rule, m)
     if k is None:
         raise InvalidParametersError(f"greedy solver needs a k-approval rule, got {inst.rule.name}")
-    prank = _priority_ranks(inst.tiebreak)
+    prank = ranking_positions(inst.tiebreak)
     scores = [0] * m
     for ballot in inst.fixed_ballots:
         for o in ballot[:k]:
@@ -108,15 +99,10 @@ def ccum_bruteforce(inst: CcumInstance, budget: int | None = None) -> CcumCertif
     Returns the first tuple electing the target, or achievable=False after
     scanning all (m!)^num_manipulators of them.
     """
-    m = inst.m
-    count = math.factorial(m) ** inst.num_manipulators
-    if count > (DEFAULT_BUDGET if budget is None else budget):
-        raise TooLargeError(f"{count} manipulator ballot tuples exceed the budget")
-    rankings = tuple(enumerate_rankings(m))
-    for tup in itertools.product(rankings, repeat=inst.num_manipulators):
-        profile = Profile(inst.fixed_ballots + tup, m)
+    fixed = inst.fixed_ballots
+    for profile in enumerate_profiles(inst.m, inst.num_manipulators, budget, fixed):
         if rules.winner(inst.rule, profile, inst.tiebreak) == inst.target:
-            return CcumCertificate(True, tup)
+            return CcumCertificate(True, profile.ballots[len(fixed):])
     return CcumCertificate(False, None)
 
 
@@ -144,21 +130,28 @@ def _verify_certificate(inst: CcumInstance, cert: CcumCertificate) -> None:
         )
 
 
-@lru_cache(maxsize=100_000)
 def possible_outcomes(rule: rules.RuleSpec, n: int, fixed, tiebreak, budget: int | None = None) -> frozenset:
     """Outcomes some ballots of the free voters can elect.
 
     With *fixed* set to one voter's ranking the other n-1 voters are free;
     with fixed=None all n are.  k-approval rules go through the greedy
     solver target by target; everything else enumerates ballot tuples.
+    Results are cached per distinct query; the inputs are validated the
+    first time a query is seen, so bad ones are never cached.
     """
+    if fixed is not None:
+        fixed = tuple(fixed)
+    return _possible_outcomes(rule, n, fixed, tuple(tiebreak), budget)
+
+
+@lru_cache(maxsize=100_000)
+def _possible_outcomes(rule, n, fixed, tiebreak, budget) -> frozenset:
+    tiebreak = make_tiebreak(tiebreak)
     m = len(tiebreak)
-    if fixed is not None and len(fixed) != m:
-        raise InvalidParametersError("fixed ballot and tie-break sizes disagree")
-    free = n - 1 if fixed is not None else n
+    fixed_ballots = (make_ranking(fixed, m),) if fixed is not None else ()
+    free = n - len(fixed_ballots)
     if free < 0 or n < 1:
         raise InvalidParametersError("need n >= 1 (n >= 2 when one ballot is fixed)")
-    fixed_ballots = (fixed,) if fixed is not None else ()
     if rules.kapproval_k(rule, m) is not None:
         found = set()
         for target in range(m):
@@ -166,14 +159,13 @@ def possible_outcomes(rule: rules.RuleSpec, n: int, fixed, tiebreak, budget: int
             if ccum_greedy_kapproval(inst).achievable:
                 found.add(target)
         return frozenset(found)
-    count = math.factorial(m) ** free
-    if count > (DEFAULT_BUDGET if budget is None else budget):
-        raise TooLargeError(f"{count} ballot tuples exceed the budget")
-    rankings = tuple(enumerate_rankings(m))
     found = set()
-    for tup in itertools.product(rankings, repeat=free):
-        profile = Profile(fixed_ballots + tup, m)
+    for profile in enumerate_profiles(m, free, budget, fixed_ballots):
         found.add(rules.winner(rule, profile, tiebreak))
         if len(found) == m:
             break
     return frozenset(found)
+
+
+possible_outcomes.cache_info = _possible_outcomes.cache_info
+possible_outcomes.cache_clear = _possible_outcomes.cache_clear

@@ -78,7 +78,8 @@ def _resolve_tiebreak(arg, m, from_file=None):
 
 
 def _config(args, command: str, **extra) -> dict:
-    cfg = {"command": command, "seed": args.seed, "budget": args.budget or DEFAULT_BUDGET, "format": args.format}
+    budget = DEFAULT_BUDGET if args.budget is None else args.budget
+    cfg = {"command": command, "seed": args.seed, "budget": budget, "format": args.format}
     cfg.update(extra)
     return cfg
 
@@ -269,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.set_defaults(func=_cmd_characterize)
 
-    p = sub.add_parser("experiment", parents=[shared], help="Monte Carlo manipulation-rate tables")
+    p = sub.add_parser("experiment", help="Monte Carlo manipulation-rate tables")
     fig = p.add_subparsers(dest="figure", required=True)
     f1 = fig.add_parser("fig1", parents=[shared], help="rates vs number of voters")
     f1.add_argument("--m", type=int, required=True)

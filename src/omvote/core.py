@@ -112,19 +112,23 @@ def enumerate_rankings(m: int) -> Iterator:
     return itertools.permutations(range(m))
 
 
-def enumerate_profiles(m: int, voters: int, budget: int | None = None) -> Iterator[Profile]:
-    """Yield all (m!)^voters profiles, lexicographic in the ballot tuples.
+def enumerate_profiles(m: int, voters: int, budget: int | None = None, fixed=()) -> Iterator[Profile]:
+    """Profile(fixed + tup) for each of the (m!)^voters tuples of free ballots.
 
-    Guarded by *budget* (default 10^8 profiles); raises TooLargeError beyond it.
+    The tuples come in lexicographic order after the *fixed* ballots, which
+    every profile starts with.  voters=0 is allowed when *fixed* is non-empty
+    and yields the fixed profile alone.  Every exhaustive ballot search in
+    the package runs through here, so this is where it is weighed against
+    *budget* (default 10^8 tuples); raises TooLargeError beyond it.
     """
-    if voters < 1:
+    fixed = tuple(make_ranking(b, m) for b in fixed)
+    if voters < 0 or not (voters or fixed):
         raise InvalidParametersError("need at least one voter")
     count = math.factorial(m) ** voters
     if count > (DEFAULT_BUDGET if budget is None else budget):
-        raise TooLargeError(f"{count} profiles exceed the enumeration budget")
+        raise TooLargeError(f"{count} ballot tuples exceed the enumeration budget")
     rankings = tuple(enumerate_rankings(m))
-    for combo in itertools.product(rankings, repeat=voters):
-        yield Profile(combo, m)
+    return (Profile(fixed + tup, m) for tup in itertools.product(rankings, repeat=voters))
 
 
 # ---------------------------------------------------------------------------

@@ -116,9 +116,9 @@ def om_proportion(
         raise InvalidParametersError("experiments assume n >= 3 and m >= 3")
     if not 0 < k < m:
         raise InvalidParametersError(f"need 0 < k < m, got k={k}, m={m}")
+    tiebreak = identity_tiebreak(m) if tiebreak is None else make_tiebreak(tiebreak, m)
     if nom_guaranteed(n, m, k):
         return ProportionRow(n, m, k, samples, seed, 0, 0, 0, sampled=False)
-    tiebreak = identity_tiebreak(m) if tiebreak is None else make_tiebreak(tiebreak, m)
     prank = ranking_positions(tiebreak)
     top_overall = sorted(range(m), key=lambda o: prank[o])[: n * (m - k) + 1]
     wom_count = bom_count = om_count = 0

@@ -25,7 +25,7 @@ from . import rules
 from .ccum import CcumInstance, ccum_greedy_kapproval, possible_outcomes, solve_ccum
 from .core import (
     DEFAULT_BUDGET,
-    Profile,
+    enumerate_profiles,
     enumerate_rankings,
     make_ranking,
     make_tiebreak,
@@ -140,7 +140,7 @@ def _wom_reduction(truth, rule, n, tiebreak, pos, o_w):
     m = len(truth)
     if rules.kapproval_k(rule, m) is None:
         raise UnsupportedRuleError("reduction mode needs a k-approval style rule")
-    prank = {o: r for r, o in enumerate(tiebreak)}
+    prank = ranking_positions(tiebreak)
     cut = pos[o_w]
     good = sorted((o for o in range(m) if pos[o] < cut), key=lambda o: prank[o])
     bad = sorted((o for o in range(m) if pos[o] >= cut), key=lambda o: -prank[o])
@@ -190,7 +190,8 @@ def _label(has_bom: bool, has_wom: bool) -> str:
 # For k-approval style rules only the approved sets matter, so the search
 # quotients rankings down to approval sets and the other voters down to
 # multisets of approval sets; this is exact, not an approximation.  Other
-# rules enumerate full ballot tuples.
+# rules take each report's row from possible_outcomes, which enumerates the
+# full ballot tuples of the other voters and caches the rows it computes.
 
 
 @lru_cache(maxsize=64)
@@ -201,7 +202,7 @@ def _bruteforce_feasible_map(rule: rules.RuleSpec, n: int, tiebreak, budget=None
     limit = DEFAULT_BUDGET if budget is None else budget
     k = rules.kapproval_k(rule, m)
     if k is not None:
-        prank = {o: r for r, o in enumerate(tiebreak)}
+        prank = ranking_positions(tiebreak)
         sets = [frozenset(c) for c in itertools.combinations(range(m), k)]
         combos = math.comb(len(sets) + n - 2, n - 1)
         if combos * len(sets) > limit:
@@ -222,14 +223,7 @@ def _bruteforce_feasible_map(rule: rules.RuleSpec, n: int, tiebreak, budget=None
         return {r: by_set[frozenset(r[:k])] for r in enumerate_rankings(m)}
     if math.factorial(m) ** n > limit:
         raise TooLargeError("full profile enumeration exceeds the budget")
-    rankings = tuple(enumerate_rankings(m))
-    table = {}
-    for report in rankings:
-        found = set()
-        for others in itertools.product(rankings, repeat=n - 1):
-            found.add(rules.winner(rule, Profile((report,) + others, m), tiebreak))
-        table[report] = frozenset(found)
-    return table
+    return {r: possible_outcomes(rule, n, r, tiebreak, budget) for r in enumerate_rankings(m)}
 
 
 def bruteforce_feasible(rule: rules.RuleSpec, n: int, report, tiebreak, budget=None) -> frozenset:
@@ -249,12 +243,11 @@ def bruteforce_feasible(rule: rules.RuleSpec, n: int, report, tiebreak, budget=N
 def _cowinner_feasible_map(weights, n: int, m: int, budget=None) -> dict:
     if math.factorial(m) ** n > (DEFAULT_BUDGET if budget is None else budget):
         raise TooLargeError("co-winner enumeration exceeds the budget")
-    rankings = tuple(enumerate_rankings(m))
     table = {}
-    for report in rankings:
+    for report in enumerate_rankings(m):
         found = set()
-        for others in itertools.product(rankings, repeat=n - 1):
-            found |= rules.scoring_cowinners(weights, Profile((report,) + others, m))
+        for profile in enumerate_profiles(m, n - 1, budget, (report,)):
+            found |= rules.scoring_cowinners(weights, profile)
         table[report] = frozenset(found)
     return table
 
@@ -284,7 +277,7 @@ def classify_randomized_tiebreak(truth, weights, n: int, budget=None) -> Manipul
         best = min(feas, key=lambda o: pos[o])
         worst = max(feas, key=lambda o: pos[o])
         if bom is None and pos[best] < pos[truthful.best]:
-            bom = BomWitness(report, _cowinner_others(weights, n, m, report, best))
+            bom = BomWitness(report, _cowinner_others(weights, n, m, report, best, budget))
         if wom is None and pos[worst] < pos[truthful.worst]:
             wom = report
         if bom is not None and wom is not None:
@@ -292,8 +285,8 @@ def classify_randomized_tiebreak(truth, weights, n: int, budget=None) -> Manipul
     return ManipulationReport(_label(bom is not None, wom is not None), bom, wom, truthful)
 
 
-def _cowinner_others(weights, n, m, report, target):
-    for others in itertools.product(tuple(enumerate_rankings(m)), repeat=n - 1):
-        if target in rules.scoring_cowinners(weights, Profile((report,) + others, m)):
-            return others
+def _cowinner_others(weights, n, m, report, target, budget):
+    for profile in enumerate_profiles(m, n - 1, budget, (report,)):
+        if target in rules.scoring_cowinners(weights, profile):
+            return profile.ballots[1:]
     raise VerificationError(f"no completion realizes co-winner {target}")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Profile
+from .core import Profile, ranking_positions
 from .errors import DimensionMismatchError, InvalidParametersError, UnsupportedRuleError
 
 SCORING_RULE_NAMES = frozenset(
@@ -177,10 +177,7 @@ def scoring_scores(weights: Sequence, profile: Profile) -> dict:
 def _check_tiebreak(tiebreak, m: int) -> list:
     if len(tiebreak) != m:
         raise DimensionMismatchError(f"tie-break over {len(tiebreak)} outcomes, profile has {m}")
-    prank = [0] * m
-    for r, o in enumerate(tiebreak):
-        prank[o] = r
-    return prank
+    return ranking_positions(tiebreak)
 
 
 def scoring_winner(weights: Sequence, profile: Profile, tiebreak) -> int:

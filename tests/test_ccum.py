@@ -6,6 +6,7 @@ import pytest
 
 from omvote import (
     CcumInstance,
+    DuplicateOutcomeError,
     InvalidParametersError,
     Profile,
     borda,
@@ -19,6 +20,7 @@ from omvote import (
     solve_ccum,
     winner,
 )
+from omvote import ccum
 
 
 class TestGreedy:
@@ -148,3 +150,31 @@ class TestPossibleOutcomes:
                 for others in itertools.product(rankings, repeat=2):
                     expected.add(winner(rule, Profile((report,) + others, 3), (0, 1, 2)))
                 assert possible_outcomes(rule, 3, report, (0, 1, 2)) == expected
+
+    def test_list_inputs_normalize(self):
+        # lists are not hashable; the cached query must still accept them
+        expected = possible_outcomes(borda(), 3, (0, 1, 2), (0, 1, 2))
+        assert possible_outcomes(borda(), 3, [0, 1, 2], (0, 1, 2)) == expected
+        assert possible_outcomes(borda(), 3, [0, 1, 2], [0, 1, 2]) == expected
+        free = possible_outcomes(borda(), 3, None, (0, 1, 2))
+        assert possible_outcomes(borda(), 3, None, [0, 1, 2]) == free
+
+    def test_malformed_fixed_ballot_rejected(self):
+        for rule in (borda(), plurality()):
+            with pytest.raises(DuplicateOutcomeError):
+                possible_outcomes(rule, 3, (0, 0, 1), (0, 1, 2))
+
+    def test_malformed_tiebreak_rejected(self):
+        for rule in (borda(), plurality()):
+            with pytest.raises(DuplicateOutcomeError):
+                possible_outcomes(rule, 3, (0, 1, 2), (0, 0, 1))
+            with pytest.raises(DuplicateOutcomeError):
+                possible_outcomes(rule, 3, None, (0, 0, 1))
+
+    def test_cache_info_reachable_from_module(self):
+        before = ccum.possible_outcomes.cache_info()
+        possible_outcomes(borda(), 3, (2, 1, 0), (0, 1, 2))
+        possible_outcomes(borda(), 3, (2, 1, 0), (0, 1, 2))
+        after = ccum.possible_outcomes.cache_info()
+        assert after.hits + after.misses == before.hits + before.misses + 2
+        assert after.hits >= before.hits + 1

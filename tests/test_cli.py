@@ -105,6 +105,11 @@ class TestAnalyze:
         config = json.loads(capsys.readouterr().out)["config"]
         assert config["seed"] == 0 and config["command"] == "analyze"
 
+    def test_zero_budget_echoed(self, capsys):
+        assert main(["analyze", "--rule", "plurality", "--n", "3", "--truth", "0,1,2",
+                     "--budget", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["budget"] == 0
+
 
 class TestCharacterize:
     def test_kapproval_om_verdict(self, capsys):
@@ -134,6 +139,12 @@ class TestExperiment:
         b1 = open(out1, "rb").read()
         assert b1 == open(out2, "rb").read()
         assert b1.startswith(b"n,m,k,m_minus_k,samples,seed,p_wom,p_bom,p_om\n")
+
+    def test_seed_before_figure_rejected(self, capsys):
+        # --seed belongs to the figure; before it, the figure's default would override it
+        assert main(["experiment", "--seed", "5", "fig1", "--m", "15", "--k", "14", "--n", "3",
+                     "--samples", "10"]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_fig2_stdout(self, capsys):
         assert main(["experiment", "fig2", "--n", "3", "--m", "21:22", "--mk", "7:8",

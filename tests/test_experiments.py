@@ -5,6 +5,7 @@ import pytest
 from omvote import (
     ExperimentConfig,
     InvalidParametersError,
+    VotingError,
     classify,
     enumerate_rankings,
     heatmap,
@@ -23,6 +24,12 @@ class TestShortCircuit:
         row = om_proportion(14, 15, 14, samples=1000, seed=1)
         assert (row.wom_count, row.bom_count, row.om_count) == (0, 0, 0)
         assert not row.sampled
+
+    def test_immune_cell_still_checks_tiebreak(self):
+        with pytest.raises(VotingError):
+            om_proportion(14, 15, 14, 10, 0, tiebreak=(0, 0, 0))
+        with pytest.raises(VotingError):
+            om_proportion(14, 15, 14, 10, 0, tiebreak=(0,) * 15)
 
     def test_sampled_cell_is_flagged(self):
         assert om_proportion(3, 15, 14, samples=10, seed=1).sampled

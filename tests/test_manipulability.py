@@ -5,9 +5,12 @@ import itertools
 import pytest
 
 from omvote import (
+    CcumInstance,
+    TooLargeError,
     UnsupportedRuleError,
     borda,
     bruteforce_feasible,
+    ccum_bruteforce,
     case_outcomes,
     classify,
     classify_randomized_tiebreak,
@@ -185,3 +188,23 @@ class TestRandomizedTiebreak:
     def test_feasible_uses_cowinner_union(self):
         report = classify_randomized_tiebreak((0, 1, 2), (1, 1, 0), 3)
         assert report.truthful_cases.feasible == {0, 1, 2}
+
+
+class TestBudgetBoundaries:
+    # m=3, n=3: every exhaustive search raises one tuple below its exact
+    # count and runs at it
+    CASES = {
+        "ccum_bruteforce": (36, lambda b: ccum_bruteforce(
+            CcumInstance(borda(), ((0, 1, 2),), 2, 2, IDENTITY3), budget=b)),
+        "possible_outcomes_fixed": (36, lambda b: possible_outcomes(borda(), 3, (0, 1, 2), IDENTITY3, b)),
+        "possible_outcomes_free": (216, lambda b: possible_outcomes(borda(), 3, None, IDENTITY3, b)),
+        "bruteforce_feasible": (216, lambda b: bruteforce_feasible(borda(), 3, (0, 1, 2), IDENTITY3, b)),
+        "randomized_tiebreak": (216, lambda b: classify_randomized_tiebreak((0, 1, 2), (2, 1, 0), 3, b)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_exact_tuple_count(self, name):
+        count, run = self.CASES[name]
+        with pytest.raises(TooLargeError):
+            run(count - 1)
+        assert run(count) is not None
