@@ -136,15 +136,18 @@ def possible_outcomes(rule: rules.RuleSpec, n: int, fixed, tiebreak, budget: int
     With *fixed* set to one voter's ranking the other n-1 voters are free;
     with fixed=None all n are.  k-approval rules go through the greedy
     solver target by target; everything else enumerates ballot tuples.
-    Results are cached per distinct query; the inputs are validated the
-    first time a query is seen, so bad ones are never cached.
+    The 2048 most recently used queries are cached: room for the rows of
+    the 64 brute-force tables that manipulability keeps at m=4, while memory
+    stays bounded and a long-evicted table is recomputed, not read back
+    from rows that outlived it.  The inputs are validated the first time a
+    query is seen, so bad ones are never cached.
     """
     if fixed is not None:
         fixed = tuple(fixed)
     return _possible_outcomes(rule, n, fixed, tuple(tiebreak), budget)
 
 
-@lru_cache(maxsize=100_000)
+@lru_cache(maxsize=2048)
 def _possible_outcomes(rule, n, fixed, tiebreak, budget) -> frozenset:
     tiebreak = make_tiebreak(tiebreak)
     m = len(tiebreak)

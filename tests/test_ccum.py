@@ -178,3 +178,8 @@ class TestPossibleOutcomes:
         after = ccum.possible_outcomes.cache_info()
         assert after.hits + after.misses == before.hits + before.misses + 2
         assert after.hits >= before.hits + 1
+
+    def test_cache_is_bounded(self):
+        # table rows live here, so an unbounded cache would outlive every table
+        info = ccum.possible_outcomes.cache_info()
+        assert info.maxsize is not None and info.maxsize <= 4096
