@@ -1,5 +1,7 @@
 """Monte Carlo proportion estimates: determinism, short-circuits, cross-checks."""
 
+import hashlib
+
 import pytest
 
 from omvote import (
@@ -154,6 +156,35 @@ class TestAudit:
         cfg = ExperimentConfig((3,), (21,), (1, 7), samples=100, seed=8, audit_samples=10)
         rows = run_experiment(cfg)
         assert [(r.m - r.k, r.sampled) for r in rows] == [(1, True), (7, False)]
+
+
+class TestGoldenCsv:
+    """sha256 of the CSV bytes, recorded before the grid shared draws across cells."""
+
+    @staticmethod
+    def digest(rows):
+        return hashlib.sha256(rows_to_csv(rows).encode()).hexdigest()
+
+    @pytest.mark.parametrize("seed, expected", [
+        (0, "e10d4576956341ced6172dba5817157f441feb43646193364101aab0e4542cee"),
+        (42, "70505ba93a9b6776718bdf77acb51d24acca445c671f5405b8d1ed89a2976074"),
+    ])
+    def test_fig1_sweep(self, seed, expected):
+        assert self.digest(sweep_n(15, 14, range(3, 15), 2000, seed)) == expected
+
+    @pytest.mark.parametrize("seed, expected", [
+        (0, "9f374938d2311dd1d58295da13936f232a2cb06ac11fa6d1a9501814c51fa819"),
+        (42, "c115931efca2969941a2a91570ba3f10145bb93c3749f26b51b16520bce73efc"),
+    ])
+    def test_fig2_heatmap(self, seed, expected):
+        assert self.digest(heatmap(3, range(21, 31), 300, seed)) == expected
+
+    def test_mixed_grid_keeps_row_order(self):
+        # several n and several m: the work may be regrouped, the rows may not
+        rows = run_experiment(ExperimentConfig((3, 4), (15, 21), (1, 2, 7), 500, 5))
+        assert [(r.n, r.m, r.m - r.k) for r in rows] == [
+            (n, m, mk) for n in (3, 4) for m in (15, 21) for mk in (1, 2, 7)]
+        assert self.digest(rows) == "f2daea1c584cc24b8aca6a8fdc5381963a39f9029e60a4598d270821385ff850"
 
 
 class TestCsv:
