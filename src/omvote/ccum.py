@@ -140,11 +140,26 @@ def possible_outcomes(rule: rules.RuleSpec, n: int, fixed, tiebreak, budget: int
     the 64 brute-force tables that manipulability keeps at m=4, while memory
     stays bounded and a long-evicted table is recomputed, not read back
     from rows that outlived it.  The inputs are validated the first time a
-    query is seen, so bad ones are never cached.
+    query is seen, so bad ones are never cached.  k-approval reads only the
+    approved set of the fixed ballot, so its queries are keyed by that set.
     """
+    tiebreak = tuple(tiebreak)
     if fixed is not None:
-        fixed = tuple(fixed)
-    return _possible_outcomes(rule, n, fixed, tuple(tiebreak), budget)
+        fixed = _approval_key(rule, tuple(fixed), tiebreak)
+    return _possible_outcomes(rule, n, fixed, tiebreak, budget)
+
+
+def _approval_key(rule, fixed, tiebreak) -> tuple:
+    # a well-formed k-approval ballot with both segments sorted; anything
+    # else passes unchanged, for _possible_outcomes to reject as before
+    m = len(tiebreak)
+    try:
+        k = rules.kapproval_k(rule, m)
+    except InvalidParametersError:
+        return fixed
+    if k is None or len(fixed) != m or set(fixed) != set(range(m)) or set(tiebreak) != set(range(m)):
+        return fixed
+    return tuple(sorted(fixed[:k])) + tuple(sorted(fixed[k:]))
 
 
 @lru_cache(maxsize=2048)

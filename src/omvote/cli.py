@@ -222,6 +222,13 @@ def _cmd_experiment(args) -> int:
 # --------------------------------------------------------------------------- parser
 
 
+class _AfterFigure(argparse.Action):
+    """Rejects --seed or --budget before the figure name: the figure's parser owns them."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.error(f"{option_string} goes after the figure name, e.g. 'experiment fig1 {option_string} ...'")
+
+
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
@@ -271,6 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_characterize)
 
     p = sub.add_parser("experiment", help="Monte Carlo manipulation-rate tables")
+    p.add_argument("--seed", "--budget", action=_AfterFigure, nargs="?", help=argparse.SUPPRESS)
     fig = p.add_subparsers(dest="figure", required=True)
     f1 = fig.add_parser("fig1", parents=[shared], help="rates vs number of voters")
     f1.add_argument("--m", type=int, required=True)

@@ -74,63 +74,74 @@ def nom_guaranteed(n: int, m: int, k: int) -> bool:
 def _classify_saturated(truth, n: int, k: int, prank, top_overall) -> tuple:
     """(wom, bom) for one truthful ranking, k-approval, fixed tie-break.
 
-    Valid only when m >= n*(m-k)+2: the n(m-k) disapprovals can never cover
-    all outcomes, so the winner is always the highest-priority outcome
-    approved by every voter.  With a report approving the set A, exactly the
-    (n-1)(m-k)+1 highest-priority members of A are then reachable.
+    Valid only when m >= n*(m-k)+2: the n(m-k) disapprovals never cover all
+    outcomes, so a report approving the set A reaches exactly the c+1 =
+    (n-1)(m-k)+1 highest-priority members of A.  Those lie in *top_overall*,
+    the n(m-k)+1 outcomes of highest priority in priority order, so a scan
+    of it replaces sorting.  Truthfully, at most m-k of them are disapproved
+    and the first c+1 approved ones are reachable.  The candidate misreport
+    approves the outcomes better than the truthful worst and every bad one
+    but the m-k of highest priority; it is a WOM iff c+1 good outcomes come
+    before the (m-k+1)-th bad one, i.e. iff the scan holds c+1 good ones.
     """
-    m = len(truth)
-    c = (n - 1) * (m - k)
+    need = (n - 1) * (len(truth) - k) + 1
     pos = ranking_positions(truth)
-    approved = truth[:k]
-    feasible = sorted(approved, key=lambda o: prank[o])[: c + 1]
-    o_b = min(feasible, key=lambda o: pos[o])
-    o_w = max(feasible, key=lambda o: pos[o])
-    o_star = min(top_overall, key=lambda o: pos[o])
-    bom = pos[o_star] < pos[o_b]
-    # single candidate misreport: the outcomes better than o_w up front in
-    # priority order, the rest behind with high priorities last
-    cut = pos[o_w]
-    good = truth[:cut]
-    filler = sorted(truth[cut:], key=lambda o: prank[o], reverse=True)[: k - cut]
-    feasible2 = sorted(list(good) + filler, key=lambda o: prank[o])[: c + 1]
-    wom = all(pos[o] < cut for o in feasible2)
-    return wom, bom
+    ranks = [pos[o] for o in top_overall]
+    feasible = [r for r in ranks if r < k][:need]
+    cut = max(feasible)
+    return len([r for r in ranks if r < cut]) >= need, min(ranks) < min(feasible)
 
 
-def om_proportion(
-    n: int,
-    m: int,
-    k: int,
-    samples: int,
-    seed: int,
-    tiebreak=None,
-) -> ProportionRow:
+def _run_cells(cells, samples: int, seed: int, tiebreak, audit_samples: int) -> list:
+    """One row per (n, m, k) cell, in order, from one sampling pass per m.
+
+    Truth i of m outcomes is sample_ranking(m, seed, i), drawn once and
+    classified for every sampled cell of that m.  The first immune cell is
+    audited when audit_samples > 0: its first min(audit_samples, samples)
+    truths, the same draws, must each come out NOM through the reduction.
+    """
+    tiebreaks = {}
+    for n, m, k in cells:
+        if n < 3 or m < 3:
+            raise InvalidParametersError("experiments assume n >= 3 and m >= 3")
+        if not 0 < k < m:
+            raise InvalidParametersError(f"need 0 < k < m, got k={k}, m={m}")
+        tiebreaks[m] = identity_tiebreak(m) if tiebreak is None else make_tiebreak(tiebreak, m)
+    audited = next((c for c in cells if nom_guaranteed(*c)), None) if audit_samples > 0 else None
+    counts = {}
+    for m, tb in tiebreaks.items():
+        prank = ranking_positions(tb)
+        sampled = [(n, k, tb[: n * (m - k) + 1], [0, 0, 0]) for n, mm, k in cells
+                   if mm == m and not nom_guaranteed(n, m, k)]
+        counts.update(((n, m, k), c) for n, k, _, c in sampled)
+        audit_n = min(audit_samples, samples) if audited and audited[1] == m else 0
+        for i in range(samples if sampled else audit_n):
+            truth = sample_ranking(m, seed, i)
+            for n, k, top_overall, c in sampled:
+                wom, bom = _classify_saturated(truth, n, k, prank, top_overall)
+                if bom and not wom:
+                    raise VerificationError(f"best-case-only manipulation at sample {i}: {truth}")
+                c[0] += wom
+                c[1] += bom
+                c[2] += wom or bom
+            if i < audit_n:
+                n, _, k = audited
+                report = manipulability.classify(truth, rules.kapproval(k), n, tb, mode="reduction")
+                if report.classification != manipulability.NOM:
+                    raise VerificationError(f"immune cell n={n}, m={m}, k={k} classified "
+                                            f"{report.classification} for {truth}")
+    return [ProportionRow(*cell, samples, seed, *counts.get(cell, (0, 0, 0)), sampled=cell in counts)
+            for cell in cells]
+
+
+def om_proportion(n: int, m: int, k: int, samples: int, seed: int, tiebreak=None) -> ProportionRow:
     """Estimate manipulation rates for one k-approval cell.
 
     Sample i draws truth sample_ranking(m, seed, i), so estimates are
     reproducible and independent of batching.  Immune cells short-circuit
     to exact zeros without sampling.
     """
-    if n < 3 or m < 3:
-        raise InvalidParametersError("experiments assume n >= 3 and m >= 3")
-    if not 0 < k < m:
-        raise InvalidParametersError(f"need 0 < k < m, got k={k}, m={m}")
-    tiebreak = identity_tiebreak(m) if tiebreak is None else make_tiebreak(tiebreak, m)
-    if nom_guaranteed(n, m, k):
-        return ProportionRow(n, m, k, samples, seed, 0, 0, 0, sampled=False)
-    prank = ranking_positions(tiebreak)
-    top_overall = sorted(range(m), key=lambda o: prank[o])[: n * (m - k) + 1]
-    wom_count = bom_count = om_count = 0
-    for i in range(samples):
-        truth = sample_ranking(m, seed, i)
-        wom, bom = _classify_saturated(truth, n, k, prank, top_overall)
-        if bom and not wom:
-            raise VerificationError(f"best-case-only manipulation at sample {i}: {truth}")
-        wom_count += wom
-        bom_count += bom
-        om_count += wom or bom
-    return ProportionRow(n, m, k, samples, seed, wom_count, bom_count, om_count, sampled=True)
+    return _run_cells([(n, m, k)], samples, seed, tiebreak, 0)[0]
 
 
 def audit_nom_cell(n: int, m: int, k: int, samples: int, seed: int, tiebreak=None) -> int:
@@ -142,36 +153,14 @@ def audit_nom_cell(n: int, m: int, k: int, samples: int, seed: int, tiebreak=Non
     """
     if not nom_guaranteed(n, m, k):
         raise InvalidParametersError(f"cell n={n}, m={m}, k={k} is not an immune cell")
-    tiebreak = identity_tiebreak(m) if tiebreak is None else make_tiebreak(tiebreak, m)
-    rule = rules.kapproval(k)
-    for i in range(samples):
-        truth = sample_ranking(m, seed, i)
-        report = manipulability.classify(truth, rule, n, tiebreak, mode="reduction")
-        if report.classification != manipulability.NOM:
-            raise VerificationError(
-                f"immune cell n={n}, m={m}, k={k} classified {report.classification} for {truth}"
-            )
+    _run_cells([(n, m, k)], samples, seed, tiebreak, samples)
     return samples
 
 
 def run_experiment(config: ExperimentConfig, audit: bool = True) -> list:
-    """Evaluate every cell of the grid; audit the first immune cell hit."""
-    rows = []
-    audited = not audit
-    for n in config.n_values:
-        for m in config.m_values:
-            for mk in config.mk_values:
-                row = om_proportion(n, m, m - mk, config.samples, config.seed, config.tiebreak)
-                if not row.sampled and not audited:
-                    audit_nom_cell(
-                        n, m, m - mk,
-                        min(config.audit_samples, config.samples),
-                        config.seed,
-                        config.tiebreak,
-                    )
-                    audited = True
-                rows.append(row)
-    return rows
+    """Evaluate every cell of the grid, rows in (n, m, m-k) order; audit the first immune cell."""
+    cells = [(n, m, m - mk) for n in config.n_values for m in config.m_values for mk in config.mk_values]
+    return _run_cells(cells, config.samples, config.seed, config.tiebreak, config.audit_samples if audit else 0)
 
 
 def sweep_n(m: int, k: int, n_values: Iterable[int], samples: int, seed: int, **kwargs) -> list:

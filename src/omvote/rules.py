@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Profile, ranking_positions
+from .core import Profile, make_tiebreak, ranking_positions
 from .errors import DimensionMismatchError, InvalidParametersError, UnsupportedRuleError
 
 SCORING_RULE_NAMES = frozenset(
@@ -177,6 +177,8 @@ def scoring_scores(weights: Sequence, profile: Profile) -> dict:
 def _check_tiebreak(tiebreak, m: int) -> list:
     if len(tiebreak) != m:
         raise DimensionMismatchError(f"tie-break over {len(tiebreak)} outcomes, profile has {m}")
+    if set(tiebreak) != set(range(m)):
+        tiebreak = make_tiebreak(tiebreak, m)  # raises unless only the entry types were off
     return ranking_positions(tiebreak)
 
 

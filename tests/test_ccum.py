@@ -8,7 +8,9 @@ from omvote import (
     CcumInstance,
     DuplicateOutcomeError,
     InvalidParametersError,
+    OutOfRangeIndexError,
     Profile,
+    WrongLengthError,
     borda,
     ccum_bruteforce,
     ccum_greedy_kapproval,
@@ -178,6 +180,25 @@ class TestPossibleOutcomes:
         after = ccum.possible_outcomes.cache_info()
         assert after.hits + after.misses == before.hits + before.misses + 2
         assert after.hits >= before.hits + 1
+
+    def test_kapproval_keyed_by_approved_set(self):
+        # k-approval reads only the approved set of the fixed ballot
+        tiebreak = (3, 0, 4, 1, 2)
+        first = possible_outcomes(kapproval(2), 3, (4, 1, 0, 3, 2), tiebreak)
+        before = ccum.possible_outcomes.cache_info()
+        assert possible_outcomes(kapproval(2), 3, (1, 4, 2, 0, 3), tiebreak) == first
+        assert ccum.possible_outcomes.cache_info().hits == before.hits + 1
+
+    @pytest.mark.parametrize("fixed, tiebreak, error", [
+        ((0, 1, 2, 3), (0, 1, 2, 3, 4), WrongLengthError),
+        ((1, 1, 0, 2, 3), (0, 1, 2, 3, 4), DuplicateOutcomeError),
+        ((0, 1, 2, 3, 7), (0, 1, 2, 3, 4), OutOfRangeIndexError),
+        ((4, 1, 0, 3, 2), (0, 0, 1, 2, 3), DuplicateOutcomeError),
+    ])
+    def test_malformed_kapproval_query_rejected(self, fixed, tiebreak, error):
+        # a malformed query reaches the validator unchanged, not in its approval-set form
+        with pytest.raises(error):
+            possible_outcomes(kapproval(2), 3, fixed, tiebreak)
 
     def test_cache_is_bounded(self):
         # table rows live here, so an unbounded cache would outlive every table

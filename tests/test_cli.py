@@ -146,6 +146,13 @@ class TestExperiment:
                      "--samples", "10"]) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("flag", ["--seed", "--budget"])
+    def test_flag_before_figure_names_its_place(self, flag, capsys):
+        assert main(["experiment", flag, "5", "fig1", "--m", "15", "--k", "14", "--n", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{flag} goes after the figure name" in captured.err
+
     def test_fig2_stdout(self, capsys):
         assert main(["experiment", "fig2", "--n", "3", "--m", "21:22", "--mk", "7:8",
                      "--samples", "50", "--seed", "1"]) == 0

@@ -3,6 +3,8 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omvote import (
     ExperimentConfig,
@@ -17,6 +19,7 @@ from omvote import (
     sample_ranking,
     sweep_n,
 )
+from omvote import experiments
 from omvote.core import ranking_positions
 from omvote.experiments import _classify_saturated, audit_nom_cell, nom_guaranteed, run_experiment
 
@@ -84,6 +87,47 @@ class TestFastClassifierAgreement:
             report = classify(truth, kapproval(k), n, tiebreak, mode="reduction")
             assert wom == (report.wom_witness is not None), truth
             assert bom == (report.bom_witness is not None), truth
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_random_cells_and_tiebreaks_against_reduction(self, data):
+        m = data.draw(st.integers(5, 9), label="m")
+        mk = data.draw(st.integers(1, (m - 2) // 3), label="m-k")
+        n = data.draw(st.integers(3, (m - 2) // mk), label="n")
+        tiebreak = tuple(data.draw(st.permutations(range(m)), label="tiebreak"))
+        truth = tuple(data.draw(st.permutations(range(m)), label="truth"))
+        k = m - mk
+        wom, bom = _classify_saturated(truth, n, k, ranking_positions(tiebreak), tiebreak[: n * mk + 1])
+        report = classify(truth, kapproval(k), n, tiebreak, mode="reduction")
+        assert wom == (report.wom_witness is not None)
+        assert bom == (report.bom_witness is not None)
+
+
+class TestSharedDraws:
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        seen = []
+
+        def counting(m, seed, index):
+            seen.append((m, index))
+            return sample_ranking(m, seed, index)
+
+        monkeypatch.setattr(experiments, "sample_ranking", counting)
+        return seen
+
+    def test_fig1_draws_each_truth_once(self, draws):
+        # 11 sampled cells and the audit of n=14 all read the same 3000 truths
+        sweep_n(15, 14, range(3, 15), samples=3000, seed=1)
+        assert sorted(draws) == [(15, i) for i in range(3000)]
+
+    def test_mixed_grid_draws_once_per_m(self, draws):
+        run_experiment(ExperimentConfig((3, 4), (15, 21), (1, 2, 7), 50, 5))
+        assert sorted(draws) == [(m, i) for m in (15, 21) for i in range(50)]
+
+    def test_audit_only_grid_draws_audit_samples(self, draws):
+        run_experiment(ExperimentConfig((3,), (21,), (7, 8), samples=100, seed=8, audit_samples=10))
+        assert sorted(draws) == [(21, i) for i in range(10)]
 
 
 class TestRelabelingInvariance:

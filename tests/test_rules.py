@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from omvote import (
     DimensionMismatchError,
+    DuplicateOutcomeError,
     InvalidParametersError,
     borda,
     condorcet_winner,
@@ -122,6 +123,12 @@ class TestScoring:
             scoring_scores((1, 0), make_profile([(0, 1, 2)]))
         with pytest.raises(DimensionMismatchError):
             scoring_winner((1, 0, 0), make_profile([(0, 1, 2)]), (0, 1))
+
+    def test_tiebreak_must_be_a_permutation(self):
+        profile = make_profile([(0, 1, 2), (1, 0, 2)])
+        for rule in (borda(), stv(), runoff(), copeland()):
+            with pytest.raises(DuplicateOutcomeError):
+                winner(rule, profile, (0, 0, 1))
 
     def test_dowdall_exact_tie(self):
         # 1 + 1/2 + 1/3 arithmetic must compare exactly, not approximately
