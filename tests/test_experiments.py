@@ -88,7 +88,6 @@ class TestFastClassifierAgreement:
             assert wom == (report.wom_witness is not None), truth
             assert bom == (report.bom_witness is not None), truth
 
-
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_random_cells_and_tiebreaks_against_reduction(self, data):
