@@ -136,11 +136,21 @@ def possible_outcomes(rule: rules.RuleSpec, n: int, fixed, tiebreak, budget: int
     With *fixed* set to one voter's ranking the other n-1 voters are free;
     with fixed=None all n are.  k-approval rules go through the greedy
     solver target by target; everything else enumerates ballot tuples.
-    The 2048 most recently used queries are cached: room for the rows of
-    the 64 brute-force tables that manipulability keeps at m=4, while memory
-    stays bounded and a long-evicted table is recomputed, not read back
-    from rows that outlived it.  The inputs are validated the first time a
-    query is seen, so bad ones are never cached.  k-approval reads only the
+
+    Every supported rule is neutral: scoring, STV, runoff and Copeland read
+    the tie-break only through its positions prank, so relabeling each
+    outcome o as prank[o] turns it into the identity, and
+    winner(pi(P), identity) = pi(winner(P, tiebreak)).  So a query under
+    another tie-break is answered under the identity, with the fixed ballot
+    relabeled, and its outcomes are mapped back.
+
+    The 2048 most recently used queries are cached under the key they were
+    asked with, and the m! tie-breaks share each identity entry: room for
+    the rows of the 64 brute-force tables that manipulability keeps at m=4
+    and their identity entries, while memory stays bounded and a
+    long-evicted table is recomputed, not read back from rows that outlived
+    it.  Inputs are validated the first time a query is seen, before any
+    relabeling, so bad ones are never cached.  k-approval reads only the
     approved set of the fixed ballot, so its queries are keyed by that set.
     """
     tiebreak = tuple(tiebreak)
@@ -170,6 +180,12 @@ def _possible_outcomes(rule, n, fixed, tiebreak, budget) -> frozenset:
     free = n - len(fixed_ballots)
     if free < 0 or n < 1:
         raise InvalidParametersError("need n >= 1 (n >= 2 when one ballot is fixed)")
+    if tiebreak != tuple(range(m)):
+        prank = ranking_positions(tiebreak)
+        if fixed is not None:
+            fixed = _approval_key(rule, tuple(prank[o] for o in fixed_ballots[0]), tuple(range(m)))
+        found = _possible_outcomes(rule, n, fixed, tuple(range(m)), budget)
+        return frozenset(tiebreak[o] for o in found)
     if rules.kapproval_k(rule, m) is not None:
         found = set()
         for target in range(m):

@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omvote import (
     CcumInstance,
@@ -16,6 +18,7 @@ from omvote import (
     ccum_greedy_kapproval,
     enumerate_rankings,
     kapproval,
+    parse_rule,
     plurality,
     possible_outcomes,
     scoring_scores,
@@ -204,3 +207,68 @@ class TestPossibleOutcomes:
         # table rows live here, so an unbounded cache would outlive every table
         info = ccum.possible_outcomes.cache_info()
         assert info.maxsize is not None and info.maxsize <= 4096
+
+
+RULE_NAMES = ("borda", "plurality", "antiplurality", "dowdall", "paperfamily", "kapproval",
+              "scoring", "vetofamily:omega=9,eps=1", "stv", "runoff", "copeland")
+
+
+class TestNeutrality:
+    """possible_outcomes answers a non-identity tie-break under the identity and relabels."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_search_under_the_tiebreak_itself(self, data):
+        m = data.draw(st.sampled_from((3, 4)), label="m")
+        n = data.draw(st.sampled_from((2, 3)), label="n")
+        name = data.draw(st.sampled_from(RULE_NAMES), label="rule")
+        if name == "kapproval":
+            name = f"kapproval:k={data.draw(st.integers(1, m - 1), label='k')}"
+        elif name == "scoring":
+            ws = sorted(data.draw(st.lists(st.integers(0, 4), min_size=m, max_size=m)), reverse=True)
+            ws[0] += ws[0] == ws[-1]
+            name = "scoring:w=" + ",".join(map(str, ws))
+        rule = parse_rule(name)
+        tiebreak = tuple(data.draw(st.permutations(range(m)), label="tiebreak"))
+        fixed = data.draw(st.none() | st.permutations(range(m)), label="fixed")
+        fixed_ballots = () if fixed is None else (tuple(fixed),)
+        free = n - len(fixed_ballots)
+        # ccum_bruteforce enumerates under the tie-break itself, with no relabeling
+        expected = {
+            t for t in range(m)
+            if ccum_bruteforce(CcumInstance(rule, fixed_ballots, free, t, tiebreak)).achievable
+        }
+        assert possible_outcomes(rule, n, fixed, tiebreak) == expected
+
+    def test_relabeled_query_shares_the_identity_entry(self, monkeypatch):
+        identity, tiebreak = (0, 1, 2, 3), (2, 0, 3, 1)
+        report = (1, 3, 0, 2)
+        ccum.possible_outcomes.cache_clear()
+        found = possible_outcomes(borda(), 3, report, identity)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return winner(*args)
+
+        monkeypatch.setattr(ccum.rules, "winner", counting)
+        # the ballot that relabels onto *report*: outcome tiebreak[o] becomes o
+        relabeled = tuple(tiebreak[o] for o in report)
+        before = ccum.possible_outcomes.cache_info()
+        assert possible_outcomes(borda(), 3, relabeled, tiebreak) == {tiebreak[o] for o in found}
+        after = ccum.possible_outcomes.cache_info()
+        assert calls == []
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+
+    @pytest.mark.parametrize("rule", [borda(), kapproval(2)])
+    @pytest.mark.parametrize("n, fixed, tiebreak, error", [
+        (3, (0, 1, 2), (3, 1, 0, 2), WrongLengthError),
+        (3, (1, 1, 0, 2), (3, 1, 0, 2), DuplicateOutcomeError),
+        (3, (0, 1, 2, 7), (3, 1, 0, 2), OutOfRangeIndexError),
+        (3, (0, 1, 2, 3), (3, 1, 1, 2), DuplicateOutcomeError),
+        (3, None, (3, 1, 4, 2), OutOfRangeIndexError),
+        (0, (0, 1, 2, 3), (3, 1, 0, 2), InvalidParametersError),
+    ])
+    def test_bad_query_rejected_before_relabeling(self, rule, n, fixed, tiebreak, error):
+        with pytest.raises(error):
+            possible_outcomes(rule, n, fixed, tiebreak)
