@@ -8,13 +8,14 @@ exhaustive search at small scale, so each side can validate the other.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import rules
 from .ccum import possible_outcomes
-from .core import Profile, enumerate_rankings, identity_tiebreak, make_tiebreak
-from .errors import InvalidParametersError
+from .core import DEFAULT_BUDGET, Profile, enumerate_rankings, identity_tiebreak, make_tiebreak
+from .errors import InvalidParametersError, TooLargeError
 
 OM = "OM"
 NOM = "NOM"
@@ -113,25 +114,25 @@ def has_veto_power(rule: rules.RuleSpec, n: int, m: int, tiebreak=None, budget=N
 def is_almost_unanimous(rule: rules.RuleSpec, n: int, m: int, tiebreak=None, budget=None) -> bool:
     """True iff an outcome ranked first by at least n-1 voters always wins.
 
-    With tiebreak=None the property is required for every priority order.
+    With tiebreak=None it is required for every priority order, and the
+    identity order decides it: every rule is neutral, so relabeling each
+    outcome by its priority position maps the profiles where n-1 voters rank
+    t first, and their winners, onto those under the identity.  Every rule
+    is also anonymous, so the dissenting ballot is placed last only.  The
+    m * m! * ((m-1)!)^(n-1) ballot tuples of the search are weighed against
+    *budget* (default 10^8); raises TooLargeError beyond it.
     """
     if n < 2:
         raise InvalidParametersError("almost-unanimity needs at least two voters")
-    if tiebreak is None:
-        return all(
-            _almost_unanimous_under(rule, n, m, tb) for tb in enumerate_rankings(m)
-        )
-    return _almost_unanimous_under(rule, n, m, make_tiebreak(tiebreak, m))
-
-
-def _almost_unanimous_under(rule, n, m, tiebreak) -> bool:
+    tiebreak = identity_tiebreak(m) if tiebreak is None else make_tiebreak(tiebreak, m)
     rankings = tuple(enumerate_rankings(m))
+    count = m * len(rankings) * math.factorial(m - 1) ** (n - 1)
+    if count > (DEFAULT_BUDGET if budget is None else budget):
+        raise TooLargeError(f"{count} ballot tuples exceed the enumeration budget")
     for top in range(m):
         supporters = [r for r in rankings if r[0] == top]
-        for deviant_slot in range(n):
-            for deviant in rankings:
-                for backers in itertools.product(supporters, repeat=n - 1):
-                    ballots = backers[:deviant_slot] + (deviant,) + backers[deviant_slot:]
-                    if rules.winner(rule, Profile(ballots, m), tiebreak) != top:
-                        return False
+        for deviant in rankings:
+            for backers in itertools.product(supporters, repeat=n - 1):
+                if rules.winner(rule, Profile(backers + (deviant,), m), tiebreak) != top:
+                    return False
     return True

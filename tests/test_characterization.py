@@ -6,6 +6,7 @@ import pytest
 
 from omvote import (
     InvalidParametersError,
+    TooLargeError,
     bom_iff,
     borda,
     classify,
@@ -17,6 +18,7 @@ from omvote import (
     kapproval,
     kapproval_om,
     paperfamily,
+    parse_rule,
     plurality,
     runoff,
     score_vector,
@@ -127,6 +129,27 @@ class TestAlmostUnanimous:
 
     def test_plurality_holds(self):
         assert is_almost_unanimous(plurality(), 3, 3)
+
+    @pytest.mark.parametrize("rule, n, m, count", [
+        (stv(), 3, 3, 72),  # m * m! * ((m-1)!)^(n-1)
+        (copeland(), 2, 3, 36),
+        (plurality(), 3, 4, 3456),
+    ])
+    def test_exact_tuple_count(self, rule, n, m, count):
+        with pytest.raises(TooLargeError, match=f"{count} ballot tuples"):
+            is_almost_unanimous(rule, n, m, None, budget=count - 1)
+        assert is_almost_unanimous(rule, n, m, None, budget=count) is not None
+
+    @pytest.mark.parametrize("label", [
+        "borda", "plurality", "antiplurality", "dowdall", "paperfamily", "kapproval:k=1",
+        "kapproval:k=2", "scoring:w=3,1,0", "vetofamily:omega=9,eps=1", "stv", "runoff", "copeland",
+    ])
+    def test_verdict_does_not_depend_on_the_order(self, label):
+        # tiebreak=None checks the identity order only; neutrality makes that enough
+        rule = parse_rule(label)
+        for n in (2, 3):
+            verdicts = {is_almost_unanimous(rule, n, 3, tb) for tb in enumerate_rankings(3)}
+            assert verdicts == {is_almost_unanimous(rule, n, 3)}, (label, n)
 
 
 class TestBomIffAgainstSearch:
