@@ -125,6 +125,9 @@ def _cmd_ccum(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    if args.randomized_tiebreak and (args.tiebreak is not None or args.mode != "auto"):
+        flag = "--tiebreak" if args.tiebreak is not None else "--mode"  # co-winner semantics reads neither
+        raise InvalidParametersError(f"{flag} cannot be combined with --randomized-tiebreak")
     rule = rules.parse_rule(args.rule)
     truth = make_ranking(_parse_int_list(args.truth))
     m = len(truth)

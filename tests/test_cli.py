@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, reproducibility."""
 
+import hashlib
 import json
 
 import pytest
@@ -100,6 +101,26 @@ class TestAnalyze:
                      "--truth", "0,1,2", "--randomized-tiebreak"]) == 0
         assert json.loads(capsys.readouterr().out)["classification"] == "NOM"
 
+    @pytest.mark.parametrize("extra, flag", [
+        (["--tiebreak", "2,1,0"], "--tiebreak"),
+        (["--mode", "reduction"], "--mode"),
+        (["--mode", "bruteforce"], "--mode"),
+    ])
+    def test_randomized_tiebreak_rejects_unused_flags(self, extra, flag, capsys):
+        assert main(["analyze", "--rule", "borda", "--n", "3", "--truth", "0,1,2",
+                     "--randomized-tiebreak"] + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag in captured.err
+
+    @pytest.mark.parametrize("extra", [[], ["--mode", "auto"]])
+    def test_randomized_tiebreak_stdout_unchanged(self, extra, capsys):
+        # sha256 of the stdout bytes, recorded before unused flags were rejected
+        assert main(["analyze", "--rule", "borda", "--n", "3", "--truth", "0,1,2",
+                     "--randomized-tiebreak"] + extra) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "db69a20e77f90e4577d23d836b47fb06271c755fe50dc0bae73837b91813b7c1"
+
     def test_config_echoed_with_seed(self, capsys):
         main(["analyze", "--rule", "plurality", "--n", "3", "--truth", "0,1,2"])
         config = json.loads(capsys.readouterr().out)["config"]
@@ -127,6 +148,12 @@ class TestCharacterize:
         verdicts = {v["predicate"]: v for v in payload["verdicts"]}
         assert verdicts["has_veto_power"]["holds"] is False
         assert verdicts["is_almost_unanimous"]["holds"] is True
+
+    def test_exhaustive_budget_boundary(self, capsys):
+        # n=2, m=3: has_veto_power weighs (3!)^2 = 36 tuples, and so does almost-unanimity
+        args = ["characterize", "--rule", "copeland", "--n", "2", "--m", "3", "--exhaustive"]
+        assert main(args + ["--budget", "35"]) == 3
+        assert main(args + ["--budget", "36"]) == 0
 
 
 class TestExperiment:
