@@ -139,19 +139,18 @@ def possible_outcomes(rule: rules.RuleSpec, n: int, fixed, tiebreak, budget: int
 
     Every supported rule is neutral: scoring, STV, runoff and Copeland read
     the tie-break only through its positions prank, so relabeling each
-    outcome o as prank[o] turns it into the identity, and
-    winner(pi(P), identity) = pi(winner(P, tiebreak)).  So a query under
-    another tie-break is answered under the identity, with the fixed ballot
-    relabeled, and its outcomes are mapped back.
+    outcome o as prank[o] makes it the identity, and winner(pi(P), identity)
+    = pi(winner(P, tiebreak)).  A query under another tie-break is answered
+    under the identity, with the fixed ballot relabeled, and mapped back.
 
     The 2048 most recently used queries are cached under the key they were
     asked with, and the m! tie-breaks share each identity entry: room for
     the rows of the 64 brute-force tables that manipulability keeps at m=4
-    and their identity entries, while memory stays bounded and a
-    long-evicted table is recomputed, not read back from rows that outlived
-    it.  Inputs are validated the first time a query is seen, before any
-    relabeling, so bad ones are never cached.  k-approval reads only the
-    approved set of the fixed ballot, so its queries are keyed by that set.
+    and their identity entries, while memory stays bounded and an evicted
+    table is recomputed, not read back from rows that outlived it.  Inputs
+    are validated when a query is first seen, before any relabeling, so bad
+    ones are never cached.  k-approval reads only the approved set of the
+    fixed ballot, so its queries are keyed by that set.
     """
     tiebreak = tuple(tiebreak)
     if fixed is not None:
@@ -180,11 +179,12 @@ def _possible_outcomes(rule, n, fixed, tiebreak, budget) -> frozenset:
     free = n - len(fixed_ballots)
     if free < 0 or n < 1:
         raise InvalidParametersError("need n >= 1 (n >= 2 when one ballot is fixed)")
-    if tiebreak != tuple(range(m)):
+    identity = tuple(range(m))
+    if tiebreak != identity:
         prank = ranking_positions(tiebreak)
         if fixed is not None:
-            fixed = _approval_key(rule, tuple(prank[o] for o in fixed_ballots[0]), tuple(range(m)))
-        found = _possible_outcomes(rule, n, fixed, tuple(range(m)), budget)
+            fixed = _approval_key(rule, tuple(prank[o] for o in fixed_ballots[0]), identity)
+        found = _possible_outcomes(rule, n, fixed, identity, budget)
         return frozenset(tiebreak[o] for o in found)
     if rules.kapproval_k(rule, m) is not None:
         found = set()

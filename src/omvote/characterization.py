@@ -115,12 +115,12 @@ def is_almost_unanimous(rule: rules.RuleSpec, n: int, m: int, tiebreak=None, bud
     """True iff an outcome ranked first by at least n-1 voters always wins.
 
     With tiebreak=None it is required for every priority order, and the
-    identity order decides it: every rule is neutral, so relabeling each
-    outcome by its priority position maps the profiles where n-1 voters rank
-    t first, and their winners, onto those under the identity.  Every rule
-    is also anonymous, so the dissenting ballot is placed last only.  The
-    m * m! * ((m-1)!)^(n-1) ballot tuples of the search are weighed against
-    *budget* (default 10^8); raises TooLargeError beyond it.
+    identity decides it: every rule is neutral, so relabeling each outcome
+    by its priority position maps the profiles where n-1 voters rank t
+    first, and their winners, onto those under the identity.  Every rule is
+    also anonymous, so the dissenting ballot is placed last only.  Raises
+    TooLargeError beyond *budget* (default 10^8) ballot tuples; the search
+    has m * m! * ((m-1)!)^(n-1).
     """
     if n < 2:
         raise InvalidParametersError("almost-unanimity needs at least two voters")

@@ -226,7 +226,8 @@ class TestNeutrality:
             name = f"kapproval:k={data.draw(st.integers(1, m - 1), label='k')}"
         elif name == "scoring":
             ws = sorted(data.draw(st.lists(st.integers(0, 4), min_size=m, max_size=m)), reverse=True)
-            ws[0] += ws[0] == ws[-1]
+            if ws[0] == ws[-1]:
+                ws[0] += 1  # a constant vector is not a scoring rule
             name = "scoring:w=" + ",".join(map(str, ws))
         rule = parse_rule(name)
         tiebreak = tuple(data.draw(st.permutations(range(m)), label="tiebreak"))
