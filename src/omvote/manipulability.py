@@ -22,10 +22,9 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import rules
-from .ccum import CcumInstance, ccum_greedy_kapproval, possible_outcomes, solve_ccum
+from .ccum import CcumInstance, ccum_bruteforce, ccum_greedy_kapproval, possible_outcomes, solve_ccum
 from .core import (
     DEFAULT_BUDGET,
-    enumerate_profiles,
     enumerate_rankings,
     make_ranking,
     make_tiebreak,
@@ -69,13 +68,11 @@ def case_outcomes(truth, report, rule: rules.RuleSpec, n: int, tiebreak, budget=
     tiebreak = make_tiebreak(tiebreak, m)
     if n < 2:
         raise InvalidParametersError("case analysis needs at least two voters")
-    feasible = possible_outcomes(rule, n, report, tiebreak, budget)
-    pos = ranking_positions(truth)
-    return CaseOutcomes(
-        best=min(feasible, key=lambda o: pos[o]),
-        worst=max(feasible, key=lambda o: pos[o]),
-        feasible=feasible,
-    )
+    return _extremes(possible_outcomes(rule, n, report, tiebreak, budget), ranking_positions(truth))
+
+
+def _extremes(feasible: frozenset, pos) -> CaseOutcomes:
+    return CaseOutcomes(min(feasible, key=pos.__getitem__), max(feasible, key=pos.__getitem__), feasible)
 
 
 def find_bom(truth, rule: rules.RuleSpec, n: int, tiebreak, budget=None) -> BomWitness | None:
@@ -236,57 +233,50 @@ def bruteforce_feasible(rule: rules.RuleSpec, n: int, report, tiebreak, budget=N
 # ---------------------------------------------------------------------------
 # Randomized tie-break semantics: every top-scoring outcome can win, so the
 # reachable set of a report is the union of the co-winner sets over all
-# ballots of the other voters.
+# ballots of the other voters.  o is a co-winner iff it wins under the priority
+# order that puts o first, so rows and witnesses come from the fixed-priority
+# solvers under that order; a witness is the first completion in lex order.
+
+
+def _priority_first(o: int, m: int) -> tuple:
+    return (o, *(p for p in range(m) if p != o))
 
 
 @lru_cache(maxsize=64)
-def _cowinner_feasible_map(weights, n: int, m: int, budget=None) -> dict:
+def _cowinner_feasible_map(rule: rules.RuleSpec, n: int, m: int, budget=None) -> dict:
     if math.factorial(m) ** n > (DEFAULT_BUDGET if budget is None else budget):
         raise TooLargeError("co-winner enumeration exceeds the budget")
-    table = {}
-    for report in enumerate_rankings(m):
-        found = set()
-        for profile in enumerate_profiles(m, n - 1, budget, (report,)):
-            found |= rules.scoring_cowinners(weights, profile)
-        table[report] = frozenset(found)
-    return table
+    return {
+        report: frozenset(o for o in range(m)
+                          if o in possible_outcomes(rule, n, report, _priority_first(o, m), budget))
+        for report in enumerate_rankings(m)
+    }
 
 
 def classify_randomized_tiebreak(truth, weights, n: int, budget=None) -> ManipulationReport:
     """Classification when score ties are broken by lot instead of priority."""
     m = len(truth)
     truth = make_ranking(truth)
-    weights = rules.make_score_vector(weights)
-    if len(weights) != m:
-        raise InvalidParametersError(f"{len(weights)} weights for {m} outcomes")
+    rule = rules.scoring(weights)
+    rules.score_vector(rule, m)  # one weight per outcome
     if n < 2:
         raise InvalidParametersError("need at least two voters")
-    table = _cowinner_feasible_map(weights, n, m, budget)
+    table = _cowinner_feasible_map(rule, n, m, budget)
     pos = ranking_positions(truth)
-    feas0 = table[truth]
-    truthful = CaseOutcomes(
-        best=min(feas0, key=lambda o: pos[o]),
-        worst=max(feas0, key=lambda o: pos[o]),
-        feasible=feas0,
-    )
+    truthful = _extremes(table[truth], pos)
     bom = wom = None
     for report in enumerate_rankings(m):
         if report == truth:
             continue
-        feas = table[report]
-        best = min(feas, key=lambda o: pos[o])
-        worst = max(feas, key=lambda o: pos[o])
-        if bom is None and pos[best] < pos[truthful.best]:
-            bom = BomWitness(report, _cowinner_others(weights, n, m, report, best, budget))
-        if wom is None and pos[worst] < pos[truthful.worst]:
+        cases = _extremes(table[report], pos)
+        if bom is None and pos[cases.best] < pos[truthful.best]:
+            inst = CcumInstance(rule, (report,), n - 1, cases.best, _priority_first(cases.best, m))
+            cert = ccum_bruteforce(inst, budget)
+            if not cert.achievable:
+                raise VerificationError(f"no completion realizes co-winner {cases.best}")
+            bom = BomWitness(report, cert.manipulator_ballots)
+        if wom is None and pos[cases.worst] < pos[truthful.worst]:
             wom = report
         if bom is not None and wom is not None:
             break
     return ManipulationReport(_label(bom is not None, wom is not None), bom, wom, truthful)
-
-
-def _cowinner_others(weights, n, m, report, target, budget):
-    for profile in enumerate_profiles(m, n - 1, budget, (report,)):
-        if target in rules.scoring_cowinners(weights, profile):
-            return profile.ballots[1:]
-    raise VerificationError(f"no completion realizes co-winner {target}")

@@ -7,8 +7,10 @@ priority order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .core import Profile, make_tiebreak, ranking_positions
@@ -135,21 +137,28 @@ def score_vector(rule: RuleSpec, m: int, n: int | None = None) -> tuple:
     raise InvalidParametersError(f"{rule.name} is not a positional scoring rule")
 
 
+@lru_cache(maxsize=512)
+def _canonical_weights(rule: RuleSpec, m: int, n: int | None = None) -> tuple:
+    """The one integer score vector of a scoring rule for m outcomes.
+
+    Each ballot gives every outcome one weight, so a positive affine map of the
+    weights keeps every score order: the vector less its last weight, with
+    denominators cleared and divided by the gcd, stands for all of them.
+    """
+    ws = score_vector(rule, m, n)
+    scale = math.lcm(*(w.denominator for w in ws))
+    ints = [int((w - ws[-1]) * scale) for w in ws]
+    gcd = math.gcd(*ints)
+    return tuple(w // gcd for w in ints)
+
+
+@lru_cache(maxsize=512)
 def kapproval_k(rule: RuleSpec, m: int) -> int | None:
-    """The k of a k-approval style rule (1/0 weights), or None otherwise."""
-    if rule.name == "kapproval":
-        if not 0 < rule.k < m:
-            raise InvalidParametersError(f"k-approval needs 0 < k < m, got k={rule.k}, m={m}")
-        return rule.k
-    if rule.name == "plurality":
-        return 1
-    if rule.name == "antiplurality":
-        return m - 1
-    if rule.name == "scoring" and len(rule.weights) == m:
-        k = sum(1 for w in rule.weights if w == 1)
-        if rule.weights == (Fraction(1),) * k + (Fraction(0),) * (m - k) and 0 < k < m:
-            return k
-    return None
+    """The k of a k-approval rule, or None: a scoring rule whose canonical vector is 0/1 approves its sum."""
+    if not rule.is_scoring:
+        return None
+    ws = _canonical_weights(rule, m)
+    return sum(ws) if set(ws) == {0, 1} else None
 
 
 def _plain_weights(weights: Sequence) -> list:
@@ -279,8 +288,7 @@ def plurality_runoff_winner(profile: Profile, tiebreak) -> int:
 def winner(rule: RuleSpec, profile: Profile, tiebreak) -> int:
     """Evaluate any supported rule on a profile with a fixed tie-break."""
     if rule.is_scoring:
-        ws = score_vector(rule, profile.m, profile.n)
-        return scoring_winner(ws, profile, tiebreak)
+        return scoring_winner(_canonical_weights(rule, profile.m, profile.n), profile, tiebreak)
     if rule.name == "stv":
         return stv_winner(profile, tiebreak)
     if rule.name == "runoff":

@@ -14,6 +14,8 @@ from omvote import (
     case_outcomes,
     classify,
     classify_randomized_tiebreak,
+    dowdall,
+    enumerate_profiles,
     enumerate_rankings,
     find_bom,
     find_wom,
@@ -22,6 +24,8 @@ from omvote import (
     plurality,
     possible_outcomes,
     score_vector,
+    scoring,
+    scoring_cowinners,
     scoring_winner,
     make_profile,
 )
@@ -188,6 +192,32 @@ class TestRandomizedTiebreak:
     def test_feasible_uses_cowinner_union(self):
         report = classify_randomized_tiebreak((0, 1, 2), (1, 1, 0), 3)
         assert report.truthful_cases.feasible == {0, 1, 2}
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("weights", [(2, 1, 0), (1, 1, 0), (1, 0, 0), score_vector(dowdall(), 3)])
+    def test_rows_and_completions_match_cowinner_oracle(self, weights, n):
+        # the oracle: union of co-winner sets over every completion, scanned in
+        # enumeration order, against the rows and the witness search that
+        # put the target first in the priority order
+        for report in enumerate_rankings(3):
+            completions = list(enumerate_profiles(3, n - 1, fixed=(report,)))
+            union = set().union(*(scoring_cowinners(weights, p) for p in completions))
+            assert classify_randomized_tiebreak(report, weights, n).truthful_cases.feasible == union
+            for target in union:
+                first = next(p for p in completions if target in scoring_cowinners(weights, p))
+                priority = (target, *(o for o in range(3) if o != target))
+                cert = ccum_bruteforce(CcumInstance(scoring(weights), (report,), n - 1, target, priority))
+                assert cert.manipulator_ballots == first.ballots[1:]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("weights", [(2, 1, 0), (1, 1, 0), (1, 0, 0), score_vector(dowdall(), 3)])
+    def test_never_best_case_manipulable(self, weights, n):
+        # the other voters can all rank the truthful top first too, which gives
+        # it the highest total possible, so it is always a co-winner
+        for truth in enumerate_rankings(3):
+            report = classify_randomized_tiebreak(truth, weights, n)
+            assert report.truthful_cases.best == truth[0]
+            assert report.bom_witness is None
 
 
 class TestBudgetBoundaries:

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omvote import (
@@ -11,6 +11,7 @@ from omvote import (
     DuplicateOutcomeError,
     InvalidParametersError,
     borda,
+    classify,
     condorcet_winner,
     copeland,
     copeland_winner,
@@ -37,6 +38,7 @@ from omvote import (
     vetofamily,
     winner,
 )
+from omvote.rules import SCORING_RULE_NAMES, _canonical_weights
 
 F = Fraction
 
@@ -87,7 +89,54 @@ class TestScoreVectors:
         assert kapproval_k(kapproval(3), 5) == 3
         assert kapproval_k(scoring([1, 1, 0, 0]), 4) == 2
         assert kapproval_k(borda(), 5) is None
-        assert kapproval_k(scoring([2, 2, 0, 0]), 4) is None
+        assert kapproval_k(scoring([2, 2, 0, 0]), 4) == 2
+
+
+class TestCanonicalWeights:
+    @pytest.mark.parametrize("rule, expected", [
+        (borda(), (3, 2, 1, 0)),
+        (dowdall(), (9, 3, 1, 0)),
+        (paperfamily(), (6, 5, 4, 0)),
+        (vetofamily(9, 1), (13, 12, 11, 0)),
+        (kapproval(2), (1, 1, 0, 0)),
+    ])
+    def test_pinned_at_m4(self, rule, expected):
+        got = _canonical_weights(rule, 4)
+        assert got == expected
+        assert all(type(w) is int for w in got)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_affine_invariance(self, data):
+        # a positive affine map of the weights changes nothing a rule decides
+        m = data.draw(st.sampled_from([3, 4]), label="m")
+        n = data.draw(st.sampled_from([2, 3]), label="n")
+        rule = data.draw(_scoring_rules(m), label="rule")
+        scale = data.draw(st.fractions(min_value=F(1, 7), max_value=7).filter(bool), label="scale")
+        shift = data.draw(st.fractions(min_value=-5, max_value=5), label="shift")
+        mapped = scoring([scale * w + shift for w in score_vector(rule, m, n)])
+        assert kapproval_k(mapped, m) == kapproval_k(rule, m)
+        rankings = st.permutations(list(range(m))).map(tuple)
+        for _ in range(3):
+            profile = make_profile(data.draw(st.lists(rankings, min_size=n, max_size=n), label="profile"))
+            tiebreak = data.draw(rankings, label="tiebreak")
+            assert winner(mapped, profile, tiebreak) == winner(rule, profile, tiebreak)
+        truth = data.draw(rankings, label="truth")
+        tiebreak = data.draw(rankings, label="tiebreak")
+        assert classify(truth, mapped, n, tiebreak) == classify(truth, rule, n, tiebreak)
+
+
+@st.composite
+def _scoring_rules(draw, m):
+    name = draw(st.sampled_from(sorted(SCORING_RULE_NAMES)))
+    if name == "kapproval":
+        return kapproval(draw(st.integers(1, m - 1)))
+    if name == "vetofamily":
+        return vetofamily(9, 1)  # omega > m*eps*(n-1) for every m <= 4, n <= 3
+    if name == "scoring":
+        drops = draw(st.lists(st.integers(0, 3), min_size=m - 1, max_size=m - 1).filter(any))
+        return scoring([sum(drops[i:]) for i in range(m)])
+    return parse_rule(name)
 
 
 class TestScoring:
