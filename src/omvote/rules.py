@@ -24,7 +24,7 @@ RULE_NAMES = SCORING_RULE_NAMES | {"stv", "runoff", "copeland"}
 
 def make_score_vector(weights: Sequence) -> tuple:
     """Validate positional weights: non-increasing with at least one strict drop."""
-    ws = tuple(Fraction(w) for w in weights)
+    ws = _fractions(weights, "weights")
     if len(ws) < 2:
         raise InvalidParametersError("a score vector needs at least two weights")
     for a, b in zip(ws, ws[1:]):
@@ -33,6 +33,13 @@ def make_score_vector(weights: Sequence) -> tuple:
     if ws[0] == ws[-1]:
         raise InvalidParametersError("weights must decrease somewhere (constant vectors select nothing)")
     return ws
+
+
+def _fractions(values, what: str) -> tuple:
+    try:
+        return tuple(Fraction(v) for v in values)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise InvalidParametersError(f"{what} must be numbers, got {values!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -72,6 +79,8 @@ def paperfamily() -> RuleSpec:
 
 
 def kapproval(k: int) -> RuleSpec:
+    if not isinstance(k, int):
+        raise InvalidParametersError(f"k-approval needs an integer k, got {k!r}")
     if k < 1:
         raise InvalidParametersError("k-approval needs k >= 1")
     return RuleSpec("kapproval", k=k)
@@ -83,7 +92,7 @@ def scoring(weights: Sequence) -> RuleSpec:
 
 def vetofamily(omega, eps) -> RuleSpec:
     """Strict scoring family (w+m*e, ..., w+2*e, 0); needs w > m*e*(n-1)."""
-    omega, eps = Fraction(omega), Fraction(eps)
+    omega, eps = _fractions((omega, eps), "omega and eps")
     if omega <= 0 or eps <= 0:
         raise InvalidParametersError("vetofamily needs omega > 0 and eps > 0")
     return RuleSpec("vetofamily", omega=omega, eps=eps)

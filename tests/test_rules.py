@@ -92,6 +92,27 @@ class TestScoreVectors:
         assert kapproval_k(scoring([2, 2, 0, 0]), 4) == 2
 
 
+class TestRuleInputErrors:
+    # constructors raise a VotingError subclass, never ValueError or TypeError
+    def test_non_numeric_weights(self):
+        with pytest.raises(InvalidParametersError):
+            scoring(["x", 1])
+        with pytest.raises(InvalidParametersError):
+            make_score_vector([None, 0])
+
+    def test_non_numeric_vetofamily(self):
+        with pytest.raises(InvalidParametersError):
+            vetofamily("a", 1)
+        with pytest.raises(InvalidParametersError):
+            vetofamily(9, "b")
+
+    def test_kapproval_needs_integer_k(self):
+        with pytest.raises(InvalidParametersError):
+            kapproval(2.5)
+        with pytest.raises(InvalidParametersError):
+            kapproval("2")
+
+
 class TestCanonicalWeights:
     @pytest.mark.parametrize("rule, expected", [
         (borda(), (3, 2, 1, 0)),
