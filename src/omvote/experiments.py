@@ -64,6 +64,8 @@ class ExperimentConfig:
             raise InvalidParametersError("samples must be >= 1")
         if not (self.n_values and self.m_values and self.mk_values):
             raise InvalidParametersError("empty parameter range")
+        if self.tiebreak is not None and len(set(self.m_values)) > 1:
+            raise InvalidParametersError("a tie-break orders the outcomes of one m; give a single m value with it")
 
 
 def nom_guaranteed(n: int, m: int, k: int) -> bool:
@@ -100,6 +102,8 @@ def _run_cells(cells, samples: int, seed: int, tiebreak, audit_samples: int) -> 
     audited when audit_samples > 0: its first min(audit_samples, samples)
     truths, the same draws, must each come out NOM through the reduction.
     """
+    if samples < 1:
+        raise InvalidParametersError("samples must be >= 1")
     tiebreaks = {}
     for n, m, k in cells:
         if n < 3 or m < 3:

@@ -186,6 +186,20 @@ class TestGrids:
         with pytest.raises(InvalidParametersError):
             om_proportion(2, 15, 14, samples=10, seed=0)
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_single_cell_entries_need_a_sample(self, samples):
+        with pytest.raises(InvalidParametersError):
+            om_proportion(3, 15, 14, samples, 0)
+        with pytest.raises(InvalidParametersError):
+            audit_nom_cell(14, 15, 14, samples, 0)
+
+    def test_tiebreak_needs_a_single_m(self):
+        # a tie-break orders the outcomes of one m
+        with pytest.raises(InvalidParametersError, match="one m"):
+            heatmap(3, [21, 22], 10, 0, mk_values=[1], tiebreak=tuple(range(21)))
+        rows = heatmap(3, [21], 10, 0, mk_values=[1], tiebreak=tuple(range(21)))
+        assert [(r.m, r.k) for r in rows] == [(21, 20)]
+
 
 class TestAudit:
     def test_immune_cell_audit_passes(self):
