@@ -69,18 +69,22 @@ def ccum_greedy_kapproval(inst: CcumInstance) -> CcumCertificate:
     are appended lowest priority first (their order cannot affect scores).
     The returned ballots are reported even when the target still loses.
     """
-    m = inst.m
-    k = rules.kapproval_k(inst.rule, m)
+    k = rules.kapproval_k(inst.rule, inst.m)
     if k is None:
         raise InvalidParametersError(f"greedy solver needs a k-approval rule, got {inst.rule.name}")
     prank = ranking_positions(inst.tiebreak)
+    return CcumCertificate(*_greedy_kapproval(k, inst.fixed_ballots, inst.num_manipulators, inst.target, prank))
+
+
+def _greedy_kapproval(k: int, fixed_ballots: tuple, free: int, target: int, prank) -> tuple:
+    # (achievable, ballots) of ccum_greedy_kapproval, on inputs already checked
+    m = len(prank)
     scores = [0] * m
-    for ballot in inst.fixed_ballots:
+    for ballot in fixed_ballots:
         for o in ballot[:k]:
             scores[o] += 1
-    target = inst.target
     ballots = []
-    for _ in range(inst.num_manipulators):
+    for _ in range(free):
         scores[target] += 1
         others = sorted((o for o in range(m) if o != target), key=lambda o: (scores[o], -prank[o]))
         approved = others[: k - 1]
@@ -88,9 +92,8 @@ def ccum_greedy_kapproval(inst: CcumInstance) -> CcumCertificate:
             scores[o] += 1
         trailer = sorted(others[k - 1 :], key=lambda o: -prank[o])
         ballots.append((target, *approved, *trailer))
-    completed = inst.fixed_ballots + tuple(ballots)
-    achievable = _kapproval_recount(completed, k, prank, m) == target
-    return CcumCertificate(achievable, tuple(ballots))
+    completed = fixed_ballots + tuple(ballots)
+    return _kapproval_recount(completed, k, prank, m) == target, tuple(ballots)
 
 
 def ccum_bruteforce(inst: CcumInstance, budget: int | None = None) -> CcumCertificate:
@@ -186,13 +189,9 @@ def _possible_outcomes(rule, n, fixed, tiebreak, budget) -> frozenset:
             fixed = _approval_key(rule, tuple(prank[o] for o in fixed_ballots[0]), identity)
         found = _possible_outcomes(rule, n, fixed, identity, budget)
         return frozenset(tiebreak[o] for o in found)
-    if rules.kapproval_k(rule, m) is not None:
-        found = set()
-        for target in range(m):
-            inst = CcumInstance(rule, fixed_ballots, free, target, tiebreak)
-            if ccum_greedy_kapproval(inst).achievable:
-                found.add(target)
-        return frozenset(found)
+    k = rules.kapproval_k(rule, m)
+    if k is not None:  # the identity is its own position list
+        return frozenset(t for t in range(m) if _greedy_kapproval(k, fixed_ballots, free, t, identity)[0])
     found = set()
     for profile in enumerate_profiles(m, free, budget, fixed_ballots):
         found.add(rules.winner(rule, profile, tiebreak))

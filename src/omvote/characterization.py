@@ -40,6 +40,8 @@ class TheoremVerdict:
 
 def kapproval_om(n: int, m: int, k: int) -> TheoremVerdict:
     """k-approval is obviously manipulable iff n <= (m-2)/(m-k)."""
+    if not all(isinstance(v, int) for v in (n, m, k)):
+        raise InvalidParametersError(f"n, m and k must be integers, got {n!r}, {m!r}, {k!r}")
     if n < 3 or m < 3:
         raise InvalidParametersError("characterization assumes n >= 3 and m >= 3")
     if not 0 < k < m:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -37,7 +38,10 @@ def make_ranking(order: Sequence[int], m: int | None = None) -> Ranking:
 
     If *m* is omitted it is inferred from the length of *order*.
     """
-    order = tuple(int(o) for o in order)
+    try:
+        order = tuple(map(operator.index, order))
+    except TypeError:
+        raise OutOfRangeIndexError(f"outcomes must be integers, got {order!r}") from None
     if m is None:
         m = len(order)
     elif len(order) != m:

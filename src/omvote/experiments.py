@@ -102,6 +102,8 @@ def _run_cells(cells, samples: int, seed: int, tiebreak, audit_samples: int) -> 
     audited when audit_samples > 0: its first min(audit_samples, samples)
     truths, the same draws, must each come out NOM through the reduction.
     """
+    if not all(isinstance(v, int) for v in (samples, seed, *(v for cell in cells for v in cell))):
+        raise InvalidParametersError("n, m, k, samples and seed must be integers")
     if samples < 1:
         raise InvalidParametersError("samples must be >= 1")
     tiebreaks = {}

@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import rules
-from .ccum import CcumInstance, ccum_bruteforce, ccum_greedy_kapproval, possible_outcomes, solve_ccum
+from .ccum import CcumInstance, _greedy_kapproval, possible_outcomes, solve_ccum
 from .core import (
     DEFAULT_BUDGET,
     enumerate_rankings,
@@ -62,13 +62,21 @@ class ManipulationReport:
 
 def case_outcomes(truth, report, rule: rules.RuleSpec, n: int, tiebreak, budget=None) -> CaseOutcomes:
     """Reachable-outcome extremes when a voter with preference *truth* files *report*."""
-    m = len(truth)
+    truth, tiebreak, pos = _checked(truth, n, tiebreak)
+    return _cases(make_ranking(report, len(truth)), rule, n, tiebreak, pos, budget)
+
+
+def _checked(truth, n, tiebreak) -> tuple:
+    # the one check of a query at a public entry point: (truth, tiebreak, pos)
     truth = make_ranking(truth)
-    report = make_ranking(report, m)
-    tiebreak = make_tiebreak(tiebreak, m)
-    if n < 2:
-        raise InvalidParametersError("case analysis needs at least two voters")
-    return _extremes(possible_outcomes(rule, n, report, tiebreak, budget), ranking_positions(truth))
+    tiebreak = make_tiebreak(tiebreak, len(truth))
+    if not isinstance(n, int) or n < 2:
+        raise InvalidParametersError(f"case analysis needs an integer n >= 2, got {n!r}")
+    return truth, tiebreak, ranking_positions(truth)
+
+
+def _cases(report, rule, n, tiebreak, pos, budget) -> CaseOutcomes:
+    return _extremes(possible_outcomes(rule, n, report, tiebreak, budget), pos)
 
 
 def _extremes(feasible: frozenset, pos) -> CaseOutcomes:
@@ -82,11 +90,11 @@ def find_bom(truth, rule: rules.RuleSpec, n: int, tiebreak, budget=None) -> BomW
     every voter manipulate; if it beats the truthful best, the coalition
     certificate's first ballot is the witness misreport.
     """
-    m = len(truth)
-    truth = make_ranking(truth)
-    tiebreak = make_tiebreak(tiebreak, m)
-    pos = ranking_positions(truth)
-    truthful = case_outcomes(truth, truth, rule, n, tiebreak, budget)
+    truth, tiebreak, pos = _checked(truth, n, tiebreak)
+    return _find_bom(rule, n, tiebreak, pos, _cases(truth, rule, n, tiebreak, pos, budget), budget)
+
+
+def _find_bom(rule, n, tiebreak, pos, truthful, budget):
     reachable_any = possible_outcomes(rule, n, None, tiebreak, budget)
     o_star = min(reachable_any, key=lambda o: pos[o])
     if pos[o_star] >= pos[truthful.best]:
@@ -95,8 +103,7 @@ def find_bom(truth, rule: rules.RuleSpec, n: int, tiebreak, budget=None) -> BomW
     if not cert.achievable:
         raise VerificationError(f"outcome {o_star} reachable but no certificate found")
     witness = BomWitness(cert.manipulator_ballots[0], cert.manipulator_ballots[1:])
-    improved = case_outcomes(truth, witness.misreport, rule, n, tiebreak, budget)
-    if pos[improved.best] >= pos[truthful.best]:
+    if pos[_cases(witness.misreport, rule, n, tiebreak, pos, budget).best] >= pos[truthful.best]:
         raise VerificationError("best-case witness does not improve the best case")
     return witness
 
@@ -110,64 +117,59 @@ def find_wom(truth, rule: rules.RuleSpec, n: int, tiebreak, mode: str = "auto", 
     stays reachable.  mode='bruteforce' scans all m! misreports and returns
     the lexicographically first improving one.
     """
-    m = len(truth)
-    truth = make_ranking(truth)
-    tiebreak = make_tiebreak(tiebreak, m)
-    if mode == "auto":
-        mode = "reduction" if rules.kapproval_k(rule, m) is not None else "bruteforce"
-    pos = ranking_positions(truth)
-    truthful = case_outcomes(truth, truth, rule, n, tiebreak, budget)
+    truth, tiebreak, pos = _checked(truth, n, tiebreak)
+    k = _reduction_k(rule, len(truth), mode)
+    return _find_wom(rule, n, tiebreak, pos, _cases(truth, rule, n, tiebreak, pos, budget), k, budget)
+
+
+def _reduction_k(rule, m: int, mode: str):
+    # the k the reduction runs with, or None when brute force answers
+    if mode not in ("auto", "reduction", "bruteforce"):
+        raise InvalidParametersError(f"unknown mode {mode!r}")
+    k = rules.kapproval_k(rule, m)
+    if mode == "reduction" and k is None:
+        raise UnsupportedRuleError("reduction mode needs a k-approval style rule")
+    return None if mode == "bruteforce" else k
+
+
+def _find_wom(rule, n, tiebreak, pos, truthful, k, budget):
     o_w = truthful.worst
     if pos[o_w] == 0:
         return None  # worst case is already the top choice
-    if mode == "reduction":
-        witness = _wom_reduction(truth, rule, n, tiebreak, pos, o_w)
-    elif mode == "bruteforce":
-        witness = _wom_bruteforce(truth, rule, n, tiebreak, pos, o_w, budget)
+    if k is not None:
+        witness = _wom_reduction(k, n, tiebreak, pos, o_w)
     else:
-        raise InvalidParametersError(f"unknown mode {mode!r}")
-    if witness is not None:
-        improved = case_outcomes(truth, witness, rule, n, tiebreak, budget)
-        if pos[improved.worst] >= pos[o_w]:
-            raise VerificationError("worst-case witness does not improve the worst case")
+        witness = _first_wom(_bruteforce_feasible_map(rule, n, tiebreak, budget), pos, o_w)
+    if witness is not None and pos[_cases(witness, rule, n, tiebreak, pos, budget).worst] >= pos[o_w]:
+        raise VerificationError("worst-case witness does not improve the worst case")
     return witness
 
 
-def _wom_reduction(truth, rule, n, tiebreak, pos, o_w):
-    m = len(truth)
-    if rules.kapproval_k(rule, m) is None:
-        raise UnsupportedRuleError("reduction mode needs a k-approval style rule")
+def _wom_reduction(k, n, tiebreak, pos, o_w):
+    m = len(tiebreak)
     prank = ranking_positions(tiebreak)
     cut = pos[o_w]
     good = sorted((o for o in range(m) if pos[o] < cut), key=lambda o: prank[o])
     bad = sorted((o for o in range(m) if pos[o] >= cut), key=lambda o: -prank[o])
     misreport = tuple(good + bad)
-    for target in bad:
-        inst = CcumInstance(rule, (misreport,), n - 1, target, tiebreak)
-        if ccum_greedy_kapproval(inst).achievable:
-            return None
+    if any(_greedy_kapproval(k, (misreport,), n - 1, target, prank)[0] for target in bad):
+        return None
     return misreport
 
 
-def _wom_bruteforce(truth, rule, n, tiebreak, pos, o_w, budget):
-    table = _bruteforce_feasible_map(rule, n, tiebreak, budget)
-    for report in enumerate_rankings(len(truth)):
-        if report == truth:
-            continue
-        worst = max(table[report], key=lambda o: pos[o])
-        if pos[worst] < pos[o_w]:
-            return report
-    return None
+def _first_wom(table: dict, pos, o_w):
+    # the first report in lexicographic order whose worst case beats o_w (never the truth itself)
+    cut = pos[o_w]
+    return next((r for r in enumerate_rankings(len(pos)) if max(map(pos.__getitem__, table[r])) < cut), None)
 
 
 def classify(truth, rule: rules.RuleSpec, n: int, tiebreak, mode: str = "auto", budget=None) -> ManipulationReport:
     """Full zero-information classification of one truthful ranking."""
-    m = len(truth)
-    truth = make_ranking(truth)
-    tiebreak = make_tiebreak(tiebreak, m)
-    truthful = case_outcomes(truth, truth, rule, n, tiebreak, budget)
-    bom = find_bom(truth, rule, n, tiebreak, budget)
-    wom = find_wom(truth, rule, n, tiebreak, mode, budget)
+    truth, tiebreak, pos = _checked(truth, n, tiebreak)
+    k = _reduction_k(rule, len(truth), mode)
+    truthful = _cases(truth, rule, n, tiebreak, pos, budget)
+    bom = _find_bom(rule, n, tiebreak, pos, truthful, budget)
+    wom = _find_wom(rule, n, tiebreak, pos, truthful, k, budget)
     return ManipulationReport(_label(bom is not None, wom is not None), bom, wom, truthful)
 
 
@@ -234,8 +236,8 @@ def bruteforce_feasible(rule: rules.RuleSpec, n: int, report, tiebreak, budget=N
 # Randomized tie-break semantics: every top-scoring outcome can win, so the
 # reachable set of a report is the union of the co-winner sets over all
 # ballots of the other voters.  o is a co-winner iff it wins under the priority
-# order that puts o first, so rows and witnesses come from the fixed-priority
-# solvers under that order; a witness is the first completion in lex order.
+# order that puts o first, so each row comes from possible_outcomes under the
+# orders that put its outcomes first.
 
 
 def _priority_first(o: int, m: int) -> tuple:
@@ -254,29 +256,24 @@ def _cowinner_feasible_map(rule: rules.RuleSpec, n: int, m: int, budget=None) ->
 
 
 def classify_randomized_tiebreak(truth, weights, n: int, budget=None) -> ManipulationReport:
-    """Classification when score ties are broken by lot instead of priority."""
+    """Classification when score ties are broken by lot instead of priority.
+
+    No report is a best-case manipulation, so there is never a BOM witness:
+    the other voters can all rank the truthful top first, which gives it the
+    highest total any outcome can reach, so it is a co-winner of the
+    truthful report and nothing reachable beats it.  The first misreport in
+    lexicographic order that improves the worst case is the WOM witness.
+    """
     m = len(truth)
     truth = make_ranking(truth)
     rule = rules.scoring(weights)
     rules.score_vector(rule, m)  # one weight per outcome
-    if n < 2:
-        raise InvalidParametersError("need at least two voters")
+    if not isinstance(n, int) or n < 2:
+        raise InvalidParametersError(f"need an integer n >= 2, got {n!r}")
     table = _cowinner_feasible_map(rule, n, m, budget)
+    if truth[0] not in table[truth]:
+        raise VerificationError(f"truthful top {truth[0]} is not a co-winner of the truthful report")
     pos = ranking_positions(truth)
     truthful = _extremes(table[truth], pos)
-    bom = wom = None
-    for report in enumerate_rankings(m):
-        if report == truth:
-            continue
-        cases = _extremes(table[report], pos)
-        if bom is None and pos[cases.best] < pos[truthful.best]:
-            inst = CcumInstance(rule, (report,), n - 1, cases.best, _priority_first(cases.best, m))
-            cert = ccum_bruteforce(inst, budget)
-            if not cert.achievable:
-                raise VerificationError(f"no completion realizes co-winner {cases.best}")
-            bom = BomWitness(report, cert.manipulator_ballots)
-        if wom is None and pos[cases.worst] < pos[truthful.worst]:
-            wom = report
-        if bom is not None and wom is not None:
-            break
-    return ManipulationReport(_label(bom is not None, wom is not None), bom, wom, truthful)
+    wom = _first_wom(table, pos, truthful.worst)
+    return ManipulationReport(_label(False, wom is not None), None, wom, truthful)

@@ -197,7 +197,10 @@ def _check_tiebreak(tiebreak, m: int) -> list:
         raise DimensionMismatchError(f"tie-break over {len(tiebreak)} outcomes, profile has {m}")
     if set(tiebreak) != set(range(m)):
         tiebreak = make_tiebreak(tiebreak, m)  # raises unless only the entry types were off
-    return ranking_positions(tiebreak)
+    try:
+        return ranking_positions(tiebreak)
+    except TypeError:  # entries like 1.0 pass the set comparison; the validator rejects them
+        return ranking_positions(make_tiebreak(tiebreak, m))
 
 
 def scoring_winner(weights: Sequence, profile: Profile, tiebreak) -> int:
@@ -323,8 +326,11 @@ def parse_rule(text: str) -> RuleSpec:
         if name == "scoring":
             return scoring([Fraction(tok) for tok in _single_param(params, "w").split(",")])
         if name == "vetofamily":
-            pairs = dict(item.split("=", 1) for item in params.split(","))
-            return vetofamily(Fraction(pairs["omega"]), Fraction(pairs["eps"]))
+            pairs = [item.split("=", 1) for item in params.split(",")]
+            if sorted(key for key, _ in pairs) != ["eps", "omega"]:
+                raise ValueError("vetofamily takes omega and eps, once each")
+            values = dict(pairs)
+            return vetofamily(Fraction(values["omega"]), Fraction(values["eps"]))
     except (ValueError, KeyError, ZeroDivisionError) as exc:
         raise InvalidParametersError(f"bad parameters for {name}: {params!r}") from exc
     if params:

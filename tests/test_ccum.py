@@ -176,6 +176,11 @@ class TestPossibleOutcomes:
             with pytest.raises(DuplicateOutcomeError):
                 possible_outcomes(rule, 3, None, (0, 0, 1))
 
+    def test_non_integer_fixed_ballot_rejected(self):
+        # it used to be truncated to (0, 1, 2) and answered for that ballot
+        with pytest.raises(OutOfRangeIndexError):
+            possible_outcomes(borda(), 3, (0, 1.7, 2), (0, 1, 2))
+
     def test_cache_info_reachable_from_module(self):
         before = ccum.possible_outcomes.cache_info()
         possible_outcomes(borda(), 3, (2, 1, 0), (0, 1, 2))

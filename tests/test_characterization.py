@@ -50,6 +50,11 @@ class TestKapprovalOm:
         with pytest.raises(InvalidParametersError):
             kapproval_om(3, 4, 4)
 
+    @pytest.mark.parametrize("args", [(3.5, 15, 14), (3, 15.5, 14), (3, 15, "14")])
+    def test_non_integer_parameters(self, args):
+        with pytest.raises(InvalidParametersError):
+            kapproval_om(*args)
+
 
 class TestScoringNomSufficient:
     def test_plurality_three_voters(self):

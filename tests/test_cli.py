@@ -208,3 +208,14 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert main(["experiment", "--help"]) == 0
+
+    @pytest.mark.parametrize("n", ["2", "3"])
+    def test_reduction_without_kapproval_is_invalid(self, n, capsys):
+        # at n=2 the truthful worst is the top choice, which once answered NOM before the mode was checked
+        assert main(["analyze", "--rule", "stv", "--n", n, "--truth", "0,1,2", "--mode", "reduction"]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("rule", ["vetofamily:omega=9,eps=1,bogus=3", "vetofamily:omega=5,eps=1,omega=9"])
+    def test_vetofamily_keys_checked(self, rule, capsys):
+        assert main(["characterize", "--rule", rule, "--n", "3", "--m", "4"]) == 2
+        assert capsys.readouterr().out == ""

@@ -47,6 +47,12 @@ class TestMakeRanking:
         with pytest.raises(DuplicateOutcomeError):
             make_tiebreak([1, 1])
 
+    @pytest.mark.parametrize("order", [(0, 1.5, 2), (0, 1.0, 2), ("a", "b"), (None, 1), "012"])
+    def test_non_integer_entries(self, order):
+        # entries are not truncated or parsed: a ballot with them is another ballot
+        with pytest.raises(OutOfRangeIndexError):
+            make_ranking(order)
+
 
 class TestPrefers:
     def test_basic(self):

@@ -46,6 +46,14 @@ class TestShortCircuit:
         assert not nom_guaranteed(3, 23, 16)
 
 
+class TestNonIntegerCells:
+    @pytest.mark.parametrize("args", [(3.0, 15, 14, 10, 0), (3, 15.0, 14, 10, 0), (3, 15, 14.0, 10, 0),
+                                      (3, 15, 14, 10.0, 0), (3, 15, 14, 10, 1.5)])
+    def test_rejected(self, args):
+        with pytest.raises(InvalidParametersError):
+            om_proportion(*args)
+
+
 class TestDeterminism:
     def test_reruns_identical(self):
         a = om_proportion(3, 15, 14, samples=2000, seed=42)

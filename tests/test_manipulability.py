@@ -3,9 +3,12 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omvote import (
     CcumInstance,
+    InvalidParametersError,
     TooLargeError,
     UnsupportedRuleError,
     borda,
@@ -20,7 +23,9 @@ from omvote import (
     find_bom,
     find_wom,
     kapproval,
+    kapproval_k,
     paperfamily,
+    parse_rule,
     plurality,
     possible_outcomes,
     score_vector,
@@ -28,7 +33,9 @@ from omvote import (
     scoring_cowinners,
     scoring_winner,
     make_profile,
+    stv,
 )
+from omvote import ccum
 
 IDENTITY3 = (0, 1, 2)
 IDENTITY4 = (0, 1, 2, 3)
@@ -238,3 +245,82 @@ class TestBudgetBoundaries:
         with pytest.raises(TooLargeError):
             run(count - 1)
         assert run(count) is not None
+
+
+class TestQueryChecks:
+    @pytest.mark.parametrize("entry", [classify, find_wom])
+    def test_unknown_mode_rejected_before_any_answer(self, entry):
+        # n=2, truth (0,1,2): the truthful worst is the top choice, which once returned before the mode check
+        with pytest.raises(InvalidParametersError):
+            entry((0, 1, 2), plurality(), 2, IDENTITY3, "bogus")
+
+    @pytest.mark.parametrize("entry", [classify, find_wom])
+    def test_reduction_needs_kapproval_before_any_answer(self, entry):
+        with pytest.raises(UnsupportedRuleError):
+            entry((0, 1, 2), stv(), 2, IDENTITY3, "reduction")
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3", None])
+    def test_non_integer_n_rejected(self, n):
+        for call in (lambda: classify((0, 1, 2), borda(), n, IDENTITY3),
+                     lambda: find_bom((0, 1, 2), borda(), n, IDENTITY3),
+                     lambda: find_wom((0, 1, 2), borda(), n, IDENTITY3),
+                     lambda: case_outcomes((0, 1, 2), (1, 0, 2), borda(), n, IDENTITY3),
+                     lambda: classify_randomized_tiebreak((0, 1, 2), (2, 1, 0), n)):
+            with pytest.raises(InvalidParametersError):
+                call()
+
+
+RULE_NAMES = ("borda", "plurality", "antiplurality", "dowdall", "paperfamily", "kapproval",
+              "scoring", "vetofamily:omega=9,eps=1", "stv", "runoff", "copeland")
+
+
+class TestEntryPointsAgree:
+    """classify checks its query once and shares its truthful cases; the public functions check their own."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_classify_matches_public_functions(self, data):
+        m = data.draw(st.sampled_from((3, 4)), label="m")
+        n = data.draw(st.sampled_from((2, 3)), label="n")
+        name = data.draw(st.sampled_from(RULE_NAMES), label="rule")
+        if name == "kapproval":
+            name = f"kapproval:k={data.draw(st.integers(1, m - 1), label='k')}"
+        elif name == "scoring":
+            ws = sorted(data.draw(st.lists(st.integers(0, 4), min_size=m, max_size=m)), reverse=True)
+            if ws[0] == ws[-1]:
+                ws[0] += 1  # a constant vector is not a scoring rule
+            name = "scoring:w=" + ",".join(map(str, ws))
+        rule = parse_rule(name)
+        truth = tuple(data.draw(st.permutations(range(m)), label="truth"))
+        tiebreak = tuple(data.draw(st.permutations(range(m)), label="tiebreak"))
+        modes = ["auto", "bruteforce"] + (["reduction"] if kapproval_k(rule, m) is not None else [])
+        cases = case_outcomes(truth, truth, rule, n, tiebreak)
+        bom = find_bom(truth, rule, n, tiebreak)
+        labels = {(False, False): "NOM", (True, False): "BOM-only",
+                  (False, True): "WOM-only", (True, True): "BOM-and-WOM"}
+        for mode in modes:
+            report = classify(truth, rule, n, tiebreak, mode)
+            wom = find_wom(truth, rule, n, tiebreak, mode)
+            assert report.classification == labels[bom is not None, wom is not None]
+            assert report.bom_witness == bom
+            assert report.wom_witness == wom
+            assert report.truthful_cases == cases
+
+    def test_fresh_kapproval_classify_builds_at_most_one_instance(self, monkeypatch):
+        # m=21, k=20, n=3, identity priority: only 0, 1 and 2 are reachable from the
+        # truthful report, but all-free voters can elect the top choice 3, so the
+        # query has a best-case witness, and its certificate is the one instance
+        m = 21
+        truth = (3,) + tuple(o for o in range(m) if o != 3)
+        built = []
+        post_init = CcumInstance.__post_init__
+
+        def counting(inst):
+            built.append(inst.target)
+            post_init(inst)
+
+        monkeypatch.setattr(CcumInstance, "__post_init__", counting)
+        ccum.possible_outcomes.cache_clear()
+        report = classify(truth, kapproval(20), 3, tuple(range(m)))
+        assert report.bom_witness is not None
+        assert len(built) <= 1

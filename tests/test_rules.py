@@ -10,6 +10,7 @@ from omvote import (
     DimensionMismatchError,
     DuplicateOutcomeError,
     InvalidParametersError,
+    OutOfRangeIndexError,
     borda,
     classify,
     condorcet_winner,
@@ -94,6 +95,12 @@ class TestScoreVectors:
 
 class TestRuleInputErrors:
     # constructors raise a VotingError subclass, never ValueError or TypeError
+    @pytest.mark.parametrize("rule", [borda(), stv(), runoff(), copeland()])
+    def test_float_tiebreak_entry_rejected(self, rule):
+        # (0, 1.0, 2) passes a set comparison with range(3) but is not a tie-break
+        with pytest.raises(OutOfRangeIndexError):
+            winner(rule, make_profile([(0, 1, 2), (1, 0, 2)]), (0, 1.0, 2))
+
     def test_non_numeric_weights(self):
         with pytest.raises(InvalidParametersError):
             scoring(["x", 1])
@@ -325,3 +332,11 @@ class TestRuleSyntax:
             parse_rule("kapproval:k=two")
         with pytest.raises(InvalidParametersError):
             parse_rule("borda:k=2")
+
+    @pytest.mark.parametrize("params", ["omega=9,eps=1,bogus=3", "omega=9,eps=1,omega=5"])
+    def test_vetofamily_takes_omega_and_eps_once_each(self, params):
+        with pytest.raises(InvalidParametersError):
+            parse_rule("vetofamily:" + params)
+
+    def test_vetofamily_keys_in_either_order(self):
+        assert parse_rule("vetofamily:eps=1,omega=9") == vetofamily(9, 1)
