@@ -150,45 +150,42 @@ def possible_outcomes(rule: rules.RuleSpec, n: int, fixed, tiebreak, budget: int
     asked with, and the m! tie-breaks share each identity entry: room for
     the rows of the 64 brute-force tables that manipulability keeps at m=4
     and their identity entries, while memory stays bounded and an evicted
-    table is recomputed, not read back from rows that outlived it.  Inputs
-    are validated when a query is first seen, before any relabeling, so bad
-    ones are never cached.  k-approval reads only the approved set of the
-    fixed ballot, so its queries are keyed by that set.
+    table is recomputed, not read back from rows that outlived it.  A query
+    is checked here, before any lookup, so the cache holds checked queries
+    only.  k-approval reads only the approved set of the fixed ballot, so
+    its queries are keyed by that set.
     """
-    tiebreak = tuple(tiebreak)
+    tiebreak = make_tiebreak(tiebreak)
     if fixed is not None:
-        fixed = _approval_key(rule, tuple(fixed), tiebreak)
-    return _possible_outcomes(rule, n, fixed, tiebreak, budget)
+        fixed = make_ranking(fixed, len(tiebreak))
+    if not isinstance(n, int) or n < 1:
+        raise InvalidParametersError(f"need an integer n >= 1, got {n!r}")
+    return _reachable(rule, n, fixed, tiebreak, budget)
 
 
-def _approval_key(rule, fixed, tiebreak) -> tuple:
-    # a well-formed k-approval ballot with both segments sorted; anything
-    # else passes unchanged, for _possible_outcomes to reject as before
+def _reachable(rule, n: int, fixed, tiebreak: tuple, budget) -> frozenset:
+    # possible_outcomes on a checked query: a valid tie-break, a valid fixed
+    # ballot or None, and an int n >= 1
     m = len(tiebreak)
-    try:
+    if fixed is not None:
         k = rules.kapproval_k(rule, m)
-    except InvalidParametersError:
-        return fixed
-    if k is None or len(fixed) != m or set(fixed) != set(range(m)) or set(tiebreak) != set(range(m)):
-        return fixed
-    return tuple(sorted(fixed[:k])) + tuple(sorted(fixed[k:]))
+        if k is not None:
+            fixed = tuple(sorted(fixed[:k])) + tuple(sorted(fixed[k:]))
+    return _possible_outcomes(rule, n, fixed, tiebreak, budget)
 
 
 @lru_cache(maxsize=2048)
 def _possible_outcomes(rule, n, fixed, tiebreak, budget) -> frozenset:
-    tiebreak = make_tiebreak(tiebreak)
     m = len(tiebreak)
-    fixed_ballots = (make_ranking(fixed, m),) if fixed is not None else ()
-    free = n - len(fixed_ballots)
-    if free < 0 or n < 1:
-        raise InvalidParametersError("need n >= 1 (n >= 2 when one ballot is fixed)")
     identity = tuple(range(m))
     if tiebreak != identity:
         prank = ranking_positions(tiebreak)
         if fixed is not None:
-            fixed = _approval_key(rule, tuple(prank[o] for o in fixed_ballots[0]), identity)
-        found = _possible_outcomes(rule, n, fixed, identity, budget)
+            fixed = tuple(prank[o] for o in fixed)
+        found = _reachable(rule, n, fixed, identity, budget)
         return frozenset(tiebreak[o] for o in found)
+    fixed_ballots = (fixed,) if fixed is not None else ()
+    free = n - len(fixed_ballots)
     k = rules.kapproval_k(rule, m)
     if k is not None:  # the identity is its own position list
         return frozenset(t for t in range(m) if _greedy_kapproval(k, fixed_ballots, free, t, identity)[0])

@@ -14,8 +14,8 @@ from fractions import Fraction
 
 from . import rules
 from .ccum import possible_outcomes
-from .core import DEFAULT_BUDGET, Profile, enumerate_rankings, identity_tiebreak, make_tiebreak
-from .errors import InvalidParametersError, TooLargeError
+from .core import Profile, check_budget, enumerate_rankings, identity_tiebreak, make_tiebreak
+from .errors import InvalidParametersError
 
 OM = "OM"
 NOM = "NOM"
@@ -124,13 +124,11 @@ def is_almost_unanimous(rule: rules.RuleSpec, n: int, m: int, tiebreak=None, bud
     TooLargeError beyond *budget* (default 10^8) ballot tuples; the search
     has m * m! * ((m-1)!)^(n-1).
     """
-    if n < 2:
+    if not isinstance(n, int) or n < 2:
         raise InvalidParametersError("almost-unanimity needs at least two voters")
     tiebreak = identity_tiebreak(m) if tiebreak is None else make_tiebreak(tiebreak, m)
     rankings = tuple(enumerate_rankings(m))
-    count = m * len(rankings) * math.factorial(m - 1) ** (n - 1)
-    if count > (DEFAULT_BUDGET if budget is None else budget):
-        raise TooLargeError(f"{count} ballot tuples exceed the enumeration budget")
+    check_budget(m * len(rankings) * math.factorial(m - 1) ** (n - 1), budget)
     for top in range(m):
         supporters = [r for r in rankings if r[0] == top]
         for deviant in rankings:

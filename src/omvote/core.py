@@ -116,6 +116,15 @@ def enumerate_rankings(m: int) -> Iterator:
     return itertools.permutations(range(m))
 
 
+def check_budget(count: int, budget: int | None, what: str = "ballot tuples") -> None:
+    """Raise TooLargeError when a search over *count* *what* exceeds *budget* (default 10^8).
+
+    This is the one budget gate: every exhaustive search and table pre-check is weighed here.
+    """
+    if count > (DEFAULT_BUDGET if budget is None else budget):
+        raise TooLargeError(f"{count} {what} exceed the enumeration budget")
+
+
 def enumerate_profiles(m: int, voters: int, budget: int | None = None, fixed=()) -> Iterator[Profile]:
     """Profile(fixed + tup) for each of the (m!)^voters tuples of free ballots.
 
@@ -128,9 +137,7 @@ def enumerate_profiles(m: int, voters: int, budget: int | None = None, fixed=())
     fixed = tuple(make_ranking(b, m) for b in fixed)
     if voters < 0 or not (voters or fixed):
         raise InvalidParametersError("need at least one voter")
-    count = math.factorial(m) ** voters
-    if count > (DEFAULT_BUDGET if budget is None else budget):
-        raise TooLargeError(f"{count} ballot tuples exceed the enumeration budget")
+    check_budget(math.factorial(m) ** voters, budget)
     rankings = tuple(enumerate_rankings(m))
     return (Profile(fixed + tup, m) for tup in itertools.product(rankings, repeat=voters))
 

@@ -163,10 +163,10 @@ def audit_nom_cell(n: int, m: int, k: int, samples: int, seed: int, tiebreak=Non
     return samples
 
 
-def run_experiment(config: ExperimentConfig, audit: bool = True) -> list:
+def run_experiment(config: ExperimentConfig) -> list:
     """Evaluate every cell of the grid, rows in (n, m, m-k) order; audit the first immune cell."""
     cells = [(n, m, m - mk) for n in config.n_values for m in config.m_values for mk in config.mk_values]
-    return _run_cells(cells, config.samples, config.seed, config.tiebreak, config.audit_samples if audit else 0)
+    return _run_cells(cells, config.samples, config.seed, config.tiebreak, config.audit_samples)
 
 
 def sweep_n(m: int, k: int, n_values: Iterable[int], samples: int, seed: int, **kwargs) -> list:

@@ -22,15 +22,9 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import rules
-from .ccum import CcumInstance, _greedy_kapproval, possible_outcomes, solve_ccum
-from .core import (
-    DEFAULT_BUDGET,
-    enumerate_rankings,
-    make_ranking,
-    make_tiebreak,
-    ranking_positions,
-)
-from .errors import InvalidParametersError, TooLargeError, UnsupportedRuleError, VerificationError
+from .ccum import CcumInstance, _greedy_kapproval, _reachable, solve_ccum
+from .core import check_budget, enumerate_rankings, make_ranking, make_tiebreak, ranking_positions
+from .errors import InvalidParametersError, UnsupportedRuleError, VerificationError
 
 NOM = "NOM"
 BOM_ONLY = "BOM-only"
@@ -76,7 +70,7 @@ def _checked(truth, n, tiebreak) -> tuple:
 
 
 def _cases(report, rule, n, tiebreak, pos, budget) -> CaseOutcomes:
-    return _extremes(possible_outcomes(rule, n, report, tiebreak, budget), pos)
+    return _extremes(_reachable(rule, n, report, tiebreak, budget), pos)
 
 
 def _extremes(feasible: frozenset, pos) -> CaseOutcomes:
@@ -95,7 +89,7 @@ def find_bom(truth, rule: rules.RuleSpec, n: int, tiebreak, budget=None) -> BomW
 
 
 def _find_bom(rule, n, tiebreak, pos, truthful, budget):
-    reachable_any = possible_outcomes(rule, n, None, tiebreak, budget)
+    reachable_any = _reachable(rule, n, None, tiebreak, budget)
     o_star = min(reachable_any, key=lambda o: pos[o])
     if pos[o_star] >= pos[truthful.best]:
         return None
@@ -196,16 +190,11 @@ def _label(has_bom: bool, has_wom: bool) -> str:
 @lru_cache(maxsize=64)
 def _bruteforce_feasible_map(rule: rules.RuleSpec, n: int, tiebreak, budget=None) -> dict:
     m = len(tiebreak)
-    if n < 2:
-        raise InvalidParametersError("feasible sets need at least two voters")
-    limit = DEFAULT_BUDGET if budget is None else budget
     k = rules.kapproval_k(rule, m)
     if k is not None:
         prank = ranking_positions(tiebreak)
         sets = [frozenset(c) for c in itertools.combinations(range(m), k)]
-        combos = math.comb(len(sets) + n - 2, n - 1)
-        if combos * len(sets) > limit:
-            raise TooLargeError("approval-set enumeration exceeds the budget")
+        check_budget(math.comb(len(sets) + n - 2, n - 1) * len(sets), budget, "approval-set rows")
         base = []
         for multi in itertools.combinations_with_replacement(sets, n - 1):
             counts = [0] * m
@@ -220,15 +209,16 @@ def _bruteforce_feasible_map(rule: rules.RuleSpec, n: int, tiebreak, budget=None
                 found.add(max(range(m), key=lambda o: (counts[o] + (o in s), -prank[o])))
             by_set[s] = frozenset(found)
         return {r: by_set[frozenset(r[:k])] for r in enumerate_rankings(m)}
-    if math.factorial(m) ** n > limit:
-        raise TooLargeError("full profile enumeration exceeds the budget")
-    return {r: possible_outcomes(rule, n, r, tiebreak, budget) for r in enumerate_rankings(m)}
+    check_budget(math.factorial(m) ** n, budget)
+    return {r: _reachable(rule, n, r, tiebreak, budget) for r in enumerate_rankings(m)}
 
 
 def bruteforce_feasible(rule: rules.RuleSpec, n: int, report, tiebreak, budget=None) -> frozenset:
     """Exhaustively computed reachable outcomes for one fixed report."""
     report = make_ranking(report)
     tiebreak = make_tiebreak(tiebreak, len(report))
+    if not isinstance(n, int) or n < 2:
+        raise InvalidParametersError(f"feasible sets need an integer n >= 2, got {n!r}")
     return _bruteforce_feasible_map(rule, n, tiebreak, budget)[report]
 
 
@@ -246,11 +236,10 @@ def _priority_first(o: int, m: int) -> tuple:
 
 @lru_cache(maxsize=64)
 def _cowinner_feasible_map(rule: rules.RuleSpec, n: int, m: int, budget=None) -> dict:
-    if math.factorial(m) ** n > (DEFAULT_BUDGET if budget is None else budget):
-        raise TooLargeError("co-winner enumeration exceeds the budget")
+    check_budget(math.factorial(m) ** n, budget)
     return {
         report: frozenset(o for o in range(m)
-                          if o in possible_outcomes(rule, n, report, _priority_first(o, m), budget))
+                          if o in _reachable(rule, n, report, _priority_first(o, m), budget))
         for report in enumerate_rankings(m)
     }
 

@@ -170,37 +170,31 @@ def kapproval_k(rule: RuleSpec, m: int) -> int | None:
     return sum(ws) if set(ws) == {0, 1} else None
 
 
-def _plain_weights(weights: Sequence) -> list:
-    # ints where possible: integer score sums are much cheaper than Fractions
-    out = []
-    for w in weights:
-        f = w if isinstance(w, (int, Fraction)) else Fraction(w)
-        out.append(int(f) if isinstance(f, Fraction) and f.denominator == 1 else f)
-    return out
-
-
 def scoring_scores(weights: Sequence, profile: Profile) -> dict:
-    """Total positional score of every outcome under the given weights."""
+    """Total positional score of every outcome under the given weights.
+
+    Exact: each weight is read as a Fraction, and integral ones are summed as ints.
+    """
     m = profile.m
     if len(weights) != m:
         raise DimensionMismatchError(f"{len(weights)} weights for {m} outcomes")
-    ws = _plain_weights(weights)
-    totals = [0] * m
+    ws = [int(f) if f.denominator == 1 else f for f in map(Fraction, weights)]
+    return dict(enumerate(_totals(ws, profile)))
+
+
+def _totals(ws, profile: Profile) -> list:
+    # score sums for weights already exact (ints or Fractions), one per position
+    totals = [0] * profile.m
     for ballot in profile.ballots:
-        for pos, o in enumerate(ballot):
-            totals[o] += ws[pos]
-    return {o: totals[o] for o in range(m)}
+        for w, o in zip(ws, ballot):
+            totals[o] += w
+    return totals
 
 
 def _check_tiebreak(tiebreak, m: int) -> list:
     if len(tiebreak) != m:
         raise DimensionMismatchError(f"tie-break over {len(tiebreak)} outcomes, profile has {m}")
-    if set(tiebreak) != set(range(m)):
-        tiebreak = make_tiebreak(tiebreak, m)  # raises unless only the entry types were off
-    try:
-        return ranking_positions(tiebreak)
-    except TypeError:  # entries like 1.0 pass the set comparison; the validator rejects them
-        return ranking_positions(make_tiebreak(tiebreak, m))
+    return ranking_positions(make_tiebreak(tiebreak, m))
 
 
 def scoring_winner(weights: Sequence, profile: Profile, tiebreak) -> int:
@@ -299,8 +293,10 @@ def plurality_runoff_winner(profile: Profile, tiebreak) -> int:
 
 def winner(rule: RuleSpec, profile: Profile, tiebreak) -> int:
     """Evaluate any supported rule on a profile with a fixed tie-break."""
-    if rule.is_scoring:
-        return scoring_winner(_canonical_weights(rule, profile.m, profile.n), profile, tiebreak)
+    if rule.is_scoring:  # canonical weights are ints, summed as they are
+        scores = _totals(_canonical_weights(rule, profile.m, profile.n), profile)
+        prank = _check_tiebreak(tiebreak, profile.m)
+        return max(range(profile.m), key=lambda o: (scores[o], -prank[o]))
     if rule.name == "stv":
         return stv_winner(profile, tiebreak)
     if rule.name == "runoff":

@@ -181,6 +181,26 @@ class TestPossibleOutcomes:
         with pytest.raises(OutOfRangeIndexError):
             possible_outcomes(borda(), 3, (0, 1.7, 2), (0, 1, 2))
 
+    def test_float_entry_rejected_whatever_the_cache_holds(self):
+        # (0, 1.0, 2) hashes like (0, 1, 2), so the check has to come before the cache lookup
+        possible_outcomes(borda(), 3, (0, 1, 2), (0, 1, 2))
+        with pytest.raises(OutOfRangeIndexError):
+            possible_outcomes(borda(), 3, (0, 1.0, 2), (0, 1, 2))
+        ccum.possible_outcomes.cache_clear()
+        with pytest.raises(OutOfRangeIndexError):
+            possible_outcomes(borda(), 3, (0, 1.0, 2), (0, 1, 2))
+
+    @pytest.mark.parametrize("n", [2.5, "3"])
+    @pytest.mark.parametrize("fixed", [None, (0, 1, 2)])
+    def test_non_integer_n_rejected(self, n, fixed):
+        with pytest.raises(InvalidParametersError):
+            possible_outcomes(borda(), n, fixed, (0, 1, 2))
+
+    def test_one_voter_with_a_fixed_ballot(self):
+        # n = 1 leaves no free voter: the fixed ballot's own winner is the only outcome
+        assert possible_outcomes(borda(), 1, (2, 0, 1), (0, 1, 2)) == {2}
+        assert possible_outcomes(kapproval(2), 1, (2, 0, 1), (1, 0, 2)) == {0}
+
     def test_cache_info_reachable_from_module(self):
         before = ccum.possible_outcomes.cache_info()
         possible_outcomes(borda(), 3, (2, 1, 0), (0, 1, 2))

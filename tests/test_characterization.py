@@ -124,6 +124,13 @@ class TestVetoPower:
                 assert report.classification == "NOM", (rule.name, truth)
 
 
+@pytest.mark.parametrize("n", [2.5, "3"])
+@pytest.mark.parametrize("detector", [has_veto_power, is_almost_unanimous])
+def test_non_integer_n_rejected(detector, n):
+    with pytest.raises(InvalidParametersError):
+        detector(borda(), n, 3)
+
+
 class TestAlmostUnanimous:
     @pytest.mark.parametrize("rule", [copeland(), stv(), runoff()])
     def test_holds_at_small_scale(self, rule):

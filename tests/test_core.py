@@ -2,11 +2,13 @@
 
 import math
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import omvote
 from omvote import (
     DuplicateOutcomeError,
     InvalidParametersError,
@@ -177,3 +179,13 @@ class TestProfileFormat:
     def test_empty_profile_rejected(self):
         with pytest.raises(InvalidParametersError):
             make_profile([])
+
+
+class TestOneBudgetGate:
+    """Every search is weighed against its budget by core alone, so the rule cannot fork."""
+
+    SOURCES = sorted(Path(omvote.__file__).parent.glob("*.py"))
+
+    @pytest.mark.parametrize("text", ["DEFAULT_BUDGET if budget is None", "raise TooLargeError"])
+    def test_only_core_owns_it(self, text):
+        assert [p.name for p in self.SOURCES if text in p.read_text(encoding="utf-8")] == ["core.py"]

@@ -188,6 +188,18 @@ class TestBruteforceFeasible:
                     rule, 3, report, IDENTITY3
                 )
 
+    @pytest.mark.parametrize("n", [2.5, "3"])
+    def test_non_integer_n_rejected(self, n):
+        for rule in (borda(), kapproval(1)):
+            with pytest.raises(InvalidParametersError):
+                bruteforce_feasible(rule, n, (0, 1, 2), IDENTITY3)
+
+    def test_approval_set_budget(self):
+        # m=3, k=1, n=3: 3 approval sets times C(3+1, 2) multisets of the other voters' sets
+        with pytest.raises(TooLargeError):
+            bruteforce_feasible(kapproval(1), 3, (0, 1, 2), IDENTITY3, 17)
+        assert bruteforce_feasible(kapproval(1), 3, (0, 1, 2), IDENTITY3, 18) == {0, 1, 2}
+
 
 class TestRandomizedTiebreak:
     @pytest.mark.parametrize("weights", [(2, 1, 0), (1, 1, 0)])
