@@ -97,6 +97,22 @@ class TestSolveDispatch:
         brute = solve_ccum(CcumInstance(borda(), ((0, 1, 2),), 1, 0, (0, 1, 2)))
         assert greedy.achievable and brute.achievable
 
+    def test_unknown_solver(self):
+        with pytest.raises(InvalidParametersError):
+            solve_ccum(CcumInstance(borda(), ((0, 1, 2),), 1, 0, (0, 1, 2)), solver="x")
+
+
+class TestInstanceChecks:
+    @pytest.mark.parametrize("fixed, free, target", [
+        (((0, 1, 2),), -1, 0),  # negative manipulators
+        ((), 0, 0),  # no voters at all
+        (((0, 1, 2),), 1, 3),  # target beyond the outcomes
+        (((0, 1, 2),), 1, -1),
+    ])
+    def test_rejected(self, fixed, free, target):
+        with pytest.raises(InvalidParametersError):
+            CcumInstance(borda(), fixed, free, target, (0, 1, 2))
+
 
 class TestGreedyAgainstBruteforce:
     def test_exhaustive_m3_all_tiebreaks(self):

@@ -188,6 +188,14 @@ class TestExperiment:
         assert len(lines) == 5  # header + 4 cells
         assert all(line.endswith(",0.000000,0.000000,0.000000") for line in lines[1:])
 
+    def test_fig1_json_stdout_pinned(self, capsys):
+        # sha256 of the stdout bytes, recorded before the count checks moved into core
+        assert main(["experiment", "fig1", "--m", "15", "--k", "14", "--n", "3:5", "--samples", "300",
+                     "--seed", "4", "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "e79d96a72e030f24f11c69b8466d8af17da8ac51e1abbb8983155151b042401b")
+
 
 class TestExitCodes:
     def test_unknown_rule_is_invalid_input(self, capsys):
@@ -219,3 +227,16 @@ class TestExitCodes:
     def test_vetofamily_keys_checked(self, rule, capsys):
         assert main(["characterize", "--rule", rule, "--n", "3", "--m", "4"]) == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--rule", "borda", "--n", "3", "--truth", "0,x,2"],
+        ["analyze", "--rule", "borda", "--n", "3", "--truth", "0,1,2", "--tiebreak", "0,,1"],
+        ["experiment", "fig1", "--m", "15", "--k", "14", "--n", "5:3", "--samples", "10"],
+        ["experiment", "fig1", "--m", "15", "--k", "14", "--n", "three", "--samples", "10"],
+        ["experiment", "fig2", "--n", "3", "--m", "21:x", "--samples", "10"],
+    ])
+    def test_malformed_integer_lists(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "expected" in captured.err

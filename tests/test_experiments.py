@@ -259,3 +259,9 @@ class TestCsv:
         lines = text.strip().split("\n")
         assert lines[0] == "n,m,k,m_minus_k,samples,seed,p_wom,p_bom,p_om"
         assert lines[1] == "14,15,14,1,100,3,0.000000,0.000000,0.000000"
+
+    def test_write_csv_file(self, tmp_path):
+        rows = sweep_n(15, 14, range(3, 5), 50, 2)
+        path = tmp_path / "rows.csv"
+        experiments.write_csv_file(path, rows)
+        assert path.read_bytes() == rows_to_csv(rows).encode()

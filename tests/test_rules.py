@@ -11,6 +11,8 @@ from omvote import (
     DuplicateOutcomeError,
     InvalidParametersError,
     OutOfRangeIndexError,
+    RuleSpec,
+    UnsupportedRuleError,
     borda,
     classify,
     condorcet_winner,
@@ -249,6 +251,10 @@ class TestRunoff:
                 (1, 0), profile, (0, 1)
             )
 
+    def test_one_outcome_rejected(self):
+        with pytest.raises(InvalidParametersError):
+            winner(runoff(), make_profile([(0,), (0,)]), (0,))
+
 
 class TestCopelandCondorcet:
     def test_unanimous(self):
@@ -326,6 +332,10 @@ class TestRuleSyntax:
     def test_unknown_rule(self):
         with pytest.raises(InvalidParametersError):
             parse_rule("bucklin")
+
+    def test_winner_of_unknown_rule(self):
+        with pytest.raises(UnsupportedRuleError):
+            winner(RuleSpec("bucklin"), PROOF_PROFILE, (0, 1, 2, 3))
 
     def test_bad_parameters(self):
         with pytest.raises(InvalidParametersError):
