@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import rules
-from .core import Profile, enumerate_profiles, make_ranking, make_tiebreak, ranking_positions
+from .core import Profile, check_int, enumerate_profiles, make_ranking, make_tiebreak, ranking_positions
 from .errors import InvalidParametersError, VerificationError
 
 
@@ -29,12 +29,9 @@ class CcumInstance:
         m = self.m
         object.__setattr__(self, "fixed_ballots", tuple(make_ranking(b, m) for b in self.fixed_ballots))
         object.__setattr__(self, "tiebreak", make_tiebreak(self.tiebreak, m))
-        if self.num_manipulators < 0:
-            raise InvalidParametersError("num_manipulators must be >= 0")
-        if not self.fixed_ballots and self.num_manipulators == 0:
+        if not (check_int(self.num_manipulators, "num_manipulators", 0) or self.fixed_ballots):
             raise InvalidParametersError("instance has no voters at all")
-        if not 0 <= self.target < m:
-            raise InvalidParametersError(f"target {self.target} not in [0, {m})")
+        check_int(self.target, "target", 0, m - 1)
 
     @property
     def m(self) -> int:
@@ -69,7 +66,7 @@ def ccum_greedy_kapproval(inst: CcumInstance) -> CcumCertificate:
     are appended lowest priority first (their order cannot affect scores).
     The returned ballots are reported even when the target still loses.
     """
-    k = rules.kapproval_k(inst.rule, inst.m)
+    k = rules._kapproval_k(inst.rule, inst.m)
     if k is None:
         raise InvalidParametersError(f"greedy solver needs a k-approval rule, got {inst.rule.name}")
     prank = ranking_positions(inst.tiebreak)
@@ -112,7 +109,7 @@ def ccum_bruteforce(inst: CcumInstance, budget: int | None = None) -> CcumCertif
 def solve_ccum(inst: CcumInstance, solver: str = "auto", budget: int | None = None) -> CcumCertificate:
     """Dispatch to the greedy solver for k-approval, brute force otherwise."""
     if solver == "auto":
-        solver = "greedy" if rules.kapproval_k(inst.rule, inst.m) is not None else "bruteforce"
+        solver = "greedy" if rules._kapproval_k(inst.rule, inst.m) is not None else "bruteforce"
     if solver == "greedy":
         cert = ccum_greedy_kapproval(inst)
     elif solver == "bruteforce":
@@ -158,9 +155,7 @@ def possible_outcomes(rule: rules.RuleSpec, n: int, fixed, tiebreak, budget: int
     tiebreak = make_tiebreak(tiebreak)
     if fixed is not None:
         fixed = make_ranking(fixed, len(tiebreak))
-    if not isinstance(n, int) or n < 1:
-        raise InvalidParametersError(f"need an integer n >= 1, got {n!r}")
-    return _reachable(rule, n, fixed, tiebreak, budget)
+    return _reachable(rule, check_int(n, "n", 1), fixed, tiebreak, budget)
 
 
 def _reachable(rule, n: int, fixed, tiebreak: tuple, budget) -> frozenset:
@@ -168,13 +163,13 @@ def _reachable(rule, n: int, fixed, tiebreak: tuple, budget) -> frozenset:
     # ballot or None, and an int n >= 1
     m = len(tiebreak)
     if fixed is not None:
-        k = rules.kapproval_k(rule, m)
+        k = rules._kapproval_k(rule, m)
         if k is not None:
             fixed = tuple(sorted(fixed[:k])) + tuple(sorted(fixed[k:]))
     return _possible_outcomes(rule, n, fixed, tiebreak, budget)
 
 
-@lru_cache(maxsize=2048)
+@lru_cache(maxsize=2048, typed=True)  # typed: a float budget is its own key, so it meets check_budget
 def _possible_outcomes(rule, n, fixed, tiebreak, budget) -> frozenset:
     m = len(tiebreak)
     identity = tuple(range(m))
@@ -186,7 +181,7 @@ def _possible_outcomes(rule, n, fixed, tiebreak, budget) -> frozenset:
         return frozenset(tiebreak[o] for o in found)
     fixed_ballots = (fixed,) if fixed is not None else ()
     free = n - len(fixed_ballots)
-    k = rules.kapproval_k(rule, m)
+    k = rules._kapproval_k(rule, m)
     if k is not None:  # the identity is its own position list
         return frozenset(t for t in range(m) if _greedy_kapproval(k, fixed_ballots, free, t, identity)[0])
     found = set()

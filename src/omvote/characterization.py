@@ -10,12 +10,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import rules
 from .ccum import possible_outcomes
-from .core import Profile, check_budget, enumerate_rankings, identity_tiebreak, make_tiebreak
-from .errors import InvalidParametersError
+from .core import Profile, check_budget, check_int, enumerate_rankings, identity_tiebreak, make_tiebreak
 
 OM = "OM"
 NOM = "NOM"
@@ -40,12 +38,9 @@ class TheoremVerdict:
 
 def kapproval_om(n: int, m: int, k: int) -> TheoremVerdict:
     """k-approval is obviously manipulable iff n <= (m-2)/(m-k)."""
-    if not all(isinstance(v, int) for v in (n, m, k)):
-        raise InvalidParametersError(f"n, m and k must be integers, got {n!r}, {m!r}, {k!r}")
-    if n < 3 or m < 3:
-        raise InvalidParametersError("characterization assumes n >= 3 and m >= 3")
-    if not 0 < k < m:
-        raise InvalidParametersError(f"need 0 < k < m, got k={k}, m={m}")
+    check_int(n, "n", 3)  # the characterization assumes n >= 3 and m >= 3
+    check_int(m, "m", 3)
+    check_int(k, "k", 1, m - 1)
     holds = n * (m - k) <= m - 2
     return TheoremVerdict(
         "kapproval_om",
@@ -57,9 +52,10 @@ def kapproval_om(n: int, m: int, k: int) -> TheoremVerdict:
 
 def scoring_nom_sufficient(n: int, weights) -> TheoremVerdict:
     """A scoring rule is NOM once n > s1/(s1-s2) + 1 (sufficient only)."""
+    check_int(n, "n", 1)
     ws = rules.make_score_vector(weights)
     s1, s2 = ws[0], ws[1]
-    holds = s1 > s2 and Fraction(n) > s1 / (s1 - s2) + 1
+    holds = s1 > s2 and n > s1 / (s1 - s2) + 1
     return TheoremVerdict(
         "scoring_nom_sufficient",
         holds,
@@ -75,6 +71,7 @@ def bom_iff(n: int, weights) -> TheoremVerdict:
     n <= (m-2)/(m-k); the longest equal prefix decides the existential,
     since larger k only loosens the inequality.
     """
+    check_int(n, "n", 1)
     ws = rules.make_score_vector(weights)
     m = len(ws)
     prefix = 1
@@ -124,8 +121,7 @@ def is_almost_unanimous(rule: rules.RuleSpec, n: int, m: int, tiebreak=None, bud
     TooLargeError beyond *budget* (default 10^8) ballot tuples; the search
     has m * m! * ((m-1)!)^(n-1).
     """
-    if not isinstance(n, int) or n < 2:
-        raise InvalidParametersError("almost-unanimity needs at least two voters")
+    check_int(n, "almost-unanimity's n", 2)
     tiebreak = identity_tiebreak(m) if tiebreak is None else make_tiebreak(tiebreak, m)
     rankings = tuple(enumerate_rankings(m))
     check_budget(m * len(rankings) * math.factorial(m - 1) ** (n - 1), budget)

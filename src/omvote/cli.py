@@ -156,6 +156,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_characterize(args) -> int:
+    if args.tiebreak is not None and not args.exhaustive:  # only the search detectors read it
+        raise InvalidParametersError("--tiebreak needs --exhaustive")
     rule = rules.parse_rule(args.rule)
     n, m = args.n, args.m
     verdicts = []

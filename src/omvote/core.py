@@ -9,7 +9,6 @@ safe to share between threads.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -33,6 +32,19 @@ MAX_ENUMERATED_OUTCOMES = 8
 DEFAULT_BUDGET = 10**8
 
 
+def check_int(value, what: str, least: int | None = None, most: int | None = None) -> int:
+    """*value* if it is an int in [least, most], a None bound being open; else InvalidParametersError.
+
+    The one check of a count or index taken from a caller (voters, outcomes,
+    approvals, manipulators, targets, samples, seeds, budgets), so the
+    package has one idea of a valid count and no TypeError escapes for one.
+    """
+    if isinstance(value, int) and (least is None or value >= least) and (most is None or value <= most):
+        return value
+    low, high = ("" if least is None else f" >= {least}"), ("" if most is None else f" <= {most}")
+    raise InvalidParametersError(f"{what} must be an integer{low}{low and high and ' and'}{high}, got {value!r}")
+
+
 def make_ranking(order: Sequence[int], m: int | None = None) -> Ranking:
     """Validate *order* as a permutation of range(m) and return it as a tuple.
 
@@ -42,10 +54,9 @@ def make_ranking(order: Sequence[int], m: int | None = None) -> Ranking:
         order = tuple(map(operator.index, order))
     except TypeError:
         raise OutOfRangeIndexError(f"outcomes must be integers, got {order!r}") from None
-    if m is None:
-        m = len(order)
-    elif len(order) != m:
+    if m is not None and len(order) != m:
         raise WrongLengthError(f"expected {m} entries, got {len(order)}")
+    m = len(order)  # equal to a given m, and an int even where that m is 3.0
     seen = [False] * m
     for o in order:
         if o < 0 or o >= m:
@@ -63,7 +74,7 @@ def make_tiebreak(priority: Sequence[int], m: int | None = None) -> TieBreak:
 
 def identity_tiebreak(m: int) -> TieBreak:
     """Priority order 0 > 1 > ... > m-1."""
-    return tuple(range(m))
+    return tuple(range(check_int(m, "m")))
 
 
 def ranking_positions(ranking: Ranking) -> list:
@@ -77,8 +88,8 @@ def ranking_positions(ranking: Ranking) -> list:
 def prefers(ranking: Ranking, a: int, b: int) -> bool:
     """True iff outcome *a* comes before outcome *b* in *ranking*."""
     m = len(ranking)
-    if not (0 <= a < m and 0 <= b < m):
-        raise OutOfRangeIndexError(f"outcomes {a}, {b} must lie in [0, {m})")
+    if not all(isinstance(o, int) and 0 <= o < m for o in (a, b)):
+        raise OutOfRangeIndexError(f"outcomes {a!r}, {b!r} must be integers in [0, {m})")
     return ranking.index(a) < ranking.index(b)
 
 
@@ -109,9 +120,7 @@ def make_profile(ballots: Sequence[Sequence[int]], m: int | None = None) -> Prof
 
 def enumerate_rankings(m: int) -> Iterator:
     """Yield all m! rankings in lexicographic order."""
-    if m < 1:
-        raise InvalidParametersError("need at least one outcome")
-    if m > MAX_ENUMERATED_OUTCOMES:
+    if check_int(m, "m", 1) > MAX_ENUMERATED_OUTCOMES:
         raise TooLargeError(f"refusing to enumerate {m}! rankings (m > {MAX_ENUMERATED_OUTCOMES})")
     return itertools.permutations(range(m))
 
@@ -121,7 +130,7 @@ def check_budget(count: int, budget: int | None, what: str = "ballot tuples") ->
 
     This is the one budget gate: every exhaustive search and table pre-check is weighed here.
     """
-    if count > (DEFAULT_BUDGET if budget is None else budget):
+    if count > (DEFAULT_BUDGET if budget is None else check_int(budget, "budget")):
         raise TooLargeError(f"{count} {what} exceed the enumeration budget")
 
 
@@ -135,10 +144,10 @@ def enumerate_profiles(m: int, voters: int, budget: int | None = None, fixed=())
     *budget* (default 10^8 tuples); raises TooLargeError beyond it.
     """
     fixed = tuple(make_ranking(b, m) for b in fixed)
-    if voters < 0 or not (voters or fixed):
+    if not (check_int(voters, "voters", 0) or fixed):
         raise InvalidParametersError("need at least one voter")
-    check_budget(math.factorial(m) ** voters, budget)
     rankings = tuple(enumerate_rankings(m))
+    check_budget(len(rankings) ** voters, budget)
     return (Profile(fixed + tup, m) for tup in itertools.product(rankings, repeat=voters))
 
 
@@ -164,11 +173,9 @@ def sample_ranking(m: int, seed: int, index: int) -> Ranking:
     Fisher-Yates driven by a SplitMix64 stream; bounded draws use rejection
     sampling so every permutation is exactly equally likely.
     """
-    if m < 1:
-        raise InvalidParametersError("need at least one outcome")
-    state = _mix64((seed & _MASK64) ^ _GOLDEN)
-    state = _mix64(state ^ (index & _MASK64))
-    arr = list(range(m))
+    state = _mix64((check_int(seed, "seed") & _MASK64) ^ _GOLDEN)
+    state = _mix64(state ^ (check_int(index, "index") & _MASK64))
+    arr = list(range(check_int(m, "m", 1)))
     for j in range(m - 1, 0, -1):
         bound = j + 1
         limit = (1 << 64) - ((1 << 64) % bound)

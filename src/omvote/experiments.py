@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import manipulability, rules
-from .core import identity_tiebreak, make_tiebreak, ranking_positions, sample_ranking
+from .characterization import kapproval_om
+from .core import check_int, identity_tiebreak, make_tiebreak, ranking_positions, sample_ranking
 from .errors import InvalidParametersError, VerificationError
 
 DEFAULT_SAMPLES = 100_000
@@ -60,8 +61,7 @@ class ExperimentConfig:
     audit_samples: int = DEFAULT_AUDIT_SAMPLES
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise InvalidParametersError("samples must be >= 1")
+        check_int(self.samples, "samples", 1)
         if not (self.n_values and self.m_values and self.mk_values):
             raise InvalidParametersError("empty parameter range")
         if self.tiebreak is not None and len(set(self.m_values)) > 1:
@@ -102,16 +102,12 @@ def _run_cells(cells, samples: int, seed: int, tiebreak, audit_samples: int) -> 
     audited when audit_samples > 0: its first min(audit_samples, samples)
     truths, the same draws, must each come out NOM through the reduction.
     """
-    if not all(isinstance(v, int) for v in (samples, seed, *(v for cell in cells for v in cell))):
-        raise InvalidParametersError("n, m, k, samples and seed must be integers")
-    if samples < 1:
-        raise InvalidParametersError("samples must be >= 1")
+    check_int(samples, "samples", 1)
+    check_int(seed, "seed")
+    check_int(audit_samples, "audit_samples")
     tiebreaks = {}
     for n, m, k in cells:
-        if n < 3 or m < 3:
-            raise InvalidParametersError("experiments assume n >= 3 and m >= 3")
-        if not 0 < k < m:
-            raise InvalidParametersError(f"need 0 < k < m, got k={k}, m={m}")
+        kapproval_om(n, m, k)  # the one check of a cell: ints n >= 3, m >= 3 and 0 < k < m
         tiebreaks[m] = identity_tiebreak(m) if tiebreak is None else make_tiebreak(tiebreak, m)
     audited = next((c for c in cells if nom_guaranteed(*c)), None) if audit_samples > 0 else None
     counts = {}
@@ -157,7 +153,7 @@ def audit_nom_cell(n: int, m: int, k: int, samples: int, seed: int, tiebreak=Non
     sampling fast path, so the audit exercises an independent route.
     Returns the number of samples checked.
     """
-    if not nom_guaranteed(n, m, k):
+    if kapproval_om(n, m, k).holds:
         raise InvalidParametersError(f"cell n={n}, m={m}, k={k} is not an immune cell")
     _run_cells([(n, m, k)], samples, seed, tiebreak, samples)
     return samples
@@ -165,14 +161,15 @@ def audit_nom_cell(n: int, m: int, k: int, samples: int, seed: int, tiebreak=Non
 
 def run_experiment(config: ExperimentConfig) -> list:
     """Evaluate every cell of the grid, rows in (n, m, m-k) order; audit the first immune cell."""
-    cells = [(n, m, m - mk) for n in config.n_values for m in config.m_values for mk in config.mk_values]
+    cells = [(n, m, check_int(m, "m") - check_int(mk, "m-k")) for n in config.n_values
+             for m in config.m_values for mk in config.mk_values]
     return _run_cells(cells, config.samples, config.seed, config.tiebreak, config.audit_samples)
 
 
 def sweep_n(m: int, k: int, n_values: Iterable[int], samples: int, seed: int, **kwargs) -> list:
     """Manipulation rates as the voter count grows, m and k fixed."""
-    cfg = ExperimentConfig(tuple(n_values), (m,), (m - k,), samples, seed, **kwargs)
-    return run_experiment(cfg)
+    mk = check_int(m, "m") - check_int(k, "k")
+    return run_experiment(ExperimentConfig(tuple(n_values), (m,), (mk,), samples, seed, **kwargs))
 
 
 def heatmap(

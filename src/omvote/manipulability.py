@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from . import rules
 from .ccum import CcumInstance, _greedy_kapproval, _reachable, solve_ccum
-from .core import check_budget, enumerate_rankings, make_ranking, make_tiebreak, ranking_positions
+from .core import check_budget, check_int, enumerate_rankings, make_ranking, make_tiebreak, ranking_positions
 from .errors import InvalidParametersError, UnsupportedRuleError, VerificationError
 
 NOM = "NOM"
@@ -64,8 +64,7 @@ def _checked(truth, n, tiebreak) -> tuple:
     # the one check of a query at a public entry point: (truth, tiebreak, pos)
     truth = make_ranking(truth)
     tiebreak = make_tiebreak(tiebreak, len(truth))
-    if not isinstance(n, int) or n < 2:
-        raise InvalidParametersError(f"case analysis needs an integer n >= 2, got {n!r}")
+    check_int(n, "n", 2)
     return truth, tiebreak, ranking_positions(truth)
 
 
@@ -120,7 +119,7 @@ def _reduction_k(rule, m: int, mode: str):
     # the k the reduction runs with, or None when brute force answers
     if mode not in ("auto", "reduction", "bruteforce"):
         raise InvalidParametersError(f"unknown mode {mode!r}")
-    k = rules.kapproval_k(rule, m)
+    k = rules._kapproval_k(rule, m)
     if mode == "reduction" and k is None:
         raise UnsupportedRuleError("reduction mode needs a k-approval style rule")
     return None if mode == "bruteforce" else k
@@ -187,10 +186,10 @@ def _label(has_bom: bool, has_wom: bool) -> str:
 # full ballot tuples of the other voters and caches the rows it computes.
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)  # typed, as ccum._possible_outcomes
 def _bruteforce_feasible_map(rule: rules.RuleSpec, n: int, tiebreak, budget=None) -> dict:
     m = len(tiebreak)
-    k = rules.kapproval_k(rule, m)
+    k = rules._kapproval_k(rule, m)
     if k is not None:
         prank = ranking_positions(tiebreak)
         sets = [frozenset(c) for c in itertools.combinations(range(m), k)]
@@ -217,8 +216,7 @@ def bruteforce_feasible(rule: rules.RuleSpec, n: int, report, tiebreak, budget=N
     """Exhaustively computed reachable outcomes for one fixed report."""
     report = make_ranking(report)
     tiebreak = make_tiebreak(tiebreak, len(report))
-    if not isinstance(n, int) or n < 2:
-        raise InvalidParametersError(f"feasible sets need an integer n >= 2, got {n!r}")
+    check_int(n, "n", 2)
     return _bruteforce_feasible_map(rule, n, tiebreak, budget)[report]
 
 
@@ -234,7 +232,7 @@ def _priority_first(o: int, m: int) -> tuple:
     return (o, *(p for p in range(m) if p != o))
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def _cowinner_feasible_map(rule: rules.RuleSpec, n: int, m: int, budget=None) -> dict:
     check_budget(math.factorial(m) ** n, budget)
     return {
@@ -257,9 +255,7 @@ def classify_randomized_tiebreak(truth, weights, n: int, budget=None) -> Manipul
     truth = make_ranking(truth)
     rule = rules.scoring(weights)
     rules.score_vector(rule, m)  # one weight per outcome
-    if not isinstance(n, int) or n < 2:
-        raise InvalidParametersError(f"need an integer n >= 2, got {n!r}")
-    table = _cowinner_feasible_map(rule, n, m, budget)
+    table = _cowinner_feasible_map(rule, check_int(n, "n", 2), m, budget)
     if truth[0] not in table[truth]:
         raise VerificationError(f"truthful top {truth[0]} is not a co-winner of the truthful report")
     pos = ranking_positions(truth)

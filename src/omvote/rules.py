@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .core import Profile, make_tiebreak, ranking_positions
+from .core import Profile, check_int, make_tiebreak, ranking_positions
 from .errors import DimensionMismatchError, InvalidParametersError, UnsupportedRuleError
 
 SCORING_RULE_NAMES = frozenset(
@@ -79,11 +79,7 @@ def paperfamily() -> RuleSpec:
 
 
 def kapproval(k: int) -> RuleSpec:
-    if not isinstance(k, int):
-        raise InvalidParametersError(f"k-approval needs an integer k, got {k!r}")
-    if k < 1:
-        raise InvalidParametersError("k-approval needs k >= 1")
-    return RuleSpec("kapproval", k=k)
+    return RuleSpec("kapproval", k=check_int(k, "k", 1))
 
 
 def scoring(weights: Sequence) -> RuleSpec:
@@ -116,8 +112,7 @@ def score_vector(rule: RuleSpec, m: int, n: int | None = None) -> tuple:
     For the vetofamily the constraint omega > m*eps*(n-1) is checked whenever
     the voter count n is supplied.
     """
-    if m < 2:
-        raise InvalidParametersError("scoring rules need at least two outcomes")
+    check_int(m, "a scoring rule's m", 2)
     if rule.name == "borda":
         return tuple(Fraction(m - 1 - i) for i in range(m))
     if rule.name == "plurality":
@@ -129,11 +124,10 @@ def score_vector(rule: RuleSpec, m: int, n: int | None = None) -> tuple:
     if rule.name == "paperfamily":
         return tuple(Fraction(m + 2 - i) for i in range(m - 1)) + (Fraction(0),)
     if rule.name == "kapproval":
-        if not 0 < rule.k < m:
-            raise InvalidParametersError(f"k-approval needs 0 < k < m, got k={rule.k}, m={m}")
+        check_int(rule.k, f"k-approval's k at m={m}", 1, m - 1)
         return (Fraction(1),) * rule.k + (Fraction(0),) * (m - rule.k)
     if rule.name == "vetofamily":
-        if n is not None and rule.omega <= m * rule.eps * (n - 1):
+        if n is not None and rule.omega <= m * rule.eps * (check_int(n, "n") - 1):
             raise InvalidParametersError(
                 f"vetofamily needs omega > m*eps*(n-1): {rule.omega} <= {m * rule.eps * (n - 1)}"
             )
@@ -161,9 +155,14 @@ def _canonical_weights(rule: RuleSpec, m: int, n: int | None = None) -> tuple:
     return tuple(w // gcd for w in ints)
 
 
-@lru_cache(maxsize=512)
 def kapproval_k(rule: RuleSpec, m: int) -> int | None:
     """The k of a k-approval rule, or None: a scoring rule whose canonical vector is 0/1 approves its sum."""
+    return _kapproval_k(rule, check_int(m, "m"))
+
+
+@lru_cache(maxsize=512)
+def _kapproval_k(rule: RuleSpec, m: int) -> int | None:
+    # kapproval_k for a checked m: the check comes before the cache, so 4.0 never hits the entry of 4
     if not rule.is_scoring:
         return None
     ws = _canonical_weights(rule, m)
@@ -178,7 +177,7 @@ def scoring_scores(weights: Sequence, profile: Profile) -> dict:
     m = profile.m
     if len(weights) != m:
         raise DimensionMismatchError(f"{len(weights)} weights for {m} outcomes")
-    ws = [int(f) if f.denominator == 1 else f for f in map(Fraction, weights)]
+    ws = [int(f) if f.denominator == 1 else f for f in _fractions(weights, "weights")]
     return dict(enumerate(_totals(ws, profile)))
 
 
@@ -275,9 +274,7 @@ def stv_winner(profile: Profile, tiebreak) -> int:
 
 def plurality_runoff_winner(profile: Profile, tiebreak) -> int:
     """Top two plurality scorers meet in a pairwise majority runoff."""
-    m = profile.m
-    if m < 2:
-        raise InvalidParametersError("runoff needs at least two outcomes")
+    m = check_int(profile.m, "runoff's m", 2)
     prank = _check_tiebreak(tiebreak, m)
     firsts = [0] * m
     for ballot in profile.ballots:

@@ -155,6 +155,14 @@ class TestCharacterize:
         assert main(args + ["--budget", "35"]) == 3
         assert main(args + ["--budget", "36"]) == 0
 
+    @pytest.mark.parametrize("tiebreak", ["foo", "0,1", "0,1,2"])
+    def test_tiebreak_needs_exhaustive(self, tiebreak, capsys):
+        # only the search detectors read a tie-break; without them it would be ignored, even malformed
+        assert main(["characterize", "--rule", "borda", "--n", "3", "--m", "3", "--tiebreak", tiebreak]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--exhaustive" in captured.err
+
 
 class TestExperiment:
     def test_fig1_csv_determinism(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Rankings, enumeration, sampling, and the profile text format."""
 
 import math
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from omvote import (
     prefers,
     sample_ranking,
 )
+from omvote.experiments import audit_nom_cell
 
 
 class TestMakeRanking:
@@ -55,6 +57,10 @@ class TestMakeRanking:
         with pytest.raises(OutOfRangeIndexError):
             make_ranking(order)
 
+    def test_length_stands_for_an_equal_m(self):
+        # m=3.0 equals the length, so the ranking is valid; its count is the int length
+        assert make_ranking((2, 0, 1), 3.0) == (2, 0, 1)
+
 
 class TestPrefers:
     def test_basic(self):
@@ -66,6 +72,11 @@ class TestPrefers:
     def test_out_of_range(self):
         with pytest.raises(OutOfRangeIndexError):
             prefers((0, 1, 2), 0, 5)
+
+    @pytest.mark.parametrize("a, b", [(0.5, 1), (1.0, 2), (0, "1")])
+    def test_non_integer_outcomes(self, a, b):
+        with pytest.raises(OutOfRangeIndexError):
+            prefers((0, 1, 2), a, b)
 
 
 class TestEnumeration:
@@ -189,3 +200,59 @@ class TestOneBudgetGate:
     @pytest.mark.parametrize("text", ["DEFAULT_BUDGET if budget is None", "raise TooLargeError"])
     def test_only_core_owns_it(self, text):
         assert [p.name for p in self.SOURCES if text in p.read_text(encoding="utf-8")] == ["core.py"]
+
+
+class TestOneIntegerCheck:
+    """Counts and indices are checked by core.check_int alone, so no entry point lets a TypeError escape."""
+
+    SOURCES = sorted(Path(omvote.__file__).parent.glob("*.py"))
+
+    def test_only_core_checks_for_int(self):
+        pattern = re.compile(r"isinstance\([^)]*\bint\b")
+        assert [p.name for p in self.SOURCES if pattern.search(p.read_text(encoding="utf-8"))] == ["core.py"]
+
+    @pytest.mark.parametrize("call", [
+        lambda: omvote.CcumInstance(omvote.borda(), ((0, 1, 2),), 1.5, 0, (0, 1, 2)),
+        lambda: omvote.CcumInstance(omvote.borda(), ((0, 1, 2),), 1, 1.0, (0, 1, 2)),
+        lambda: omvote.CcumInstance(omvote.borda(), ((0, 1, 2),), 1, "0", (0, 1, 2)),
+        lambda: omvote.has_veto_power(omvote.borda(), 3, 2.5),
+        lambda: omvote.has_veto_power(omvote.borda(), 2, 3.0, (0, 1, 2)),
+        lambda: omvote.is_almost_unanimous(omvote.borda(), 3, 2.5),
+        lambda: omvote.enumerate_profiles(3, 1.5),
+        lambda: omvote.enumerate_rankings(2.5),
+        lambda: omvote.sample_ranking(2.5, 0, 0),
+        lambda: omvote.sample_ranking(3, "a", 0),
+        lambda: omvote.score_vector(omvote.borda(), 2.5),
+        lambda: omvote.sweep_n(15, "14", range(3, 5), 10, 0),
+        lambda: omvote.heatmap(3, [21], 10, 0, mk_values=["1"]),
+        lambda: omvote.ExperimentConfig((3,), (15,), (1,), samples="10"),
+        lambda: audit_nom_cell("14", 15, 14, 10, 0),
+        lambda: omvote.bom_iff("3", (1, 1, 0)),
+        lambda: omvote.bom_iff(0, (1, 1, 0)),
+        lambda: omvote.scoring_nom_sufficient(1.5, (2, 1, 0)),
+        lambda: omvote.classify((0, 1, 2), omvote.borda(), 3, (0, 1, 2), budget="x"),
+        lambda: omvote.kapproval_k(omvote.kapproval(2), 4.0),
+    ], ids=["manipulators", "float-target", "str-target", "veto-m", "veto-m-tiebreak", "unanimous-m", "profiles-voters",
+            "rankings-m", "sample-m", "sample-seed", "score-vector-m", "sweep-k", "heatmap-mk",
+            "config-samples", "audit-n", "bom-str-n", "bom-zero-n", "nom-float-n", "budget", "kapproval-k-m"])
+    def test_escape_is_rejected(self, call):
+        with pytest.raises(InvalidParametersError):
+            call()
+
+    @pytest.mark.parametrize("call", [
+        lambda budget: omvote.possible_outcomes(omvote.borda(), 3, None, (0, 1, 2), budget),
+        lambda budget: omvote.bruteforce_feasible(omvote.borda(), 3, (0, 1, 2), (0, 1, 2), budget),
+        lambda budget: omvote.classify_randomized_tiebreak((0, 1, 2), (2, 1, 0), 3, budget),
+    ], ids=["possible_outcomes", "bruteforce_feasible", "randomized"])
+    def test_float_budget_rejected_whatever_the_cache_holds(self, call):
+        call(10**9)
+        with pytest.raises(InvalidParametersError):
+            call(1e9)
+
+    def test_kapproval_k_checks_before_its_cache(self):
+        rule = omvote.kapproval(2)
+        with pytest.raises(InvalidParametersError):
+            omvote.kapproval_k(rule, 4.0)
+        assert omvote.kapproval_k(rule, 4) == 2
+        with pytest.raises(InvalidParametersError):
+            omvote.kapproval_k(rule, 4.0)  # equal to 4 and hashing like it, but not a count

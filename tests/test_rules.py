@@ -115,6 +115,16 @@ class TestRuleInputErrors:
         with pytest.raises(InvalidParametersError):
             vetofamily(9, "b")
 
+    @pytest.mark.parametrize("weights", [("x", 0, 0), (None, 0, 0)])
+    def test_non_numeric_weights_at_every_scoring_function(self, weights):
+        profile = make_profile([(0, 1, 2), (1, 0, 2)])
+        with pytest.raises(InvalidParametersError):
+            scoring_scores(weights, profile)
+        with pytest.raises(InvalidParametersError):
+            scoring_cowinners(weights, profile)
+        with pytest.raises(InvalidParametersError):
+            scoring_winner(weights, profile, (0, 1, 2))
+
     def test_kapproval_needs_integer_k(self):
         with pytest.raises(InvalidParametersError):
             kapproval(2.5)
