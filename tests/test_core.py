@@ -232,8 +232,8 @@ class TestOneIntegerCheck:
         lambda: omvote.scoring_nom_sufficient(1.5, (2, 1, 0)),
         lambda: omvote.classify((0, 1, 2), omvote.borda(), 3, (0, 1, 2), budget="x"),
         lambda: omvote.kapproval_k(omvote.kapproval(2), 4.0),
-    ], ids=["manipulators", "float-target", "str-target", "veto-m", "veto-m-tiebreak", "unanimous-m", "profiles-voters",
-            "rankings-m", "sample-m", "sample-seed", "score-vector-m", "sweep-k", "heatmap-mk",
+    ], ids=["manipulators", "float-target", "str-target", "veto-m", "veto-m-tiebreak", "unanimous-m",
+            "profiles-voters", "rankings-m", "sample-m", "sample-seed", "score-vector-m", "sweep-k", "heatmap-mk",
             "config-samples", "audit-n", "bom-str-n", "bom-zero-n", "nom-float-n", "budget", "kapproval-k-m"])
     def test_escape_is_rejected(self, call):
         with pytest.raises(InvalidParametersError):
