@@ -56,7 +56,6 @@ from .rules import (
     borda,
     condorcet_winner,
     copeland,
-    copeland_winner,
     dowdall,
     kapproval,
     kapproval_k,
@@ -64,7 +63,6 @@ from .rules import (
     paperfamily,
     parse_rule,
     plurality,
-    plurality_runoff_winner,
     rule_label,
     runoff,
     score_vector,
@@ -73,7 +71,6 @@ from .rules import (
     scoring_scores,
     scoring_winner,
     stv,
-    stv_winner,
     vetofamily,
     winner,
 )

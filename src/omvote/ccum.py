@@ -26,6 +26,8 @@ class CcumInstance:
     tiebreak: tuple
 
     def __post_init__(self):
+        if not hasattr(self.tiebreak, "__len__"):  # m is its length: make_tiebreak names the fault
+            object.__setattr__(self, "tiebreak", make_tiebreak(self.tiebreak))
         m = self.m
         object.__setattr__(self, "fixed_ballots", tuple(make_ranking(b, m) for b in self.fixed_ballots))
         object.__setattr__(self, "tiebreak", make_tiebreak(self.tiebreak, m))
@@ -100,8 +102,9 @@ def ccum_bruteforce(inst: CcumInstance, budget: int | None = None) -> CcumCertif
     scanning all (m!)^num_manipulators of them.
     """
     fixed = inst.fixed_ballots
+    prank = ranking_positions(inst.tiebreak)
     for profile in enumerate_profiles(inst.m, inst.num_manipulators, budget, fixed):
-        if rules.winner(inst.rule, profile, inst.tiebreak) == inst.target:
+        if rules._elect(inst.rule, profile, prank) == inst.target:
             return CcumCertificate(True, profile.ballots[len(fixed):])
     return CcumCertificate(False, None)
 
@@ -182,11 +185,11 @@ def _possible_outcomes(rule, n, fixed, tiebreak, budget) -> frozenset:
     fixed_ballots = (fixed,) if fixed is not None else ()
     free = n - len(fixed_ballots)
     k = rules._kapproval_k(rule, m)
-    if k is not None:  # the identity is its own position list
+    if k is not None:  # the identity is its own position list, here and below
         return frozenset(t for t in range(m) if _greedy_kapproval(k, fixed_ballots, free, t, identity)[0])
     found = set()
     for profile in enumerate_profiles(m, free, budget, fixed_ballots):
-        found.add(rules.winner(rule, profile, tiebreak))
+        found.add(rules._elect(rule, profile, identity))
         if len(found) == m:
             break
     return frozenset(found)

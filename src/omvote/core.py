@@ -54,8 +54,8 @@ def make_ranking(order: Sequence[int], m: int | None = None) -> Ranking:
         order = tuple(map(operator.index, order))
     except TypeError:
         raise OutOfRangeIndexError(f"outcomes must be integers, got {order!r}") from None
-    if m is not None and len(order) != m:
-        raise WrongLengthError(f"expected {m} entries, got {len(order)}")
+    if m is not None and len(order) != m:  # m is checked off the hot path; 3.0 == 3 passes
+        raise WrongLengthError(f"expected {check_int(m, 'm')} entries, got {len(order)}")
     m = len(order)  # equal to a given m, and an int even where that m is 3.0
     seen = [False] * m
     for o in order:

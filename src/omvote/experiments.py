@@ -70,10 +70,10 @@ class ExperimentConfig:
 
 def nom_guaranteed(n: int, m: int, k: int) -> bool:
     """True when no preference order admits any manipulation at (n, m, k)."""
-    return n * (m - k) > m - 2
+    return check_int(n, "n") * (check_int(m, "m") - check_int(k, "k")) > m - 2
 
 
-def _classify_saturated(truth, n: int, k: int, prank, top_overall) -> tuple:
+def _classify_saturated(truth, n: int, k: int, top_overall) -> tuple:
     """(wom, bom) for one truthful ranking, k-approval, fixed tie-break.
 
     Valid only when m >= n*(m-k)+2: the n(m-k) disapprovals never cover all
@@ -112,7 +112,6 @@ def _run_cells(cells, samples: int, seed: int, tiebreak, audit_samples: int) -> 
     audited = next((c for c in cells if nom_guaranteed(*c)), None) if audit_samples > 0 else None
     counts = {}
     for m, tb in tiebreaks.items():
-        prank = ranking_positions(tb)
         sampled = [(n, k, tb[: n * (m - k) + 1], [0, 0, 0]) for n, mm, k in cells
                    if mm == m and not nom_guaranteed(n, m, k)]
         counts.update(((n, m, k), c) for n, k, _, c in sampled)
@@ -120,7 +119,7 @@ def _run_cells(cells, samples: int, seed: int, tiebreak, audit_samples: int) -> 
         for i in range(samples if sampled else audit_n):
             truth = sample_ranking(m, seed, i)
             for n, k, top_overall, c in sampled:
-                wom, bom = _classify_saturated(truth, n, k, prank, top_overall)
+                wom, bom = _classify_saturated(truth, n, k, top_overall)
                 if bom and not wom:
                     raise VerificationError(f"best-case-only manipulation at sample {i}: {truth}")
                 c[0] += wom

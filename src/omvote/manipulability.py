@@ -251,8 +251,8 @@ def classify_randomized_tiebreak(truth, weights, n: int, budget=None) -> Manipul
     truthful report and nothing reachable beats it.  The first misreport in
     lexicographic order that improves the worst case is the WOM witness.
     """
-    m = len(truth)
     truth = make_ranking(truth)
+    m = len(truth)
     rule = rules.scoring(weights)
     rules.score_vector(rule, m)  # one weight per outcome
     table = _cowinner_feasible_map(rule, check_int(n, "n", 2), m, budget)

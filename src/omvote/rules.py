@@ -191,7 +191,7 @@ def _totals(ws, profile: Profile) -> list:
 
 
 def _check_tiebreak(tiebreak, m: int) -> list:
-    if len(tiebreak) != m:
+    if hasattr(tiebreak, "__len__") and len(tiebreak) != m:  # one without a length is make_tiebreak's to name
         raise DimensionMismatchError(f"tie-break over {len(tiebreak)} outcomes, profile has {m}")
     return ranking_positions(make_tiebreak(tiebreak, m))
 
@@ -232,10 +232,9 @@ def condorcet_winner(profile: Profile):
     return None
 
 
-def copeland_winner(profile: Profile, tiebreak) -> int:
+def _copeland(profile: Profile, prank) -> int:
     """Most pairwise wins (ties half a point each), priority breaking ties."""
     m = profile.m
-    prank = _check_tiebreak(tiebreak, m)
     tally = pairwise_tally(profile)
     n = profile.n
     doubled = [0] * m  # 2 per win, 1 per pairwise tie, exact in ints
@@ -251,14 +250,12 @@ def copeland_winner(profile: Profile, tiebreak) -> int:
     return max(range(m), key=lambda o: (doubled[o], -prank[o]))
 
 
-def stv_winner(profile: Profile, tiebreak) -> int:
+def _stv(profile: Profile, prank) -> int:
     """Iteratively drop the outcome with fewest first places among survivors.
 
     Elimination ties drop the lowest-priority outcome; the last survivor wins.
     """
-    m = profile.m
-    prank = _check_tiebreak(tiebreak, m)
-    remaining = set(range(m))
+    remaining = set(range(profile.m))
     while len(remaining) > 1:
         firsts = dict.fromkeys(remaining, 0)
         for ballot in profile.ballots:
@@ -272,10 +269,9 @@ def stv_winner(profile: Profile, tiebreak) -> int:
     return remaining.pop()
 
 
-def plurality_runoff_winner(profile: Profile, tiebreak) -> int:
+def _runoff(profile: Profile, prank) -> int:
     """Top two plurality scorers meet in a pairwise majority runoff."""
     m = check_int(profile.m, "runoff's m", 2)
-    prank = _check_tiebreak(tiebreak, m)
     firsts = [0] * m
     for ballot in profile.ballots:
         firsts[ballot[0]] += 1
@@ -288,19 +284,22 @@ def plurality_runoff_winner(profile: Profile, tiebreak) -> int:
     return a if prank[a] < prank[b] else b
 
 
-def winner(rule: RuleSpec, profile: Profile, tiebreak) -> int:
-    """Evaluate any supported rule on a profile with a fixed tie-break."""
+_KERNELS = {"stv": _stv, "runoff": _runoff, "copeland": _copeland}
+
+
+def _elect(rule: RuleSpec, profile: Profile, prank) -> int:
+    # winner on a tie-break checked once per search and given as its positions: prank[o] is o's place
     if rule.is_scoring:  # canonical weights are ints, summed as they are
         scores = _totals(_canonical_weights(rule, profile.m, profile.n), profile)
-        prank = _check_tiebreak(tiebreak, profile.m)
         return max(range(profile.m), key=lambda o: (scores[o], -prank[o]))
-    if rule.name == "stv":
-        return stv_winner(profile, tiebreak)
-    if rule.name == "runoff":
-        return plurality_runoff_winner(profile, tiebreak)
-    if rule.name == "copeland":
-        return copeland_winner(profile, tiebreak)
-    raise UnsupportedRuleError(f"unknown rule {rule.name!r}")
+    if rule.name not in _KERNELS:
+        raise UnsupportedRuleError(f"unknown rule {rule.name!r}")
+    return _KERNELS[rule.name](profile, prank)
+
+
+def winner(rule: RuleSpec, profile: Profile, tiebreak) -> int:
+    """Evaluate any supported rule on a profile with a fixed tie-break; an unknown rule is named first."""
+    return _elect(rule, profile, _check_tiebreak(tiebreak, profile.m) if rule.name in RULE_NAMES else None)
 
 
 # ---------------------------------------------------------------------------

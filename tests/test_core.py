@@ -1,5 +1,6 @@
 """Rankings, enumeration, sampling, and the profile text format."""
 
+import ast
 import math
 import re
 from collections import Counter
@@ -16,6 +17,7 @@ from omvote import (
     OutOfRangeIndexError,
     ProfileFormatError,
     TooLargeError,
+    VotingError,
     WrongLengthError,
     enumerate_profiles,
     enumerate_rankings,
@@ -27,7 +29,8 @@ from omvote import (
     prefers,
     sample_ranking,
 )
-from omvote.experiments import audit_nom_cell
+from omvote import ccum, manipulability, rules
+from omvote.experiments import audit_nom_cell, nom_guaranteed
 
 
 class TestMakeRanking:
@@ -232,9 +235,12 @@ class TestOneIntegerCheck:
         lambda: omvote.scoring_nom_sufficient(1.5, (2, 1, 0)),
         lambda: omvote.classify((0, 1, 2), omvote.borda(), 3, (0, 1, 2), budget="x"),
         lambda: omvote.kapproval_k(omvote.kapproval(2), 4.0),
+        lambda: nom_guaranteed("3", 15, 14),
+        lambda: make_ranking((0, 1, 2), "3"),
     ], ids=["manipulators", "float-target", "str-target", "veto-m", "veto-m-tiebreak", "unanimous-m",
             "profiles-voters", "rankings-m", "sample-m", "sample-seed", "score-vector-m", "sweep-k", "heatmap-mk",
-            "config-samples", "audit-n", "bom-str-n", "bom-zero-n", "nom-float-n", "budget", "kapproval-k-m"])
+            "config-samples", "audit-n", "bom-str-n", "bom-zero-n", "nom-float-n", "budget", "kapproval-k-m",
+            "nom-guaranteed-n", "ranking-str-m"])
     def test_escape_is_rejected(self, call):
         with pytest.raises(InvalidParametersError):
             call()
@@ -256,3 +262,63 @@ class TestOneIntegerCheck:
         assert omvote.kapproval_k(rule, 4) == 2
         with pytest.raises(InvalidParametersError):
             omvote.kapproval_k(rule, 4.0)  # equal to 4 and hashing like it, but not a count
+
+
+class TestShapeBeforeLength:
+    """An input with no length is named by make_tiebreak or make_ranking, not by a TypeError from len()."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: omvote.winner(omvote.borda(), make_profile([(0, 1, 2)]), None),
+        lambda: omvote.winner(omvote.borda(), make_profile([(0, 1, 2)]), 5),
+        lambda: omvote.CcumInstance(omvote.borda(), (), 1, 0, None),
+        lambda: omvote.classify_randomized_tiebreak(None, (2, 1, 0), 3),
+    ], ids=["winner-none", "winner-int", "ccum-instance", "randomized-truth"])
+    def test_rejected(self, call):
+        with pytest.raises(VotingError):
+            call()
+
+
+class TestOneTiebreakCheckPerSearch:
+    """Searches that elect many profiles check their tie-break once and elect on its positions."""
+
+    SOURCES = sorted(Path(omvote.__file__).parent.glob("*.py"))
+
+    def test_only_single_profiles_call_winner(self):
+        callers = []
+        for path in self.SOURCES:
+            for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(fn, ast.FunctionDef):
+                    callers += [(path.stem, fn.name) for node in ast.walk(fn)
+                                if isinstance(node, ast.Call) and ast.unparse(node.func) == "rules.winner"]
+        assert sorted(callers) == [("ccum", "_verify_certificate"), ("cli", "_cmd_winner")]
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        seen, check = [], rules._check_tiebreak
+
+        def counting(tiebreak, m):
+            seen.append(m)
+            return check(tiebreak, m)
+
+        monkeypatch.setattr(rules, "_check_tiebreak", counting)
+        manipulability._bruteforce_feasible_map.cache_clear()
+        ccum.possible_outcomes.cache_clear()
+        return seen
+
+    @pytest.mark.parametrize("rule", [omvote.borda(), omvote.stv(), omvote.copeland()], ids=lambda r: r.name)
+    def test_cold_feasible_table(self, checks, rule):
+        omvote.bruteforce_feasible(rule, 3, (0, 1, 2, 3), (0, 1, 2, 3))
+        assert checks == []
+
+    def test_ccum_bruteforce(self, checks):
+        inst = omvote.CcumInstance(omvote.borda(), ((3, 2, 1, 0),), 2, 3, (0, 1, 2, 3))
+        assert omvote.ccum_bruteforce(inst).achievable
+        assert checks == []
+
+    def test_almost_unanimous(self, checks):
+        omvote.is_almost_unanimous(omvote.borda(), 3, 4)
+        assert checks == []
+
+    def test_winner_checks_once(self, checks):
+        omvote.winner(omvote.stv(), make_profile([(0, 1, 2)]), (0, 1, 2))
+        assert checks == [3]

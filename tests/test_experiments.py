@@ -44,6 +44,7 @@ class TestShortCircuit:
         assert not nom_guaranteed(13, 15, 14)
         assert nom_guaranteed(3, 21, 14)
         assert not nom_guaranteed(3, 23, 16)
+        assert not nom_guaranteed(2, 15, 14)  # below the n >= 3 of kapproval_om, yet a count
 
 
 class TestNonIntegerCells:
@@ -79,7 +80,7 @@ class TestFastClassifierAgreement:
         prank = ranking_positions(tiebreak)
         top_overall = sorted(range(m), key=lambda o: prank[o])[: n * (m - k) + 1]
         for truth in enumerate_rankings(m):
-            wom, bom = _classify_saturated(truth, n, k, prank, top_overall)
+            wom, bom = _classify_saturated(truth, n, k, top_overall)
             report = classify(truth, kapproval(k), n, tiebreak, mode="reduction")
             assert wom == (report.wom_witness is not None), truth
             assert bom == (report.bom_witness is not None), truth
@@ -87,11 +88,10 @@ class TestFastClassifierAgreement:
     def test_sampled_against_reduction_m15(self):
         n, m, k = 3, 15, 14
         tiebreak = tuple(range(m))
-        prank = ranking_positions(tiebreak)
         top_overall = list(range(n * (m - k) + 1))
         for i in range(200):
             truth = sample_ranking(m, seed=5, index=i)
-            wom, bom = _classify_saturated(truth, n, k, prank, top_overall)
+            wom, bom = _classify_saturated(truth, n, k, top_overall)
             report = classify(truth, kapproval(k), n, tiebreak, mode="reduction")
             assert wom == (report.wom_witness is not None), truth
             assert bom == (report.bom_witness is not None), truth
@@ -105,7 +105,7 @@ class TestFastClassifierAgreement:
         tiebreak = tuple(data.draw(st.permutations(range(m)), label="tiebreak"))
         truth = tuple(data.draw(st.permutations(range(m)), label="truth"))
         k = m - mk
-        wom, bom = _classify_saturated(truth, n, k, ranking_positions(tiebreak), tiebreak[: n * mk + 1])
+        wom, bom = _classify_saturated(truth, n, k, tiebreak[: n * mk + 1])
         report = classify(truth, kapproval(k), n, tiebreak, mode="reduction")
         assert wom == (report.wom_witness is not None)
         assert bom == (report.bom_witness is not None)
@@ -149,9 +149,7 @@ class TestRelabelingInvariance:
         for i in range(200):
             truth = sample_ranking(m, seed=12, index=i)
             mapped = tuple(sigma[o] for o in truth)
-            assert _classify_saturated(truth, n, k, prank_id, top_id) == _classify_saturated(
-                mapped, n, k, prank_sig, top_sig
-            )
+            assert _classify_saturated(truth, n, k, top_id) == _classify_saturated(mapped, n, k, top_sig)
 
     def test_proportion_tiebreak_independent_empirically(self):
         # uniform sampling makes the estimate invariant to the priority order

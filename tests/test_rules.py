@@ -17,7 +17,6 @@ from omvote import (
     classify,
     condorcet_winner,
     copeland,
-    copeland_winner,
     dowdall,
     enumerate_profiles,
     enumerate_rankings,
@@ -28,7 +27,6 @@ from omvote import (
     paperfamily,
     parse_rule,
     plurality,
-    plurality_runoff_winner,
     rule_label,
     runoff,
     score_vector,
@@ -37,7 +35,6 @@ from omvote import (
     scoring_scores,
     scoring_winner,
     stv,
-    stv_winner,
     vetofamily,
     winner,
 )
@@ -229,11 +226,11 @@ class TestScoring:
 class TestStv:
     def test_unanimous(self):
         profile = make_profile([(1, 0, 2)] * 3)
-        assert stv_winner(profile, (0, 1, 2)) == 1
+        assert winner(stv(), profile, (0, 1, 2)) == 1
 
     def test_elimination_trace(self):
         profile = make_profile([(0, 1, 2), (0, 1, 2), (1, 2, 0)])
-        assert stv_winner(profile, (0, 1, 2)) == 0
+        assert winner(stv(), profile, (0, 1, 2)) == 0
 
     def test_majority_top_never_loses(self):
         for profile in enumerate_profiles(3, 3):
@@ -242,22 +239,22 @@ class TestStv:
                 firsts[ballot[0]] += 1
             leaders = [o for o in range(3) if 2 * firsts[o] > 3]
             if leaders:
-                assert stv_winner(profile, (0, 1, 2)) == leaders[0]
+                assert winner(stv(), profile, (0, 1, 2)) == leaders[0]
 
 
 class TestRunoff:
     def test_unanimous(self):
         profile = make_profile([(2, 0, 1)] * 4)
-        assert plurality_runoff_winner(profile, (0, 1, 2)) == 2
+        assert winner(runoff(), profile, (0, 1, 2)) == 2
 
     def test_all_tied_finalists_by_priority(self):
         profile = make_profile([(0, 2, 1), (1, 2, 0), (2, 0, 1)])
         # finalists 0 and 1 by priority; 0 beats 1 pairwise 2-1
-        assert plurality_runoff_winner(profile, (0, 1, 2)) == 0
+        assert winner(runoff(), profile, (0, 1, 2)) == 0
 
     def test_two_outcomes_equals_plurality(self):
         for profile in enumerate_profiles(2, 3):
-            assert plurality_runoff_winner(profile, (0, 1)) == scoring_winner(
+            assert winner(runoff(), profile, (0, 1)) == scoring_winner(
                 (1, 0), profile, (0, 1)
             )
 
@@ -269,13 +266,13 @@ class TestRunoff:
 class TestCopelandCondorcet:
     def test_unanimous(self):
         profile = make_profile([(1, 2, 0)] * 3)
-        assert copeland_winner(profile, (0, 1, 2)) == 1
+        assert winner(copeland(), profile, (0, 1, 2)) == 1
         assert condorcet_winner(profile) == 1
 
     def test_cycle(self):
         rotations = make_profile([(0, 1, 2), (1, 2, 0), (2, 0, 1)])
         assert condorcet_winner(rotations) is None
-        assert copeland_winner(rotations, (2, 0, 1)) == 2  # all tied, priority decides
+        assert winner(copeland(), rotations, (2, 0, 1)) == 2  # all tied, priority decides
 
     def test_condorcet_example(self):
         profile = make_profile([(0, 1, 2), (0, 2, 1), (1, 0, 2)])
@@ -287,7 +284,7 @@ class TestCopelandCondorcet:
             cw = condorcet_winner(profile)
             if cw is not None:
                 for tiebreak in enumerate_rankings(3):
-                    assert copeland_winner(profile, tiebreak) == cw
+                    assert winner(copeland(), profile, tiebreak) == cw
 
 
 class TestAlmostUnanimousBehaviour:
