@@ -102,7 +102,10 @@ def weakly_diminishing(weights) -> TheoremVerdict:
 
 
 def has_veto_power(rule: rules.RuleSpec, n: int, m: int, tiebreak=None, budget=None) -> bool:
-    """True iff some single report makes some otherwise-possible outcome unreachable."""
+    """True iff some single report makes some otherwise-possible outcome unreachable.
+
+    Every rule is neutral, so relabeling by priority position gives every tie-break the identity's verdict.
+    """
     tiebreak = identity_tiebreak(m) if tiebreak is None else make_tiebreak(tiebreak, m)
     possible = possible_outcomes(rule, n, None, tiebreak, budget)
     for report in enumerate_rankings(m):

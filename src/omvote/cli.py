@@ -156,8 +156,6 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_characterize(args) -> int:
-    if args.tiebreak is not None and not args.exhaustive:  # only the search detectors read it
-        raise InvalidParametersError("--tiebreak needs --exhaustive")
     rule = rules.parse_rule(args.rule)
     n, m = args.n, args.m
     verdicts = []
@@ -170,10 +168,9 @@ def _cmd_characterize(args) -> int:
         verdicts.append(characterization.bom_iff(n, ws))
         verdicts.append(characterization.weakly_diminishing(ws))
     if args.exhaustive:
-        tiebreak = _resolve_tiebreak(args.tiebreak, m)
         verdicts.append(characterization.TheoremVerdict(
             "has_veto_power",
-            characterization.has_veto_power(rule, n, m, tiebreak, args.budget),
+            characterization.has_veto_power(rule, n, m, None, args.budget),
             characterization.NO_CLAIM,
             {"n": n, "m": m},
         ))
@@ -276,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rule", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--tiebreak")
     p.add_argument("--exhaustive", action="store_true",
                    help="also run the search-based veto-power and almost-unanimity detectors")
     p.add_argument("--format", choices=["json", "text"], default="json")

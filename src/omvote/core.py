@@ -87,6 +87,7 @@ def ranking_positions(ranking: Ranking) -> list:
 
 def prefers(ranking: Ranking, a: int, b: int) -> bool:
     """True iff outcome *a* comes before outcome *b* in *ranking*."""
+    ranking = make_ranking(ranking)
     m = len(ranking)
     if not all(isinstance(o, int) and 0 <= o < m for o in (a, b)):
         raise OutOfRangeIndexError(f"outcomes {a!r}, {b!r} must be integers in [0, {m})")
@@ -110,12 +111,19 @@ class Profile:
 
 def make_profile(ballots: Sequence[Sequence[int]], m: int | None = None) -> Profile:
     """Validate every ballot and assemble a Profile (n >= 1)."""
-    ballots = tuple(ballots)
+    ballots = _ballots(ballots)
     if not ballots:
         raise InvalidParametersError("a profile needs at least one ballot")
     if m is None:
-        m = len(ballots[0])
+        m = len(make_ranking(ballots[0]))
     return Profile(tuple(make_ranking(b, m) for b in ballots), m)
+
+
+def _ballots(ballots) -> tuple:
+    try:
+        return tuple(ballots)
+    except TypeError:
+        raise InvalidParametersError(f"ballots must be a sequence of rankings, got {ballots!r}") from None
 
 
 def enumerate_rankings(m: int) -> Iterator:
@@ -143,7 +151,7 @@ def enumerate_profiles(m: int, voters: int, budget: int | None = None, fixed=())
     the package runs through here, so this is where it is weighed against
     *budget* (default 10^8 tuples); raises TooLargeError beyond it.
     """
-    fixed = tuple(make_ranking(b, m) for b in fixed)
+    fixed = tuple(make_ranking(b, m) for b in _ballots(fixed))
     if not (check_int(voters, "voters", 0) or fixed):
         raise InvalidParametersError("need at least one voter")
     rankings = tuple(enumerate_rankings(m))
@@ -235,8 +243,8 @@ def format_profile(profile: Profile, tiebreak: TieBreak | None = None) -> str:
     """Render a profile (and optional tie-break) in the text format."""
     lines = [f"{profile.n} {profile.m}"]
     lines.extend(",".join(str(o) for o in ballot) for ballot in profile.ballots)
-    if tiebreak is not None:
-        lines.append("tiebreak: " + ",".join(str(o) for o in tiebreak))
+    if tiebreak is not None:  # checked, so the text parses back
+        lines.append("tiebreak: " + ",".join(str(o) for o in make_tiebreak(tiebreak, profile.m)))
     return "\n".join(lines) + "\n"
 
 

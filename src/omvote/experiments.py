@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 from . import manipulability, rules
 from .characterization import kapproval_om
-from .core import check_int, identity_tiebreak, make_tiebreak, ranking_positions, sample_ranking
+from .core import check_int, identity_tiebreak, ranking_positions, sample_ranking
 from .errors import InvalidParametersError, VerificationError
 
 DEFAULT_SAMPLES = 100_000
@@ -57,20 +57,12 @@ class ExperimentConfig:
     mk_values: tuple
     samples: int = DEFAULT_SAMPLES
     seed: int = 0
-    tiebreak: tuple | None = None  # None: identity priority per m
     audit_samples: int = DEFAULT_AUDIT_SAMPLES
 
     def __post_init__(self):
         check_int(self.samples, "samples", 1)
         if not (self.n_values and self.m_values and self.mk_values):
             raise InvalidParametersError("empty parameter range")
-        if self.tiebreak is not None and len(set(self.m_values)) > 1:
-            raise InvalidParametersError("a tie-break orders the outcomes of one m; give a single m value with it")
-
-
-def nom_guaranteed(n: int, m: int, k: int) -> bool:
-    """True when no preference order admits any manipulation at (n, m, k)."""
-    return check_int(n, "n") * (check_int(m, "m") - check_int(k, "k")) > m - 2
 
 
 def _classify_saturated(truth, n: int, k: int, top_overall) -> tuple:
@@ -94,8 +86,8 @@ def _classify_saturated(truth, n: int, k: int, top_overall) -> tuple:
     return len([r for r in ranks if r < cut]) >= need, min(ranks) < min(feasible)
 
 
-def _run_cells(cells, samples: int, seed: int, tiebreak, audit_samples: int) -> list:
-    """One row per (n, m, k) cell, in order, from one sampling pass per m.
+def _run_cells(cells, samples: int, seed: int, audit_samples: int) -> list:
+    """One row per (n, m, k) cell, in order, from one sampling pass per m, under the identity priority.
 
     Truth i of m outcomes is sample_ranking(m, seed, i), drawn once and
     classified for every sampled cell of that m.  The first immune cell is
@@ -105,15 +97,13 @@ def _run_cells(cells, samples: int, seed: int, tiebreak, audit_samples: int) -> 
     check_int(samples, "samples", 1)
     check_int(seed, "seed")
     check_int(audit_samples, "audit_samples")
-    tiebreaks = {}
-    for n, m, k in cells:
-        kapproval_om(n, m, k)  # the one check of a cell: ints n >= 3, m >= 3 and 0 < k < m
-        tiebreaks[m] = identity_tiebreak(m) if tiebreak is None else make_tiebreak(tiebreak, m)
-    audited = next((c for c in cells if nom_guaranteed(*c)), None) if audit_samples > 0 else None
+    immune = [cell for cell in cells if not kapproval_om(*cell).holds]  # the one check of a cell, and its verdict
+    audited = immune[0] if immune and audit_samples > 0 else None
     counts = {}
-    for m, tb in tiebreaks.items():
+    for m in dict.fromkeys(m for _, m, _ in cells):
+        tb = identity_tiebreak(m)
         sampled = [(n, k, tb[: n * (m - k) + 1], [0, 0, 0]) for n, mm, k in cells
-                   if mm == m and not nom_guaranteed(n, m, k)]
+                   if mm == m and (n, m, k) not in immune]
         counts.update(((n, m, k), c) for n, k, _, c in sampled)
         audit_n = min(audit_samples, samples) if audited and audited[1] == m else 0
         for i in range(samples if sampled else audit_n):
@@ -135,17 +125,18 @@ def _run_cells(cells, samples: int, seed: int, tiebreak, audit_samples: int) -> 
             for cell in cells]
 
 
-def om_proportion(n: int, m: int, k: int, samples: int, seed: int, tiebreak=None) -> ProportionRow:
-    """Estimate manipulation rates for one k-approval cell.
+def om_proportion(n: int, m: int, k: int, samples: int, seed: int) -> ProportionRow:
+    """Estimate manipulation rates for one k-approval cell, under the identity priority.
 
     Sample i draws truth sample_ranking(m, seed, i), so estimates are
     reproducible and independent of batching.  Immune cells short-circuit
     to exact zeros without sampling.
+    Neutral rule, uniform truth: relabeling by any priority order keeps the rates, so the identity loses nothing.
     """
-    return _run_cells([(n, m, k)], samples, seed, tiebreak, 0)[0]
+    return _run_cells([(n, m, k)], samples, seed, 0)[0]
 
 
-def audit_nom_cell(n: int, m: int, k: int, samples: int, seed: int, tiebreak=None) -> int:
+def audit_nom_cell(n: int, m: int, k: int, samples: int, seed: int) -> int:
     """Sample an analytically immune cell anyway and insist every draw is NOM.
 
     Classification here goes through the coalition-solver reduction, not the
@@ -154,7 +145,7 @@ def audit_nom_cell(n: int, m: int, k: int, samples: int, seed: int, tiebreak=Non
     """
     if kapproval_om(n, m, k).holds:
         raise InvalidParametersError(f"cell n={n}, m={m}, k={k} is not an immune cell")
-    _run_cells([(n, m, k)], samples, seed, tiebreak, samples)
+    _run_cells([(n, m, k)], samples, seed, samples)
     return samples
 
 
@@ -162,7 +153,7 @@ def run_experiment(config: ExperimentConfig) -> list:
     """Evaluate every cell of the grid, rows in (n, m, m-k) order; audit the first immune cell."""
     cells = [(n, m, check_int(m, "m") - check_int(mk, "m-k")) for n in config.n_values
              for m in config.m_values for mk in config.mk_values]
-    return _run_cells(cells, config.samples, config.seed, config.tiebreak, config.audit_samples)
+    return _run_cells(cells, config.samples, config.seed, config.audit_samples)
 
 
 def sweep_n(m: int, k: int, n_values: Iterable[int], samples: int, seed: int, **kwargs) -> list:

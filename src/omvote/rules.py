@@ -175,9 +175,9 @@ def scoring_scores(weights: Sequence, profile: Profile) -> dict:
     Exact: each weight is read as a Fraction, and integral ones are summed as ints.
     """
     m = profile.m
-    if len(weights) != m:
-        raise DimensionMismatchError(f"{len(weights)} weights for {m} outcomes")
     ws = [int(f) if f.denominator == 1 else f for f in _fractions(weights, "weights")]
+    if len(ws) != m:
+        raise DimensionMismatchError(f"{len(ws)} weights for {m} outcomes")
     return dict(enumerate(_totals(ws, profile)))
 
 

@@ -159,9 +159,10 @@ class TestAlmostUnanimous:
     def test_verdict_does_not_depend_on_the_order(self, label):
         # tiebreak=None checks the identity order only; neutrality makes that enough
         rule = parse_rule(label)
-        for n in (2, 3):
-            verdicts = {is_almost_unanimous(rule, n, 3, tb) for tb in enumerate_rankings(3)}
-            assert verdicts == {is_almost_unanimous(rule, n, 3)}, (label, n)
+        for detector in (is_almost_unanimous, has_veto_power):
+            for n in (2, 3):
+                verdicts = {detector(rule, n, 3, tb) for tb in enumerate_rankings(3)}
+                assert verdicts == {detector(rule, n, 3)}, (detector.__name__, label, n)
 
 
 class TestBomIffAgainstSearch:

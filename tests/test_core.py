@@ -30,7 +30,7 @@ from omvote import (
     sample_ranking,
 )
 from omvote import ccum, manipulability, rules
-from omvote.experiments import audit_nom_cell, nom_guaranteed
+from omvote.experiments import audit_nom_cell
 
 
 class TestMakeRanking:
@@ -205,6 +205,15 @@ class TestOneBudgetGate:
         assert [p.name for p in self.SOURCES if text in p.read_text(encoding="utf-8")] == ["core.py"]
 
 
+class TestOneImmunityPredicate:
+    """The immunity inequality n(m-k) <= m-2 is written in characterization alone, so no module can fork it."""
+
+    SOURCES = sorted(Path(omvote.__file__).parent.glob("*.py"))
+
+    def test_only_characterization_owns_it(self):
+        assert [p.name for p in self.SOURCES if "m - 2" in p.read_text(encoding="utf-8")] == ["characterization.py"]
+
+
 class TestOneIntegerCheck:
     """Counts and indices are checked by core.check_int alone, so no entry point lets a TypeError escape."""
 
@@ -235,12 +244,11 @@ class TestOneIntegerCheck:
         lambda: omvote.scoring_nom_sufficient(1.5, (2, 1, 0)),
         lambda: omvote.classify((0, 1, 2), omvote.borda(), 3, (0, 1, 2), budget="x"),
         lambda: omvote.kapproval_k(omvote.kapproval(2), 4.0),
-        lambda: nom_guaranteed("3", 15, 14),
         lambda: make_ranking((0, 1, 2), "3"),
     ], ids=["manipulators", "float-target", "str-target", "veto-m", "veto-m-tiebreak", "unanimous-m",
             "profiles-voters", "rankings-m", "sample-m", "sample-seed", "score-vector-m", "sweep-k", "heatmap-mk",
             "config-samples", "audit-n", "bom-str-n", "bom-zero-n", "nom-float-n", "budget", "kapproval-k-m",
-            "nom-guaranteed-n", "ranking-str-m"])
+            "ranking-str-m"])
     def test_escape_is_rejected(self, call):
         with pytest.raises(InvalidParametersError):
             call()
@@ -265,14 +273,25 @@ class TestOneIntegerCheck:
 
 
 class TestShapeBeforeLength:
-    """An input with no length is named by make_tiebreak or make_ranking, not by a TypeError from len()."""
+    """An input of the wrong shape is named by the check that reads it, not by a TypeError from len() or iteration."""
 
     @pytest.mark.parametrize("call", [
         lambda: omvote.winner(omvote.borda(), make_profile([(0, 1, 2)]), None),
         lambda: omvote.winner(omvote.borda(), make_profile([(0, 1, 2)]), 5),
         lambda: omvote.CcumInstance(omvote.borda(), (), 1, 0, None),
         lambda: omvote.classify_randomized_tiebreak(None, (2, 1, 0), 3),
-    ], ids=["winner-none", "winner-int", "ccum-instance", "randomized-truth"])
+        lambda: omvote.scoring_scores(None, make_profile([(0, 1, 2)])),
+        lambda: omvote.scoring_cowinners(5, make_profile([(0, 1, 2)])),
+        lambda: omvote.scoring_winner(None, make_profile([(0, 1, 2)]), (0, 1, 2)),
+        lambda: make_profile([None]),
+        lambda: make_profile(None),
+        lambda: prefers(None, 0, 1),
+        lambda: enumerate_profiles(3, 1, None, None),
+        lambda: format_profile(make_profile([(0, 1, 2)]), 5),
+        lambda: format_profile(make_profile([(0, 1, 2)]), (0, 1)),  # text that parse_profile would reject
+    ], ids=["winner-none", "winner-int", "ccum-instance", "randomized-truth", "scores-none", "cowinners-int",
+            "scoring-winner-none", "profile-none-ballot", "profile-none", "prefers-none", "fixed-none",
+            "format-int-tiebreak", "format-short-tiebreak"])
     def test_rejected(self, call):
         with pytest.raises(VotingError):
             call()

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from omvote import (
     ExperimentConfig,
     InvalidParametersError,
-    VotingError,
     classify,
     enumerate_rankings,
     heatmap,
     kapproval,
+    kapproval_om,
     om_proportion,
     rows_to_csv,
     sample_ranking,
@@ -21,7 +21,7 @@ from omvote import (
 )
 from omvote import experiments
 from omvote.core import ranking_positions
-from omvote.experiments import _classify_saturated, audit_nom_cell, nom_guaranteed, run_experiment
+from omvote.experiments import _classify_saturated, audit_nom_cell, run_experiment
 
 
 class TestShortCircuit:
@@ -30,21 +30,16 @@ class TestShortCircuit:
         assert (row.wom_count, row.bom_count, row.om_count) == (0, 0, 0)
         assert not row.sampled
 
-    def test_immune_cell_still_checks_tiebreak(self):
-        with pytest.raises(VotingError):
-            om_proportion(14, 15, 14, 10, 0, tiebreak=(0, 0, 0))
-        with pytest.raises(VotingError):
-            om_proportion(14, 15, 14, 10, 0, tiebreak=(0,) * 15)
-
     def test_sampled_cell_is_flagged(self):
         assert om_proportion(3, 15, 14, samples=10, seed=1).sampled
 
     def test_boundary_arithmetic(self):
-        assert nom_guaranteed(14, 15, 14)
-        assert not nom_guaranteed(13, 15, 14)
-        assert nom_guaranteed(3, 21, 14)
-        assert not nom_guaranteed(3, 23, 16)
-        assert not nom_guaranteed(2, 15, 14)  # below the n >= 3 of kapproval_om, yet a count
+        # the experiments read each cell's immunity from this verdict: immune iff n(m-k) > m-2
+        assert not kapproval_om(14, 15, 14).holds
+        assert kapproval_om(13, 15, 14).holds
+        assert not kapproval_om(3, 21, 14).holds
+        assert kapproval_om(3, 23, 16).holds  # n(m-k) = 21 = m-2, the last manipulable cell
+        assert not kapproval_om(3, 23, 15).holds
 
 
 class TestNonIntegerCells:
@@ -151,14 +146,6 @@ class TestRelabelingInvariance:
             mapped = tuple(sigma[o] for o in truth)
             assert _classify_saturated(truth, n, k, top_id) == _classify_saturated(mapped, n, k, top_sig)
 
-    def test_proportion_tiebreak_independent_empirically(self):
-        # uniform sampling makes the estimate invariant to the priority order
-        base = om_proportion(3, 15, 14, samples=10_000, seed=3)
-        shuffled = om_proportion(3, 15, 14, samples=10_000, seed=3,
-                                 tiebreak=sample_ranking(15, seed=4, index=0))
-        assert abs(base.p_wom - shuffled.p_wom) < 0.025
-        assert abs(base.p_bom - shuffled.p_bom) < 0.025
-
 
 class TestGrids:
     def test_heatmap_layout_and_zero_cells(self):
@@ -198,13 +185,6 @@ class TestGrids:
             om_proportion(3, 15, 14, samples, 0)
         with pytest.raises(InvalidParametersError):
             audit_nom_cell(14, 15, 14, samples, 0)
-
-    def test_tiebreak_needs_a_single_m(self):
-        # a tie-break orders the outcomes of one m
-        with pytest.raises(InvalidParametersError, match="one m"):
-            heatmap(3, [21, 22], 10, 0, mk_values=[1], tiebreak=tuple(range(21)))
-        rows = heatmap(3, [21], 10, 0, mk_values=[1], tiebreak=tuple(range(21)))
-        assert [(r.m, r.k) for r in rows] == [(21, 20)]
 
 
 class TestAudit:
