@@ -1,8 +1,10 @@
 """Constructive coalitional manipulation: can free voters make a target win?
 
-The greedy solver handles k-approval style rules in polynomial time; the
-brute-force solver enumerates manipulator ballot tuples for any rule and
-doubles as the correctness oracle for the greedy one.
+For k-approval style rules one counting pass decides which targets the
+free voters can elect, with no ballots built, and the greedy solver builds
+the ballots of a certificate in polynomial time.  The brute-force solver
+enumerates manipulator ballot tuples for any rule and doubles as the
+correctness oracle for both.
 """
 
 from __future__ import annotations
@@ -95,6 +97,49 @@ def _greedy_kapproval(k: int, fixed_ballots: tuple, free: int, target: int, pran
     return _kapproval_recount(completed, k, prank, m) == target, tuple(ballots)
 
 
+def _kapproval_reachable(k: int, fixed_ballots: tuple, free: int, prank) -> frozenset:
+    # The targets the free voters can elect under k-approval, by counting alone.
+    # If some free ballots elect t, so do they with t swapped into every
+    # approved set that lacks it: t gains one, one rival loses one.  So every
+    # free voter may approve t, and t then wins iff each rival o ends with at
+    # most cap_o = top - f_o - [o has priority over t] approvals, where f
+    # counts fixed approvals and top = f_t + free, while the free voters hand
+    # out free*(k-1) rival approvals, at most one per voter to each rival.
+    # Counts x_o <= min(cap_o, free) that sum to free*(k-1) can always be
+    # dealt: list each rival x_o times in a row and give the j-th entry to
+    # voter j mod free, so no voter approves a rival twice and each gets k-1.
+    # Hence t is reachable iff no cap_o is negative and the min(cap_o, free)
+    # sum to at least free*(k-1).
+    #
+    # Both tests read running counts as the targets go by in priority order,
+    # so no cap is built.  No cap is negative iff top is at least the most
+    # fixed approvals of any outcome and above those of every outcome ahead
+    # of t.  min(cap_o, free) = top - max(f_o + [o ahead of t], f_t), which
+    # is free at o = t, and max(f_o + 1, f_t) = max(f_o, f_t) + [f_o >= f_t];
+    # so, summed over every o, the sum test reads m*top - floors[f_t] -
+    # (outcomes ahead of t with f_o >= f_t) >= free*k, with floors[v] the
+    # sum of max(f_o, v).
+    m = len(prank)
+    fixed = [0] * m
+    for ballot in fixed_ballots:
+        for o in ballot[:k]:
+            fixed[o] += 1
+    most = max(fixed)
+    floors = [sum(f if f > v else v for f in fixed) for v in range(most + 1)]
+    ahead = [0] * (most + 1)  # outcomes ahead of t in priority, by fixed approvals
+    lead = -1  # the most fixed approvals of an outcome ahead of t
+    reachable = []
+    for t in sorted(range(m), key=prank.__getitem__):
+        f = fixed[t]
+        top = f + free
+        if most <= top and lead < top and m * top - floors[f] - sum(ahead[f:]) >= free * k:
+            reachable.append(t)
+        ahead[f] += 1
+        if f > lead:
+            lead = f
+    return frozenset(reachable)
+
+
 def ccum_bruteforce(inst: CcumInstance, budget: int | None = None) -> CcumCertificate:
     """Exhaustive search over manipulator ballot tuples, lexicographic order.
 
@@ -137,8 +182,9 @@ def possible_outcomes(rule: rules.RuleSpec, n: int, fixed, tiebreak, budget: int
     """Outcomes some ballots of the free voters can elect.
 
     With *fixed* set to one voter's ranking the other n-1 voters are free;
-    with fixed=None all n are.  k-approval rules go through the greedy
-    solver target by target; everything else enumerates ballot tuples.
+    with fixed=None all n are.  k-approval rules are decided by counting
+    approvals (_kapproval_reachable), with no ballots built; everything else
+    enumerates ballot tuples.
 
     Every supported rule is neutral: scoring, STV, runoff and Copeland read
     the tie-break only through its positions prank, so relabeling each
@@ -186,7 +232,7 @@ def _possible_outcomes(rule, n, fixed, tiebreak, budget) -> frozenset:
     free = n - len(fixed_ballots)
     k = rules._kapproval_k(rule, m)
     if k is not None:  # the identity is its own position list, here and below
-        return frozenset(t for t in range(m) if _greedy_kapproval(k, fixed_ballots, free, t, identity)[0])
+        return _kapproval_reachable(k, fixed_ballots, free, identity)
     found = set()
     for profile in enumerate_profiles(m, free, budget, fixed_ballots):
         found.add(rules._elect(rule, profile, identity))

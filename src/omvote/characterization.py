@@ -87,17 +87,23 @@ def bom_iff(n: int, weights) -> TheoremVerdict:
     )
 
 
-def weakly_diminishing(weights) -> TheoremVerdict:
-    """Strictly decreasing weights with non-increasing gaps imply NOM."""
+def weakly_diminishing(n: int, weights) -> TheoremVerdict:
+    """Strictly decreasing weights with non-increasing gaps imply NOM for n >= 3.
+
+    The characterization assumes n >= 3, as kapproval_om does.  At n=2 the
+    claim is false: (3, 1, 0) is weakly diminishing, yet truth (2, 0, 1)
+    gains in the worst case by reporting (0, 2, 1).
+    """
+    check_int(n, "n", 1)
     ws = rules.make_score_vector(weights)
     strict = all(a > b for a, b in zip(ws, ws[1:]))
     gaps = [a - b for a, b in zip(ws, ws[1:])]
-    holds = strict and all(g1 >= g2 for g1, g2 in zip(gaps, gaps[1:]))
+    holds = n >= 3 and strict and all(g1 >= g2 for g1, g2 in zip(gaps, gaps[1:]))
     return TheoremVerdict(
         "weakly_diminishing",
         holds,
         NOM if holds else NO_CLAIM,
-        {"weights": ws},
+        {"n": n, "weights": ws},
     )
 
 

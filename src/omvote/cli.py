@@ -166,7 +166,7 @@ def _cmd_characterize(args) -> int:
             verdicts.append(characterization.kapproval_om(n, m, k))
         verdicts.append(characterization.scoring_nom_sufficient(n, ws))
         verdicts.append(characterization.bom_iff(n, ws))
-        verdicts.append(characterization.weakly_diminishing(ws))
+        verdicts.append(characterization.weakly_diminishing(n, ws))
     if args.exhaustive:
         verdicts.append(characterization.TheoremVerdict(
             "has_veto_power",

@@ -116,7 +116,8 @@ def make_profile(ballots: Sequence[Sequence[int]], m: int | None = None) -> Prof
         raise InvalidParametersError("a profile needs at least one ballot")
     if m is None:
         m = len(make_ranking(ballots[0]))
-    return Profile(tuple(make_ranking(b, m) for b in ballots), m)
+    ballots = tuple(make_ranking(b, m) for b in ballots)
+    return Profile(ballots, len(ballots[0]))  # an int even where m is 3.0
 
 
 def _ballots(ballots) -> tuple:

@@ -6,8 +6,9 @@ best reachable outcome is a best-case manipulation; one that strictly
 improves the worst reachable outcome is a worst-case manipulation.  A rule
 instance admitting neither, for any misreport, is classified NOM.
 
-Two independent routes are provided: a reduction onto the coalition
-manipulation solver (polynomial, k-approval rules only) and plain
+Two independent routes are provided: a reduction onto coalition
+manipulation (polynomial, k-approval rules only: approval counts decide
+reachability, the greedy solver builds certificates) and plain
 exhaustive search (any rule, small elections).  They are cross-checked
 against each other in the test suite; any run-time disagreement surfaces
 as a VerificationError rather than being silently trusted.
@@ -22,7 +23,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import rules
-from .ccum import CcumInstance, _greedy_kapproval, _reachable, solve_ccum
+from .ccum import CcumInstance, _kapproval_reachable, _reachable, solve_ccum
 from .core import check_budget, check_int, enumerate_rankings, make_ranking, make_tiebreak, ranking_positions
 from .errors import InvalidParametersError, UnsupportedRuleError, VerificationError
 
@@ -106,9 +107,9 @@ def find_wom(truth, rule: rules.RuleSpec, n: int, tiebreak, mode: str = "auto", 
 
     mode='reduction' builds one candidate misreport (outcomes better than
     the truthful worst first, in priority order; the rest behind, reversed)
-    and accepts it iff the greedy coalition solver shows no bad outcome
-    stays reachable.  mode='bruteforce' scans all m! misreports and returns
-    the lexicographically first improving one.
+    and accepts it iff counting the approvals of the other voters shows no
+    bad outcome stays reachable.  mode='bruteforce' scans all m! misreports
+    and returns the lexicographically first improving one.
     """
     truth, tiebreak, pos = _checked(truth, n, tiebreak)
     k = _reduction_k(rule, len(truth), mode)
@@ -145,7 +146,7 @@ def _wom_reduction(k, n, tiebreak, pos, o_w):
     good = sorted((o for o in range(m) if pos[o] < cut), key=lambda o: prank[o])
     bad = sorted((o for o in range(m) if pos[o] >= cut), key=lambda o: -prank[o])
     misreport = tuple(good + bad)
-    if any(_greedy_kapproval(k, (misreport,), n - 1, target, prank)[0] for target in bad):
+    if not _kapproval_reachable(k, (misreport,), n - 1, prank).isdisjoint(bad):
         return None
     return misreport
 

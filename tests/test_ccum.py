@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from omvote import (
@@ -26,6 +26,7 @@ from omvote import (
     winner,
 )
 from omvote import ccum
+from omvote.core import ranking_positions
 
 
 class TestGreedy:
@@ -138,6 +139,68 @@ class TestGreedyAgainstBruteforce:
             3 * len(list(itertools.combinations_with_replacement(rankings, s)))
             for n in (1, 2, 3) for s in range(n + 1)
         )
+
+
+@st.composite
+def kapproval_instances(draw, max_m, max_free):
+    """(k, fixed ballots, free voters, tie-break) with at least one voter."""
+    m = draw(st.integers(3, max_m), label="m")
+    k = draw(st.integers(1, m - 1), label="k")
+    fixed = tuple(tuple(b) for b in draw(st.lists(st.permutations(range(m)), max_size=3), label="fixed"))
+    free = draw(st.integers(0, max_free), label="free")
+    assume(fixed or free)
+    return k, fixed, free, tuple(draw(st.permutations(range(m)), label="tiebreak"))
+
+
+def _counted(k, fixed, free, tiebreak):
+    return ccum._kapproval_reachable(k, fixed, free, ranking_positions(tiebreak))
+
+
+def _solved(solver, k, fixed, free, tiebreak):
+    # the targets *solver* elects, asked one CcumInstance at a time
+    return {t for t in range(len(tiebreak))
+            if solver(CcumInstance(kapproval(k), fixed, free, t, tiebreak)).achievable}
+
+
+class TestCountingAgainstSolvers:
+    """The counting test decides reachability; the greedy and brute force stay as its oracles."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kapproval_instances(max_m=12, max_free=6))
+    def test_matches_greedy(self, instance):
+        assert _counted(*instance) == _solved(ccum_greedy_kapproval, *instance)
+
+    @settings(max_examples=150, deadline=None)
+    @given(kapproval_instances(max_m=4, max_free=2))
+    def test_matches_bruteforce(self, instance):
+        assert _counted(*instance) == _solved(ccum_bruteforce, *instance)
+
+    def test_plurality(self):
+        # k=1: outcome 0 holds two approvals, so one free voter elects nothing else, three elect anything
+        fixed = ((0, 1, 2), (0, 2, 1))
+        for free, expected in ((1, {0}), (2, {0}), (3, {0, 1, 2})):
+            assert _counted(1, fixed, free, (0, 1, 2)) == expected
+            assert _solved(ccum_greedy_kapproval, 1, fixed, free, (0, 1, 2)) == expected
+
+    def test_antiplurality(self):
+        # k=m-1: the fixed ballot vetoes 0, and each free voter vetoes one rival of the target;
+        # 3 loses every tie, so it needs both higher-priority rivals vetoed, which takes two voters
+        fixed = ((3, 2, 1, 0),)
+        for free, expected in ((1, {1, 2}), (2, {1, 2, 3}), (3, {0, 1, 2, 3})):
+            assert _counted(3, fixed, free, (0, 1, 2, 3)) == expected
+            assert _solved(ccum_bruteforce, 3, fixed, free, (0, 1, 2, 3)) == expected
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_no_free_voter_leaves_the_fixed_winner(self, k):
+        fixed = ((2, 0, 3, 1), (1, 3, 0, 2), (3, 1, 2, 0))
+        tiebreak = (1, 3, 0, 2)
+        assert _counted(k, fixed, 0, tiebreak) == {winner(kapproval(k), Profile(fixed, 4), tiebreak)}
+
+    def test_all_voters_free(self):
+        # fixed=None: two free voters cannot lift the last in priority over three rivals at k=3
+        assert possible_outcomes(kapproval(3), 2, None, (0, 1, 2, 3)) == {0, 1, 2}
+        assert _solved(ccum_bruteforce, 3, (), 2, (0, 1, 2, 3)) == {0, 1, 2}
+        assert possible_outcomes(kapproval(3), 3, None, (3, 1, 0, 2)) == {0, 1, 2, 3}
 
 
 class TestPossibleOutcomes:

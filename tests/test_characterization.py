@@ -91,18 +91,31 @@ class TestBomIff:
 
 class TestWeaklyDiminishing:
     def test_borda(self):
-        verdict = weakly_diminishing((3, 2, 1, 0))
+        verdict = weakly_diminishing(3, (3, 2, 1, 0))
         assert verdict.holds and verdict.implied_classification == "NOM"
 
     def test_dowdall(self):
-        assert weakly_diminishing((1, F(1, 2), F(1, 3))).holds
+        assert weakly_diminishing(3, (1, F(1, 2), F(1, 3))).holds
 
     def test_tail_gap_fails(self):
-        verdict = weakly_diminishing((6, 5, 4, 0))
+        verdict = weakly_diminishing(3, (6, 5, 4, 0))
         assert not verdict.holds and verdict.implied_classification == "no-claim"
 
     def test_flat_vector_not_strict(self):
-        assert not weakly_diminishing((1, 1, 0)).holds
+        assert not weakly_diminishing(3, (1, 1, 0)).holds
+
+    def test_no_claim_below_three_voters(self):
+        # at n=2 search finds a worst-case manipulation of (3, 1, 0): truth (2, 0, 1) reports (0, 2, 1)
+        verdict = weakly_diminishing(2, (3, 1, 0))
+        assert not verdict.holds and verdict.implied_classification == "no-claim"
+        assert weakly_diminishing(3, (3, 1, 0)).implied_classification == "NOM"
+        wom = classify((2, 0, 1), parse_rule("scoring:w=3,1,0"), 2, (0, 1, 2), mode="bruteforce").wom_witness
+        assert wom == (0, 2, 1)
+
+    @pytest.mark.parametrize("n", [0, 2.5, "3"])
+    def test_bad_n_rejected(self, n):
+        with pytest.raises(InvalidParametersError):
+            weakly_diminishing(n, (3, 2, 1, 0))
 
 
 class TestVetoPower:
@@ -206,7 +219,7 @@ class TestTheoremConsistency:
             assert report.classification == "NOM", truth
 
     def test_dowdall_nom_by_search(self):
-        assert weakly_diminishing(score_vector(dowdall(), 3)).holds
+        assert weakly_diminishing(3, score_vector(dowdall(), 3)).holds
         for truth in enumerate_rankings(3):
             report = classify(truth, dowdall(), 3, (0, 1, 2), mode="bruteforce")
             assert report.classification == "NOM"

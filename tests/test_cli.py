@@ -149,6 +149,15 @@ class TestCharacterize:
         assert verdicts["has_veto_power"]["holds"] is False
         assert verdicts["is_almost_unanimous"]["holds"] is True
 
+    @pytest.mark.parametrize("n, holds, implied", [(2, False, "no-claim"), (3, True, "NOM")])
+    def test_weakly_diminishing_needs_three_voters(self, capsys, n, holds, implied):
+        # at n=2, (3, 1, 0) has a worst-case manipulation, so no NOM is licensed there
+        assert main(["characterize", "--rule", "scoring:w=3,1,0", "--n", str(n), "--m", "3",
+                     "--exhaustive"]) == 0
+        verdicts = {v["predicate"]: v for v in json.loads(capsys.readouterr().out)["verdicts"]}
+        assert verdicts["weakly_diminishing"]["holds"] is holds
+        assert verdicts["weakly_diminishing"]["implied_classification"] == implied
+
     def test_exhaustive_budget_boundary(self, capsys):
         # n=2, m=3: has_veto_power weighs (3!)^2 = 36 tuples, and so does almost-unanimity
         args = ["characterize", "--rule", "copeland", "--n", "2", "--m", "3", "--exhaustive"]

@@ -166,6 +166,14 @@ class TestProfileFormat:
         again, tb2 = parse_profile(format_profile(profile, tiebreak))
         assert again == profile and tb2 == tiebreak
 
+    @pytest.mark.parametrize("m", [None, 3, 3.0])
+    def test_made_profile_round_trips(self, m):
+        # a float m used to be stored, so the header read "1 3.0" and did not parse back
+        profile = make_profile([(0, 1, 2)], m)
+        assert type(profile.m) is int
+        assert format_profile(profile).startswith("1 3\n")
+        assert parse_profile(format_profile(profile)) == (profile, None)
+
     def test_tiebreak_optional(self):
         profile, tiebreak = parse_profile("1 2\n1,0\n")
         assert tiebreak is None and profile.ballots == ((1, 0),)

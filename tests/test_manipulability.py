@@ -151,19 +151,16 @@ class TestReductionAgainstBruteforce:
         for k in range(1, m):
             rule = kapproval(k)
             for tiebreak in rankings:
+                rows = {r: bruteforce_feasible(rule, n, r, tiebreak) for r in rankings}
                 for truth in rankings:
                     red = find_wom(truth, rule, n, tiebreak, mode="reduction")
                     bru = find_wom(truth, rule, n, tiebreak, mode="bruteforce")
                     assert (red is None) == (bru is None), (m, k, tiebreak, truth)
                     bom = find_bom(truth, rule, n, tiebreak)
                     pos = {o: i for i, o in enumerate(truth)}
-                    truthful_best = min(
-                        bruteforce_feasible(rule, n, truth, tiebreak), key=pos.get
-                    )
+                    truthful_best = min(rows[truth], key=pos.get)
                     improvable = any(
-                        pos[min(bruteforce_feasible(rule, n, r, tiebreak), key=pos.get)]
-                        < pos[truthful_best]
-                        for r in rankings
+                        pos[min(row, key=pos.get)] < pos[truthful_best] for row in rows.values()
                     )
                     assert (bom is not None) == improvable, (m, k, tiebreak, truth)
 
