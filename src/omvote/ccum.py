@@ -1,10 +1,12 @@
 """Constructive coalitional manipulation: can free voters make a target win?
 
-For k-approval style rules one counting pass decides which targets the
-free voters can elect, with no ballots built, and the greedy solver builds
-the ballots of a certificate in polynomial time.  The brute-force solver
-enumerates manipulator ballot tuples for any rule and doubles as the
-correctness oracle for both.
+For k-approval style rules one counting pass, private to this module,
+decides which targets the free voters can elect, with no ballots built, and
+the greedy solver builds the ballots of a certificate in polynomial time.
+The brute-force solver enumerates manipulator ballot tuples for any rule
+and doubles as the correctness oracle for both.  Each solver decides
+achievable by electing the profile it returns, so a certificate needs no
+second check.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from functools import lru_cache
 
 from . import rules
 from .core import Profile, check_int, enumerate_profiles, make_ranking, make_tiebreak, ranking_positions
-from .errors import InvalidParametersError, VerificationError
+from .errors import InvalidParametersError
 
 
 @dataclass(frozen=True)
@@ -52,15 +54,6 @@ class CcumCertificate:
     manipulator_ballots: tuple | None
 
 
-def _kapproval_recount(ballots, k: int, prank, m: int) -> int:
-    # fresh winner recount, independent of any incremental bookkeeping
-    approvals = [0] * m
-    for ballot in ballots:
-        for o in ballot[:k]:
-            approvals[o] += 1
-    return max(range(m), key=lambda o: (approvals[o], -prank[o]))
-
-
 def ccum_greedy_kapproval(inst: CcumInstance) -> CcumCertificate:
     """Greedy manipulator ballots for a k-approval rule.
 
@@ -68,24 +61,22 @@ def ccum_greedy_kapproval(inst: CcumInstance) -> CcumCertificate:
     approvals on the outcomes with the currently lowest scores, preferring
     the lowest tie-break priority among score ties.  Disapproved outcomes
     are appended lowest priority first (their order cannot affect scores).
-    The returned ballots are reported even when the target still loses.
+    The completed profile is then elected afresh through rules._elect, the
+    kernel rules.winner calls, which decides achievable; the ballots are
+    returned even when the target still loses.
     """
-    k = rules._kapproval_k(inst.rule, inst.m)
+    m = inst.m
+    k = rules._kapproval_k(inst.rule, m)
     if k is None:
         raise InvalidParametersError(f"greedy solver needs a k-approval rule, got {inst.rule.name}")
     prank = ranking_positions(inst.tiebreak)
-    return CcumCertificate(*_greedy_kapproval(k, inst.fixed_ballots, inst.num_manipulators, inst.target, prank))
-
-
-def _greedy_kapproval(k: int, fixed_ballots: tuple, free: int, target: int, prank) -> tuple:
-    # (achievable, ballots) of ccum_greedy_kapproval, on inputs already checked
-    m = len(prank)
+    target = inst.target
     scores = [0] * m
-    for ballot in fixed_ballots:
+    for ballot in inst.fixed_ballots:
         for o in ballot[:k]:
             scores[o] += 1
     ballots = []
-    for _ in range(free):
+    for _ in range(inst.num_manipulators):
         scores[target] += 1
         others = sorted((o for o in range(m) if o != target), key=lambda o: (scores[o], -prank[o]))
         approved = others[: k - 1]
@@ -93,8 +84,9 @@ def _greedy_kapproval(k: int, fixed_ballots: tuple, free: int, target: int, pran
             scores[o] += 1
         trailer = sorted(others[k - 1 :], key=lambda o: -prank[o])
         ballots.append((target, *approved, *trailer))
-    completed = fixed_ballots + tuple(ballots)
-    return _kapproval_recount(completed, k, prank, m) == target, tuple(ballots)
+    ballots = tuple(ballots)
+    elected = rules._elect(inst.rule, Profile(inst.fixed_ballots + ballots, m), prank)
+    return CcumCertificate(elected == target, ballots)
 
 
 def _kapproval_reachable(k: int, fixed_ballots: tuple, free: int, prank) -> frozenset:
@@ -155,27 +147,18 @@ def ccum_bruteforce(inst: CcumInstance, budget: int | None = None) -> CcumCertif
 
 
 def solve_ccum(inst: CcumInstance, solver: str = "auto", budget: int | None = None) -> CcumCertificate:
-    """Dispatch to the greedy solver for k-approval, brute force otherwise."""
+    """Dispatch to the greedy solver for k-approval, brute force otherwise.
+
+    Each solver elects the very profile it returns through rules._elect, so
+    an achievable certificate elects the target and is not elected again.
+    """
     if solver == "auto":
         solver = "greedy" if rules._kapproval_k(inst.rule, inst.m) is not None else "bruteforce"
     if solver == "greedy":
-        cert = ccum_greedy_kapproval(inst)
-    elif solver == "bruteforce":
-        cert = ccum_bruteforce(inst, budget)
-    else:
-        raise InvalidParametersError(f"unknown solver {solver!r}")
-    if cert.achievable:
-        _verify_certificate(inst, cert)
-    return cert
-
-
-def _verify_certificate(inst: CcumInstance, cert: CcumCertificate) -> None:
-    profile = Profile(inst.fixed_ballots + tuple(cert.manipulator_ballots), inst.m)
-    elected = rules.winner(inst.rule, profile, inst.tiebreak)
-    if elected != inst.target:
-        raise VerificationError(
-            f"certificate for target {inst.target} actually elects {elected}"
-        )
+        return ccum_greedy_kapproval(inst)
+    if solver == "bruteforce":
+        return ccum_bruteforce(inst, budget)
+    raise InvalidParametersError(f"unknown solver {solver!r}")
 
 
 def possible_outcomes(rule: rules.RuleSpec, n: int, fixed, tiebreak, budget: int | None = None) -> frozenset:

@@ -162,7 +162,7 @@ def _cmd_characterize(args) -> int:
     if rule.is_scoring:
         ws = rules.score_vector(rule, m, n)
         k = rules.kapproval_k(rule, m)
-        if k is not None:
+        if k is not None and n >= 3 and m >= 3:  # where the k-approval characterization applies
             verdicts.append(characterization.kapproval_om(n, m, k))
         verdicts.append(characterization.scoring_nom_sufficient(n, ws))
         verdicts.append(characterization.bom_iff(n, ws))

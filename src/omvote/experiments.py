@@ -57,7 +57,6 @@ class ExperimentConfig:
     mk_values: tuple
     samples: int = DEFAULT_SAMPLES
     seed: int = 0
-    audit_samples: int = DEFAULT_AUDIT_SAMPLES
 
     def __post_init__(self):
         check_int(self.samples, "samples", 1)
@@ -96,7 +95,6 @@ def _run_cells(cells, samples: int, seed: int, audit_samples: int) -> list:
     """
     check_int(samples, "samples", 1)
     check_int(seed, "seed")
-    check_int(audit_samples, "audit_samples")
     immune = [cell for cell in cells if not kapproval_om(*cell).holds]  # the one check of a cell, and its verdict
     audited = immune[0] if immune and audit_samples > 0 else None
     counts = {}
@@ -136,30 +134,20 @@ def om_proportion(n: int, m: int, k: int, samples: int, seed: int) -> Proportion
     return _run_cells([(n, m, k)], samples, seed, 0)[0]
 
 
-def audit_nom_cell(n: int, m: int, k: int, samples: int, seed: int) -> int:
-    """Sample an analytically immune cell anyway and insist every draw is NOM.
-
-    Classification here goes through the coalition-solver reduction, not the
-    sampling fast path, so the audit exercises an independent route.
-    Returns the number of samples checked.
-    """
-    if kapproval_om(n, m, k).holds:
-        raise InvalidParametersError(f"cell n={n}, m={m}, k={k} is not an immune cell")
-    _run_cells([(n, m, k)], samples, seed, samples)
-    return samples
-
-
 def run_experiment(config: ExperimentConfig) -> list:
-    """Evaluate every cell of the grid, rows in (n, m, m-k) order; audit the first immune cell."""
+    """Evaluate every cell of the grid, rows in (n, m, m-k) order.
+
+    The first immune cell is audited on min(500, samples) of its truths.
+    """
     cells = [(n, m, check_int(m, "m") - check_int(mk, "m-k")) for n in config.n_values
              for m in config.m_values for mk in config.mk_values]
-    return _run_cells(cells, config.samples, config.seed, config.audit_samples)
+    return _run_cells(cells, config.samples, config.seed, DEFAULT_AUDIT_SAMPLES)
 
 
-def sweep_n(m: int, k: int, n_values: Iterable[int], samples: int, seed: int, **kwargs) -> list:
+def sweep_n(m: int, k: int, n_values: Iterable[int], samples: int, seed: int) -> list:
     """Manipulation rates as the voter count grows, m and k fixed."""
     mk = check_int(m, "m") - check_int(k, "k")
-    return run_experiment(ExperimentConfig(tuple(n_values), (m,), (mk,), samples, seed, **kwargs))
+    return run_experiment(ExperimentConfig(tuple(n_values), (m,), (mk,), samples, seed))
 
 
 def heatmap(
@@ -168,11 +156,9 @@ def heatmap(
     samples: int,
     seed: int,
     mk_values: Iterable[int] = range(1, 10),
-    **kwargs,
 ) -> list:
     """Manipulation rates over a grid of m and disapproval counts, n fixed."""
-    cfg = ExperimentConfig((n,), tuple(m_values), tuple(mk_values), samples, seed, **kwargs)
-    return run_experiment(cfg)
+    return run_experiment(ExperimentConfig((n,), tuple(m_values), tuple(mk_values), samples, seed))
 
 
 CSV_HEADER = "n,m,k,m_minus_k,samples,seed,p_wom,p_bom,p_om"

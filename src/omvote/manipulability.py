@@ -10,8 +10,10 @@ Two independent routes are provided: a reduction onto coalition
 manipulation (polynomial, k-approval rules only: approval counts decide
 reachability, the greedy solver builds certificates) and plain
 exhaustive search (any rule, small elections).  They are cross-checked
-against each other in the test suite; any run-time disagreement surfaces
-as a VerificationError rather than being silently trusted.
+against each other in the test suite.  The reduction decides each witness
+once, through the cached reachable sets; a brute-force witness and every
+BOM witness are checked again against those sets, and a disagreement
+surfaces as a VerificationError rather than being silently trusted.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import rules
-from .ccum import CcumInstance, _kapproval_reachable, _reachable, solve_ccum
+from .ccum import CcumInstance, _reachable, solve_ccum
 from .core import check_budget, check_int, enumerate_rankings, make_ranking, make_tiebreak, ranking_positions
 from .errors import InvalidParametersError, UnsupportedRuleError, VerificationError
 
@@ -107,9 +109,9 @@ def find_wom(truth, rule: rules.RuleSpec, n: int, tiebreak, mode: str = "auto", 
 
     mode='reduction' builds one candidate misreport (outcomes better than
     the truthful worst first, in priority order; the rest behind, reversed)
-    and accepts it iff counting the approvals of the other voters shows no
-    bad outcome stays reachable.  mode='bruteforce' scans all m! misreports
-    and returns the lexicographically first improving one.
+    and returns it iff its worst reachable outcome, with the other voters'
+    approvals counted, beats the truthful worst.  mode='bruteforce' scans
+    all m! misreports and returns the lexicographically first improving one.
     """
     truth, tiebreak, pos = _checked(truth, n, tiebreak)
     k = _reduction_k(rule, len(truth), mode)
@@ -127,28 +129,16 @@ def _reduction_k(rule, m: int, mode: str):
 
 
 def _find_wom(rule, n, tiebreak, pos, truthful, k, budget):
-    o_w = truthful.worst
-    if pos[o_w] == 0:
+    cut = pos[truthful.worst]
+    if cut == 0:
         return None  # worst case is already the top choice
-    if k is not None:
-        witness = _wom_reduction(k, n, tiebreak, pos, o_w)
-    else:
-        witness = _first_wom(_bruteforce_feasible_map(rule, n, tiebreak, budget), pos, o_w)
-    if witness is not None and pos[_cases(witness, rule, n, tiebreak, pos, budget).worst] >= pos[o_w]:
+    if k is not None:  # the reduction's one candidate, decided by its own reachable set
+        candidate = (*(o for o in tiebreak if pos[o] < cut), *(o for o in reversed(tiebreak) if pos[o] >= cut))
+        return candidate if pos[_cases(candidate, rule, n, tiebreak, pos, budget).worst] < cut else None
+    witness = _first_wom(_bruteforce_feasible_map(rule, n, tiebreak, budget), pos, truthful.worst)
+    if witness is not None and pos[_cases(witness, rule, n, tiebreak, pos, budget).worst] >= cut:
         raise VerificationError("worst-case witness does not improve the worst case")
     return witness
-
-
-def _wom_reduction(k, n, tiebreak, pos, o_w):
-    m = len(tiebreak)
-    prank = ranking_positions(tiebreak)
-    cut = pos[o_w]
-    good = sorted((o for o in range(m) if pos[o] < cut), key=lambda o: prank[o])
-    bad = sorted((o for o in range(m) if pos[o] >= cut), key=lambda o: -prank[o])
-    misreport = tuple(good + bad)
-    if not _kapproval_reachable(k, (misreport,), n - 1, prank).isdisjoint(bad):
-        return None
-    return misreport
 
 
 def _first_wom(table: dict, pos, o_w):

@@ -3,12 +3,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omvote import (
     InvalidParametersError,
     TooLargeError,
     bom_iff,
     borda,
+    bruteforce_feasible,
     classify,
     copeland,
     dowdall,
@@ -22,11 +25,13 @@ from omvote import (
     plurality,
     runoff,
     score_vector,
+    scoring,
     scoring_nom_sufficient,
     stv,
     vetofamily,
     weakly_diminishing,
 )
+from omvote.core import ranking_positions
 
 F = Fraction
 
@@ -223,3 +228,46 @@ class TestTheoremConsistency:
         for truth in enumerate_rankings(3):
             report = classify(truth, dowdall(), 3, (0, 1, 2), mode="bruteforce")
             assert report.classification == "NOM"
+
+
+def _by_search(weights, n):
+    """(some truth has a BOM, every truth is NOM) by brute force under the identity priority."""
+    m = len(weights)
+    rows = {r: bruteforce_feasible(scoring(weights), n, r, tuple(range(m))) for r in enumerate_rankings(m)}
+    some_bom, every_nom = False, True
+    for truth, truthful in rows.items():
+        pos = ranking_positions(truth)
+        best, worst = min(map(pos.__getitem__, truthful)), max(map(pos.__getitem__, truthful))
+        bom = any(min(map(pos.__getitem__, row)) < best for row in rows.values())
+        wom = any(max(map(pos.__getitem__, row)) < worst for row in rows.values())
+        some_bom |= bom
+        every_nom &= not (bom or wom)
+    return some_bom, every_nom
+
+
+non_increasing = st.sampled_from([3, 4]).flatmap(
+    lambda m: st.lists(st.integers(0, 7), min_size=m, max_size=m)
+).map(lambda ws: tuple(sorted(ws, reverse=True))).filter(lambda ws: ws[0] != ws[-1])
+
+
+class TestPredicatesAgainstSearch:
+    """Every closed-form verdict against exhaustive search, on drawn score vectors."""
+
+    @settings(deadline=None)
+    @given(weights=non_increasing, n=st.integers(2, 4))
+    def test_scoring_verdicts(self, weights, n):
+        some_bom, every_nom = _by_search(weights, n)
+        assert bom_iff(n, weights).holds == some_bom
+        for verdict in (scoring_nom_sufficient(n, weights), weakly_diminishing(n, weights)):
+            if verdict.implied_classification == "NOM":
+                assert every_nom, verdict.predicate
+
+    def test_kapproval_om_matches_reduction(self):
+        # every cell with m <= 6 and 3 <= n <= 6; n(m-k) > m-2 holds from n = m-1 on, so the boundary is crossed
+        for m in range(3, 7):
+            identity = tuple(range(m))
+            for k in range(1, m):
+                for n in range(3, 7):
+                    om = any(classify(truth, kapproval(k), n, identity, mode="reduction").classification != "NOM"
+                             for truth in enumerate_rankings(m))
+                    assert kapproval_om(n, m, k).holds == om, (n, m, k)

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from omvote import format_profile, make_profile
+from omvote import classify, enumerate_rankings, format_profile, make_profile, parse_rule
 from omvote.cli import main
 
 UNANIMOUS = "3 3\n1,0,2\n1,0,2\n1,0,2\n"
@@ -163,6 +163,24 @@ class TestCharacterize:
         args = ["characterize", "--rule", "copeland", "--n", "2", "--m", "3", "--exhaustive"]
         assert main(args + ["--budget", "35"]) == 3
         assert main(args + ["--budget", "36"]) == 0
+
+    @pytest.mark.parametrize("argv, predicates", [
+        (["--rule", "plurality", "--n", "2", "--m", "3", "--exhaustive"],
+         ["scoring_nom_sufficient", "bom_iff", "weakly_diminishing", "has_veto_power", "is_almost_unanimous"]),
+        (["--rule", "borda", "--n", "3", "--m", "2"], ["scoring_nom_sufficient", "bom_iff", "weakly_diminishing"]),
+    ], ids=["plurality-n2", "borda-m2"])
+    def test_zero_one_rule_outside_kapproval_range(self, capsys, argv, predicates):
+        # 0/1 vectors, but kapproval_om needs n >= 3 and m >= 3: the other verdicts still print, and search agrees
+        assert main(["characterize", *argv]) == 0
+        verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+        assert [v["predicate"] for v in verdicts] == predicates
+        rule, n, m = parse_rule(argv[1]), int(argv[3]), int(argv[5])
+        labels = {classify(t, rule, n, tuple(range(m)), mode="bruteforce").classification
+                  for t in enumerate_rankings(m)}
+        implied = {v["predicate"]: v["implied_classification"] for v in verdicts}
+        assert implied["bom_iff"] == "not-BOM" and not labels & {"BOM-only", "BOM-and-WOM"}
+        if "NOM" in implied.values():
+            assert labels == {"NOM"}
 
     def test_no_tiebreak_flag(self, capsys):
         # every rule is neutral, so no priority order changes a verdict; there is none to choose

@@ -30,7 +30,7 @@ from omvote import (
     sample_ranking,
 )
 from omvote import ccum, manipulability, rules
-from omvote.experiments import audit_nom_cell
+from omvote.experiments import run_experiment
 
 
 class TestMakeRanking:
@@ -246,7 +246,7 @@ class TestOneIntegerCheck:
         lambda: omvote.sweep_n(15, "14", range(3, 5), 10, 0),
         lambda: omvote.heatmap(3, [21], 10, 0, mk_values=["1"]),
         lambda: omvote.ExperimentConfig((3,), (15,), (1,), samples="10"),
-        lambda: audit_nom_cell("14", 15, 14, 10, 0),
+        lambda: run_experiment(omvote.ExperimentConfig(("14",), (15,), (1,), 10, 0)),  # the audited cell's n
         lambda: omvote.bom_iff("3", (1, 1, 0)),
         lambda: omvote.bom_iff(0, (1, 1, 0)),
         lambda: omvote.scoring_nom_sufficient(1.5, (2, 1, 0)),
@@ -317,7 +317,17 @@ class TestOneTiebreakCheckPerSearch:
                 if isinstance(fn, ast.FunctionDef):
                     callers += [(path.stem, fn.name) for node in ast.walk(fn)
                                 if isinstance(node, ast.Call) and ast.unparse(node.func) == "rules.winner"]
-        assert sorted(callers) == [("ccum", "_verify_certificate"), ("cli", "_cmd_winner")]
+        assert sorted(callers) == [("cli", "_cmd_winner")]
+
+    def test_only_ccum_counts_approvals_for_reachability(self):
+        # the counting pass is ccum's decision: every other module asks through _reachable or possible_outcomes
+        namers = set()
+        for path in self.SOURCES:
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                names = {getattr(node, attr, None) for attr in ("id", "attr", "name")}
+                if "_kapproval_reachable" in names:
+                    namers.add(path.stem)
+        assert namers == {"ccum"}
 
     @pytest.fixture
     def checks(self, monkeypatch):

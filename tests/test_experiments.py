@@ -21,7 +21,7 @@ from omvote import (
 )
 from omvote import experiments
 from omvote.core import ranking_positions
-from omvote.experiments import _classify_saturated, audit_nom_cell, run_experiment
+from omvote.experiments import _classify_saturated, run_experiment
 
 
 class TestShortCircuit:
@@ -128,8 +128,14 @@ class TestSharedDraws:
         assert sorted(draws) == [(m, i) for m in (15, 21) for i in range(50)]
 
     def test_audit_only_grid_draws_audit_samples(self, draws):
-        run_experiment(ExperimentConfig((3,), (21,), (7, 8), samples=100, seed=8, audit_samples=10))
+        run_experiment(ExperimentConfig((3,), (21,), (7, 8), samples=10, seed=8))
         assert sorted(draws) == [(21, i) for i in range(10)]
+
+    def test_immune_cell_audit_passes(self, draws):
+        # every one of the 25 truths is classified NOM through the reduction, or the run raises
+        (row,) = run_experiment(ExperimentConfig((3,), (21,), (7,), samples=25, seed=6))
+        assert (row.om_count, row.sampled) == (0, False)
+        assert sorted(draws) == [(21, i) for i in range(25)]
 
 
 class TestRelabelingInvariance:
@@ -184,19 +190,12 @@ class TestGrids:
         with pytest.raises(InvalidParametersError):
             om_proportion(3, 15, 14, samples, 0)
         with pytest.raises(InvalidParametersError):
-            audit_nom_cell(14, 15, 14, samples, 0)
+            run_experiment(ExperimentConfig((14,), (15,), (1,), samples, 0))
 
 
 class TestAudit:
-    def test_immune_cell_audit_passes(self):
-        assert audit_nom_cell(3, 21, 14, samples=25, seed=6) == 25
-
-    def test_audit_rejects_manipulable_cell(self):
-        with pytest.raises(InvalidParametersError):
-            audit_nom_cell(3, 15, 14, samples=5, seed=6)
-
     def test_run_experiment_audits_first_zero_cell(self):
-        cfg = ExperimentConfig((3,), (21,), (1, 7), samples=100, seed=8, audit_samples=10)
+        cfg = ExperimentConfig((3,), (21,), (1, 7), samples=100, seed=8)
         rows = run_experiment(cfg)
         assert [(r.m - r.k, r.sampled) for r in rows] == [(1, True), (7, False)]
 

@@ -163,6 +163,12 @@ class TestReductionAgainstBruteforce:
                         pos[min(row, key=pos.get)] < pos[truthful_best] for row in rows.values()
                     )
                     assert (bom is not None) == improvable, (m, k, tiebreak, truth)
+                    # witnesses judged by the brute-force rows, a route that never counts approvals
+                    if red is not None:
+                        truthful_worst = max(rows[truth], key=pos.get)
+                        assert pos[max(rows[red], key=pos.get)] < pos[truthful_worst], (m, k, tiebreak, truth)
+                    if bom is not None:
+                        assert pos[min(rows[bom.misreport], key=pos.get)] < pos[truthful_best], (m, k, tiebreak, truth)
 
 
 class TestBruteforceFeasible:
