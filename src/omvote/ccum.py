@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import rules
-from .core import Profile, check_int, enumerate_profiles, make_ranking, make_tiebreak, ranking_positions
+from .core import Profile, _ballots, check_int, enumerate_profiles, make_ranking, make_tiebreak, ranking_positions
 from .errors import InvalidParametersError
 
 
@@ -30,11 +30,9 @@ class CcumInstance:
     tiebreak: tuple
 
     def __post_init__(self):
-        if not hasattr(self.tiebreak, "__len__"):  # m is its length: make_tiebreak names the fault
-            object.__setattr__(self, "tiebreak", make_tiebreak(self.tiebreak))
+        object.__setattr__(self, "tiebreak", make_tiebreak(self.tiebreak))  # m is its length
         m = self.m
-        object.__setattr__(self, "fixed_ballots", tuple(make_ranking(b, m) for b in self.fixed_ballots))
-        object.__setattr__(self, "tiebreak", make_tiebreak(self.tiebreak, m))
+        object.__setattr__(self, "fixed_ballots", tuple(make_ranking(b, m) for b in _ballots(self.fixed_ballots)))
         if not (check_int(self.num_manipulators, "num_manipulators", 0) or self.fixed_ballots):
             raise InvalidParametersError("instance has no voters at all")
         check_int(self.target, "target", 0, m - 1)
@@ -69,8 +67,8 @@ def ccum_greedy_kapproval(inst: CcumInstance) -> CcumCertificate:
     k = rules._kapproval_k(inst.rule, m)
     if k is None:
         raise InvalidParametersError(f"greedy solver needs a k-approval rule, got {inst.rule.name}")
-    prank = ranking_positions(inst.tiebreak)
     target = inst.target
+    others = [o for o in reversed(inst.tiebreak) if o != target]  # lowest priority first
     scores = [0] * m
     for ballot in inst.fixed_ballots:
         for o in ballot[:k]:
@@ -78,18 +76,17 @@ def ccum_greedy_kapproval(inst: CcumInstance) -> CcumCertificate:
     ballots = []
     for _ in range(inst.num_manipulators):
         scores[target] += 1
-        others = sorted((o for o in range(m) if o != target), key=lambda o: (scores[o], -prank[o]))
-        approved = others[: k - 1]
+        approved = sorted(others, key=scores.__getitem__)[: k - 1]  # stable: score ties go to the lowest priority
         for o in approved:
             scores[o] += 1
-        trailer = sorted(others[k - 1 :], key=lambda o: -prank[o])
-        ballots.append((target, *approved, *trailer))
+        skipped = set(approved)
+        ballots.append((target, *approved, *(o for o in others if o not in skipped)))
     ballots = tuple(ballots)
-    elected = rules._elect(inst.rule, Profile(inst.fixed_ballots + ballots, m), prank)
+    elected = rules._elect(inst.rule, Profile(inst.fixed_ballots + ballots, m), inst.tiebreak)
     return CcumCertificate(elected == target, ballots)
 
 
-def _kapproval_reachable(k: int, fixed_ballots: tuple, free: int, prank) -> frozenset:
+def _kapproval_reachable(k: int, fixed_ballots: tuple, free: int, tiebreak: tuple) -> frozenset:
     # The targets the free voters can elect under k-approval, by counting alone.
     # If some free ballots elect t, so do they with t swapped into every
     # approved set that lacks it: t gains one, one rival loses one.  So every
@@ -111,7 +108,7 @@ def _kapproval_reachable(k: int, fixed_ballots: tuple, free: int, prank) -> froz
     # so, summed over every o, the sum test reads m*top - floors[f_t] -
     # (outcomes ahead of t with f_o >= f_t) >= free*k, with floors[v] the
     # sum of max(f_o, v).
-    m = len(prank)
+    m = len(tiebreak)
     fixed = [0] * m
     for ballot in fixed_ballots:
         for o in ballot[:k]:
@@ -121,7 +118,7 @@ def _kapproval_reachable(k: int, fixed_ballots: tuple, free: int, prank) -> froz
     ahead = [0] * (most + 1)  # outcomes ahead of t in priority, by fixed approvals
     lead = -1  # the most fixed approvals of an outcome ahead of t
     reachable = []
-    for t in sorted(range(m), key=prank.__getitem__):
+    for t in tiebreak:
         f = fixed[t]
         top = f + free
         if most <= top and lead < top and m * top - floors[f] - sum(ahead[f:]) >= free * k:
@@ -139,9 +136,8 @@ def ccum_bruteforce(inst: CcumInstance, budget: int | None = None) -> CcumCertif
     scanning all (m!)^num_manipulators of them.
     """
     fixed = inst.fixed_ballots
-    prank = ranking_positions(inst.tiebreak)
     for profile in enumerate_profiles(inst.m, inst.num_manipulators, budget, fixed):
-        if rules._elect(inst.rule, profile, prank) == inst.target:
+        if rules._elect(inst.rule, profile, inst.tiebreak) == inst.target:
             return CcumCertificate(True, profile.ballots[len(fixed):])
     return CcumCertificate(False, None)
 
@@ -152,6 +148,8 @@ def solve_ccum(inst: CcumInstance, solver: str = "auto", budget: int | None = No
     Each solver elects the very profile it returns through rules._elect, so
     an achievable certificate elects the target and is not elected again.
     """
+    if budget is not None:
+        check_int(budget, "budget")
     if solver == "auto":
         solver = "greedy" if rules._kapproval_k(inst.rule, inst.m) is not None else "bruteforce"
     if solver == "greedy":
@@ -170,23 +168,27 @@ def possible_outcomes(rule: rules.RuleSpec, n: int, fixed, tiebreak, budget: int
     enumerates ballot tuples.
 
     Every supported rule is neutral: scoring, STV, runoff and Copeland read
-    the tie-break only through its positions prank, so relabeling each
-    outcome o as prank[o] makes it the identity, and winner(pi(P), identity)
-    = pi(winner(P, tiebreak)).  A query under another tie-break is answered
-    under the identity, with the fixed ballot relabeled, and mapped back.
+    the tie-break only as an order to walk, so relabeling each outcome by
+    its place in that order makes it the identity, and winner(pi(P),
+    identity) = pi(winner(P, tiebreak)).  A query of an enumerated rule
+    under another tie-break is answered under the identity, with the fixed
+    ballot relabeled, and mapped back; counting walks the query's own
+    tie-break and is never relabeled.
 
     The 2048 most recently used queries are cached under the key they were
-    asked with, and the m! tie-breaks share each identity entry: room for
-    the rows of the 64 brute-force tables that manipulability keeps at m=4
-    and their identity entries, while memory stays bounded and an evicted
-    table is recomputed, not read back from rows that outlived it.  A query
-    is checked here, before any lookup, so the cache holds checked queries
-    only.  k-approval reads only the approved set of the fixed ballot, so
-    its queries are keyed by that set.
+    asked with, and the m! tie-breaks of an enumerated rule share each
+    identity entry: room for the rows of the 64 brute-force tables that
+    manipulability keeps at m=4 and their identity entries, while memory
+    stays bounded and an evicted table is recomputed, not read back from
+    rows that outlived it.  A query is checked here, before any lookup, so
+    the cache holds checked queries only.  k-approval reads only the
+    approved set of the fixed ballot, so its queries are keyed by that set.
     """
     tiebreak = make_tiebreak(tiebreak)
     if fixed is not None:
         fixed = make_ranking(fixed, len(tiebreak))
+    if budget is not None:
+        check_int(budget, "budget")
     return _reachable(rule, check_int(n, "n", 1), fixed, tiebreak, budget)
 
 
@@ -204,18 +206,16 @@ def _reachable(rule, n: int, fixed, tiebreak: tuple, budget) -> frozenset:
 @lru_cache(maxsize=2048, typed=True)  # typed: a float budget is its own key, so it meets check_budget
 def _possible_outcomes(rule, n, fixed, tiebreak, budget) -> frozenset:
     m = len(tiebreak)
-    identity = tuple(range(m))
-    if tiebreak != identity:
-        prank = ranking_positions(tiebreak)
-        if fixed is not None:
-            fixed = tuple(prank[o] for o in fixed)
-        found = _reachable(rule, n, fixed, identity, budget)
-        return frozenset(tiebreak[o] for o in found)
     fixed_ballots = (fixed,) if fixed is not None else ()
     free = n - len(fixed_ballots)
     k = rules._kapproval_k(rule, m)
-    if k is not None:  # the identity is its own position list, here and below
-        return _kapproval_reachable(k, fixed_ballots, free, identity)
+    if k is not None:
+        return _kapproval_reachable(k, fixed_ballots, free, tiebreak)
+    identity = tuple(range(m))
+    if tiebreak != identity:  # relabel each outcome by its place in the tie-break, which makes it the identity
+        place = ranking_positions(tiebreak)
+        relabeled = None if fixed is None else tuple(place[o] for o in fixed)
+        return frozenset(tiebreak[o] for o in _possible_outcomes(rule, n, relabeled, identity, budget))
     found = set()
     for profile in enumerate_profiles(m, free, budget, fixed_ballots):
         found.add(rules._elect(rule, profile, identity))

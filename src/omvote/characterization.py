@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 from . import rules
 from .ccum import possible_outcomes
-from .core import (Profile, check_budget, check_int, enumerate_rankings, identity_tiebreak, make_tiebreak,
-                   ranking_positions)
+from .core import Profile, check_budget, check_int, enumerate_rankings, identity_tiebreak, make_tiebreak
 
 OM = "OM"
 NOM = "NOM"
@@ -132,13 +131,13 @@ def is_almost_unanimous(rule: rules.RuleSpec, n: int, m: int, tiebreak=None, bud
     has m * m! * ((m-1)!)^(n-1).
     """
     check_int(n, "almost-unanimity's n", 2)
-    prank = ranking_positions(identity_tiebreak(m) if tiebreak is None else make_tiebreak(tiebreak, m))
+    order = identity_tiebreak(m) if tiebreak is None else make_tiebreak(tiebreak, m)
     rankings = tuple(enumerate_rankings(m))
     check_budget(m * len(rankings) * math.factorial(m - 1) ** (n - 1), budget)
     for top in range(m):
         supporters = [r for r in rankings if r[0] == top]
         for deviant in rankings:
             for backers in itertools.product(supporters, repeat=n - 1):
-                if rules._elect(rule, Profile(backers + (deviant,), m), prank) != top:
+                if rules._elect(rule, Profile(backers + (deviant,), m), order) != top:
                     return False
     return True

@@ -64,22 +64,23 @@ class ExperimentConfig:
             raise InvalidParametersError("empty parameter range")
 
 
-def _classify_saturated(truth, n: int, k: int, top_overall) -> tuple:
-    """(wom, bom) for one truthful ranking, k-approval, fixed tie-break.
+def _classify_saturated(pos, n: int, k: int) -> tuple:
+    """(wom, bom) for the truth with positions *pos*, k-approval, identity tie-break.
 
     Valid only when m >= n*(m-k)+2: the n(m-k) disapprovals never cover all
     outcomes, so a report approving the set A reaches exactly the c+1 =
-    (n-1)(m-k)+1 highest-priority members of A.  Those lie in *top_overall*,
-    the n(m-k)+1 outcomes of highest priority in priority order, so a scan
-    of it replaces sorting.  Truthfully, at most m-k of them are disapproved
-    and the first c+1 approved ones are reachable.  The candidate misreport
+    (n-1)(m-k)+1 highest-priority members of A.  Those lie among the
+    n(m-k)+1 outcomes of highest priority, which under the identity are
+    0..n(m-k), so a scan of their places pos[: n(m-k)+1] in the truth
+    replaces sorting.  Truthfully, at most m-k of them are disapproved and
+    the first c+1 approved ones are reachable.  The candidate misreport
     approves the outcomes better than the truthful worst and every bad one
     but the m-k of highest priority; it is a WOM iff c+1 good outcomes come
     before the (m-k+1)-th bad one, i.e. iff the scan holds c+1 good ones.
     """
-    need = (n - 1) * (len(truth) - k) + 1
-    pos = ranking_positions(truth)
-    ranks = [pos[o] for o in top_overall]
+    mk = len(pos) - k
+    need = (n - 1) * mk + 1
+    ranks = pos[: n * mk + 1]
     feasible = [r for r in ranks if r < k][:need]
     cut = max(feasible)
     return len([r for r in ranks if r < cut]) >= need, min(ranks) < min(feasible)
@@ -99,15 +100,14 @@ def _run_cells(cells, samples: int, seed: int, audit_samples: int) -> list:
     audited = immune[0] if immune and audit_samples > 0 else None
     counts = {}
     for m in dict.fromkeys(m for _, m, _ in cells):
-        tb = identity_tiebreak(m)
-        sampled = [(n, k, tb[: n * (m - k) + 1], [0, 0, 0]) for n, mm, k in cells
-                   if mm == m and (n, m, k) not in immune]
-        counts.update(((n, m, k), c) for n, k, _, c in sampled)
+        sampled = [(n, k, [0, 0, 0]) for n, mm, k in cells if mm == m and (n, m, k) not in immune]
+        counts.update(((n, m, k), c) for n, k, c in sampled)
         audit_n = min(audit_samples, samples) if audited and audited[1] == m else 0
         for i in range(samples if sampled else audit_n):
             truth = sample_ranking(m, seed, i)
-            for n, k, top_overall, c in sampled:
-                wom, bom = _classify_saturated(truth, n, k, top_overall)
+            pos = ranking_positions(truth)  # once per draw, for all of its cells
+            for n, k, c in sampled:
+                wom, bom = _classify_saturated(pos, n, k)
                 if bom and not wom:
                     raise VerificationError(f"best-case-only manipulation at sample {i}: {truth}")
                 c[0] += wom
@@ -115,7 +115,7 @@ def _run_cells(cells, samples: int, seed: int, audit_samples: int) -> list:
                 c[2] += wom or bom
             if i < audit_n:
                 n, _, k = audited
-                report = manipulability.classify(truth, rules.kapproval(k), n, tb, mode="reduction")
+                report = manipulability.classify(truth, rules.kapproval(k), n, identity_tiebreak(m), mode="reduction")
                 if report.classification != manipulability.NOM:
                     raise VerificationError(f"immune cell n={n}, m={m}, k={k} classified "
                                             f"{report.classification} for {truth}")

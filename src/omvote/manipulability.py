@@ -59,15 +59,17 @@ class ManipulationReport:
 
 def case_outcomes(truth, report, rule: rules.RuleSpec, n: int, tiebreak, budget=None) -> CaseOutcomes:
     """Reachable-outcome extremes when a voter with preference *truth* files *report*."""
-    truth, tiebreak, pos = _checked(truth, n, tiebreak)
+    truth, tiebreak, pos = _checked(truth, n, tiebreak, budget)
     return _cases(make_ranking(report, len(truth)), rule, n, tiebreak, pos, budget)
 
 
-def _checked(truth, n, tiebreak) -> tuple:
+def _checked(truth, n, tiebreak, budget) -> tuple:
     # the one check of a query at a public entry point: (truth, tiebreak, pos)
     truth = make_ranking(truth)
     tiebreak = make_tiebreak(tiebreak, len(truth))
     check_int(n, "n", 2)
+    if budget is not None:  # a counting route never weighs it, so it is checked here
+        check_int(budget, "budget")
     return truth, tiebreak, ranking_positions(truth)
 
 
@@ -86,7 +88,7 @@ def find_bom(truth, rule: rules.RuleSpec, n: int, tiebreak, budget=None) -> BomW
     every voter manipulate; if it beats the truthful best, the coalition
     certificate's first ballot is the witness misreport.
     """
-    truth, tiebreak, pos = _checked(truth, n, tiebreak)
+    truth, tiebreak, pos = _checked(truth, n, tiebreak, budget)
     return _find_bom(rule, n, tiebreak, pos, _cases(truth, rule, n, tiebreak, pos, budget), budget)
 
 
@@ -113,7 +115,7 @@ def find_wom(truth, rule: rules.RuleSpec, n: int, tiebreak, mode: str = "auto", 
     approvals counted, beats the truthful worst.  mode='bruteforce' scans
     all m! misreports and returns the lexicographically first improving one.
     """
-    truth, tiebreak, pos = _checked(truth, n, tiebreak)
+    truth, tiebreak, pos = _checked(truth, n, tiebreak, budget)
     k = _reduction_k(rule, len(truth), mode)
     return _find_wom(rule, n, tiebreak, pos, _cases(truth, rule, n, tiebreak, pos, budget), k, budget)
 
@@ -149,7 +151,7 @@ def _first_wom(table: dict, pos, o_w):
 
 def classify(truth, rule: rules.RuleSpec, n: int, tiebreak, mode: str = "auto", budget=None) -> ManipulationReport:
     """Full zero-information classification of one truthful ranking."""
-    truth, tiebreak, pos = _checked(truth, n, tiebreak)
+    truth, tiebreak, pos = _checked(truth, n, tiebreak, budget)
     k = _reduction_k(rule, len(truth), mode)
     truthful = _cases(truth, rule, n, tiebreak, pos, budget)
     bom = _find_bom(rule, n, tiebreak, pos, truthful, budget)
@@ -182,7 +184,6 @@ def _bruteforce_feasible_map(rule: rules.RuleSpec, n: int, tiebreak, budget=None
     m = len(tiebreak)
     k = rules._kapproval_k(rule, m)
     if k is not None:
-        prank = ranking_positions(tiebreak)
         sets = [frozenset(c) for c in itertools.combinations(range(m), k)]
         check_budget(math.comb(len(sets) + n - 2, n - 1) * len(sets), budget, "approval-set rows")
         base = []
@@ -196,7 +197,7 @@ def _bruteforce_feasible_map(rule: rules.RuleSpec, n: int, tiebreak, budget=None
         for s in sets:
             found = set()
             for counts in base:
-                found.add(max(range(m), key=lambda o: (counts[o] + (o in s), -prank[o])))
+                found.add(max(tiebreak, key=lambda o: counts[o] + (o in s)))
             by_set[s] = frozenset(found)
         return {r: by_set[frozenset(r[:k])] for r in enumerate_rankings(m)}
     check_budget(math.factorial(m) ** n, budget)

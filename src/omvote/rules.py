@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .core import Profile, check_int, make_tiebreak, ranking_positions
+from .core import Profile, check_int, make_tiebreak
 from .errors import DimensionMismatchError, InvalidParametersError, UnsupportedRuleError
 
 SCORING_RULE_NAMES = frozenset(
@@ -190,17 +190,16 @@ def _totals(ws, profile: Profile) -> list:
     return totals
 
 
-def _check_tiebreak(tiebreak, m: int) -> list:
+def _check_tiebreak(tiebreak, m: int) -> tuple:
     if hasattr(tiebreak, "__len__") and len(tiebreak) != m:  # one without a length is make_tiebreak's to name
         raise DimensionMismatchError(f"tie-break over {len(tiebreak)} outcomes, profile has {m}")
-    return ranking_positions(make_tiebreak(tiebreak, m))
+    return make_tiebreak(tiebreak, m)
 
 
 def scoring_winner(weights: Sequence, profile: Profile, tiebreak) -> int:
     """Highest-scoring outcome; exact score ties go to the higher priority."""
-    prank = _check_tiebreak(tiebreak, profile.m)
-    scores = scoring_scores(weights, profile)
-    return max(range(profile.m), key=lambda o: (scores[o], -prank[o]))
+    order = _check_tiebreak(tiebreak, profile.m)
+    return max(order, key=scoring_scores(weights, profile).__getitem__)
 
 
 def scoring_cowinners(weights: Sequence, profile: Profile) -> frozenset:
@@ -232,7 +231,7 @@ def condorcet_winner(profile: Profile):
     return None
 
 
-def _copeland(profile: Profile, prank) -> int:
+def _copeland(profile: Profile, order) -> int:
     """Most pairwise wins (ties half a point each), priority breaking ties."""
     m = profile.m
     tally = pairwise_tally(profile)
@@ -247,54 +246,52 @@ def _copeland(profile: Profile, prank) -> int:
             else:
                 doubled[a] += 1
                 doubled[b] += 1
-    return max(range(m), key=lambda o: (doubled[o], -prank[o]))
+    return max(order, key=doubled.__getitem__)
 
 
-def _stv(profile: Profile, prank) -> int:
+def _stv(profile: Profile, order) -> int:
     """Iteratively drop the outcome with fewest first places among survivors.
 
     Elimination ties drop the lowest-priority outcome; the last survivor wins.
     """
-    remaining = set(range(profile.m))
+    remaining = list(reversed(order))  # lowest priority first, so min drops it among ties
     while len(remaining) > 1:
         firsts = dict.fromkeys(remaining, 0)
         for ballot in profile.ballots:
             for o in ballot:
-                if o in remaining:
+                if o in firsts:
                     firsts[o] += 1
                     break
-        fewest = min(firsts.values())
-        doomed = max((o for o in remaining if firsts[o] == fewest), key=lambda o: prank[o])
-        remaining.remove(doomed)
-    return remaining.pop()
+        remaining.remove(min(remaining, key=firsts.__getitem__))
+    return remaining[0]
 
 
-def _runoff(profile: Profile, prank) -> int:
+def _runoff(profile: Profile, order) -> int:
     """Top two plurality scorers meet in a pairwise majority runoff."""
     m = check_int(profile.m, "runoff's m", 2)
     firsts = [0] * m
     for ballot in profile.ballots:
         firsts[ballot[0]] += 1
-    a, b = sorted(range(m), key=lambda o: (-firsts[o], prank[o]))[:2]
+    a, b = sorted(order, key=lambda o: -firsts[o])[:2]
     a_wins = sum(1 for ballot in profile.ballots if ballot.index(a) < ballot.index(b))
     if 2 * a_wins > profile.n:
         return a
     if 2 * a_wins < profile.n:
         return b
-    return a if prank[a] < prank[b] else b
+    return min(a, b, key=order.index)  # a tied runoff goes to the higher priority
 
 
 _KERNELS = {"stv": _stv, "runoff": _runoff, "copeland": _copeland}
 
 
-def _elect(rule: RuleSpec, profile: Profile, prank) -> int:
-    # winner on a tie-break checked once per search and given as its positions: prank[o] is o's place
+def _elect(rule: RuleSpec, profile: Profile, order) -> int:
+    # winner under a tie-break checked once per search: each kernel walks the priority order itself, and
+    # max, min and the stable sorted keep the first best outcome they meet, so a tie goes to the higher priority
     if rule.is_scoring:  # canonical weights are ints, summed as they are
-        scores = _totals(_canonical_weights(rule, profile.m, profile.n), profile)
-        return max(range(profile.m), key=lambda o: (scores[o], -prank[o]))
+        return max(order, key=_totals(_canonical_weights(rule, profile.m, profile.n), profile).__getitem__)
     if rule.name not in _KERNELS:
         raise UnsupportedRuleError(f"unknown rule {rule.name!r}")
-    return _KERNELS[rule.name](profile, prank)
+    return _KERNELS[rule.name](profile, order)
 
 
 def winner(rule: RuleSpec, profile: Profile, tiebreak) -> int:

@@ -136,11 +136,10 @@ def test_criterion_4_best_case_implies_worst_case():
             if bom and not wom:
                 grid_violations.append((n, m, k, truth))
     n, m, k = 3, 15, 14
-    top_overall = list(range(n * (m - k) + 1))
     sampled_violations = 0
     for i in range(10_000):
         truth = sample_ranking(m, SEED, i)
-        wom, bom = _classify_saturated(truth, n, k, top_overall)
+        wom, bom = _classify_saturated(ranking_positions(truth), n, k)
         if bom and not wom:
             sampled_violations += 1
     ok = not grid_violations and sampled_violations == 0

@@ -26,7 +26,6 @@ from omvote import (
     winner,
 )
 from omvote import ccum
-from omvote.core import ranking_positions
 
 
 class TestGreedy:
@@ -153,7 +152,7 @@ def kapproval_instances(draw, max_m, max_free):
 
 
 def _counted(k, fixed, free, tiebreak):
-    return ccum._kapproval_reachable(k, fixed, free, ranking_positions(tiebreak))
+    return ccum._kapproval_reachable(k, fixed, free, tiebreak)
 
 
 def _solved(solver, k, fixed, free, tiebreak):

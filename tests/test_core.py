@@ -271,6 +271,20 @@ class TestOneIntegerCheck:
         with pytest.raises(InvalidParametersError):
             call(1e9)
 
+    @pytest.mark.parametrize("call", [
+        lambda budget: omvote.classify((0, 1, 2, 3), omvote.kapproval(2), 3, (0, 1, 2, 3), budget=budget),
+        lambda budget: omvote.possible_outcomes(omvote.kapproval(2), 3, None, (0, 1, 2, 3), budget),
+        lambda budget: omvote.solve_ccum(omvote.CcumInstance(omvote.kapproval(2), (), 3, 1, (0, 1, 2, 3)),
+                                         budget=budget),
+        lambda budget: omvote.has_veto_power(omvote.kapproval(2), 3, 4, None, budget),
+    ], ids=["classify", "possible_outcomes", "solve_ccum", "veto"])
+    def test_counting_routes_check_the_budget(self, call):
+        # they never weigh it, so a negative int passes, but a budget that is not an int is named
+        call(-1)
+        for budget in ("x", 1e9):
+            with pytest.raises(InvalidParametersError):
+                call(budget)
+
     def test_kapproval_k_checks_before_its_cache(self):
         rule = omvote.kapproval(2)
         with pytest.raises(InvalidParametersError):
@@ -287,6 +301,8 @@ class TestShapeBeforeLength:
         lambda: omvote.winner(omvote.borda(), make_profile([(0, 1, 2)]), None),
         lambda: omvote.winner(omvote.borda(), make_profile([(0, 1, 2)]), 5),
         lambda: omvote.CcumInstance(omvote.borda(), (), 1, 0, None),
+        lambda: omvote.CcumInstance(omvote.borda(), None, 1, 0, (0, 1, 2)),
+        lambda: omvote.CcumInstance(omvote.borda(), 5, 1, 0, (0, 1, 2)),
         lambda: omvote.classify_randomized_tiebreak(None, (2, 1, 0), 3),
         lambda: omvote.scoring_scores(None, make_profile([(0, 1, 2)])),
         lambda: omvote.scoring_cowinners(5, make_profile([(0, 1, 2)])),
@@ -297,18 +313,40 @@ class TestShapeBeforeLength:
         lambda: enumerate_profiles(3, 1, None, None),
         lambda: format_profile(make_profile([(0, 1, 2)]), 5),
         lambda: format_profile(make_profile([(0, 1, 2)]), (0, 1)),  # text that parse_profile would reject
-    ], ids=["winner-none", "winner-int", "ccum-instance", "randomized-truth", "scores-none", "cowinners-int",
-            "scoring-winner-none", "profile-none-ballot", "profile-none", "prefers-none", "fixed-none",
-            "format-int-tiebreak", "format-short-tiebreak"])
+    ], ids=["winner-none", "winner-int", "ccum-instance", "ccum-none-ballots", "ccum-int-ballots",
+            "randomized-truth", "scores-none", "cowinners-int", "scoring-winner-none", "profile-none-ballot",
+            "profile-none", "prefers-none", "fixed-none", "format-int-tiebreak", "format-short-tiebreak"])
     def test_rejected(self, call):
         with pytest.raises(VotingError):
             call()
 
 
 class TestOneTiebreakCheckPerSearch:
-    """Searches that elect many profiles check their tie-break once and elect on its positions."""
+    """Searches that elect many profiles check their tie-break once and elect by walking it."""
 
     SOURCES = sorted(Path(omvote.__file__).parent.glob("*.py"))
+
+    def _sites(self, match) -> set:
+        # (module, innermost function or None) of every node *match* accepts
+        sites = set()
+
+        def visit(node, stem, fn):
+            if match(node):
+                sites.add((stem, fn))
+            for child in ast.iter_child_nodes(node):
+                visit(child, stem, child.name if isinstance(child, ast.FunctionDef) else fn)
+
+        for path in self.SOURCES:
+            visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+        return sites
+
+    def test_tiebreak_positions_only_to_relabel(self):
+        # kernels walk the tie-break itself: positions are taken of truths, and of a tie-break only by the relabel
+        calls = self._sites(lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == "ranking_positions")
+        assert calls == {("ccum", "_possible_outcomes"), ("manipulability", "_checked"),
+                         ("manipulability", "classify_randomized_tiebreak"), ("experiments", "_run_cells")}
+        named = self._sites(lambda node: "prank" in {getattr(node, a, None) for a in ("id", "arg", "attr", "name")})
+        assert named <= {("ccum", "_possible_outcomes")}
 
     def test_only_single_profiles_call_winner(self):
         callers = []

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from omvote import (
     ExperimentConfig,
     InvalidParametersError,
+    VerificationError,
     classify,
     enumerate_rankings,
     heatmap,
@@ -19,7 +20,7 @@ from omvote import (
     sample_ranking,
     sweep_n,
 )
-from omvote import experiments
+from omvote import experiments, manipulability
 from omvote.core import ranking_positions
 from omvote.experiments import _classify_saturated, run_experiment
 
@@ -72,10 +73,8 @@ class TestFastClassifierAgreement:
         # every truth in the one manipulable cell with m=5
         n, m, k = 3, 5, 4
         tiebreak = tuple(range(m))
-        prank = ranking_positions(tiebreak)
-        top_overall = sorted(range(m), key=lambda o: prank[o])[: n * (m - k) + 1]
         for truth in enumerate_rankings(m):
-            wom, bom = _classify_saturated(truth, n, k, top_overall)
+            wom, bom = _classify_saturated(ranking_positions(truth), n, k)
             report = classify(truth, kapproval(k), n, tiebreak, mode="reduction")
             assert wom == (report.wom_witness is not None), truth
             assert bom == (report.bom_witness is not None), truth
@@ -83,10 +82,9 @@ class TestFastClassifierAgreement:
     def test_sampled_against_reduction_m15(self):
         n, m, k = 3, 15, 14
         tiebreak = tuple(range(m))
-        top_overall = list(range(n * (m - k) + 1))
         for i in range(200):
             truth = sample_ranking(m, seed=5, index=i)
-            wom, bom = _classify_saturated(truth, n, k, top_overall)
+            wom, bom = _classify_saturated(ranking_positions(truth), n, k)
             report = classify(truth, kapproval(k), n, tiebreak, mode="reduction")
             assert wom == (report.wom_witness is not None), truth
             assert bom == (report.bom_witness is not None), truth
@@ -100,7 +98,8 @@ class TestFastClassifierAgreement:
         tiebreak = tuple(data.draw(st.permutations(range(m)), label="tiebreak"))
         truth = tuple(data.draw(st.permutations(range(m)), label="truth"))
         k = m - mk
-        wom, bom = _classify_saturated(truth, n, k, tiebreak[: n * mk + 1])
+        place = ranking_positions(tiebreak)  # the fast path runs under the identity: relabel o as its place
+        wom, bom = _classify_saturated(ranking_positions(tuple(place[o] for o in truth)), n, k)
         report = classify(truth, kapproval(k), n, tiebreak, mode="reduction")
         assert wom == (report.wom_witness is not None)
         assert bom == (report.bom_witness is not None)
@@ -141,16 +140,12 @@ class TestSharedDraws:
 class TestRelabelingInvariance:
     def test_classification_commutes_exactly(self):
         n, m, k = 3, 15, 14
-        sigma = sample_ranking(m, seed=11, index=0)  # an arbitrary relabeling
-        identity = tuple(range(m))
-        prank_id = ranking_positions(identity)
-        prank_sig = ranking_positions(sigma)
-        top_id = sorted(range(m), key=lambda o: prank_id[o])[: n * (m - k) + 1]
-        top_sig = sorted(range(m), key=lambda o: prank_sig[o])[: n * (m - k) + 1]
+        sigma = sample_ranking(m, seed=11, index=0)  # an arbitrary relabeling, and the priority it maps onto
         for i in range(200):
             truth = sample_ranking(m, seed=12, index=i)
-            mapped = tuple(sigma[o] for o in truth)
-            assert _classify_saturated(truth, n, k, top_id) == _classify_saturated(mapped, n, k, top_sig)
+            report = classify(tuple(sigma[o] for o in truth), kapproval(k), n, sigma, mode="reduction")
+            flags = (report.wom_witness is not None, report.bom_witness is not None)
+            assert _classify_saturated(ranking_positions(truth), n, k) == flags
 
 
 class TestGrids:
@@ -198,6 +193,17 @@ class TestAudit:
         cfg = ExperimentConfig((3,), (21,), (1, 7), samples=100, seed=8)
         rows = run_experiment(cfg)
         assert [(r.m - r.k, r.sampled) for r in rows] == [(1, True), (7, False)]
+
+    def test_best_case_only_sample_raises(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_classify_saturated", lambda pos, n, k: (False, True))
+        with pytest.raises(VerificationError, match="best-case-only"):
+            om_proportion(3, 15, 14, samples=1, seed=0)
+
+    def test_audited_truth_not_nom_raises(self, monkeypatch):
+        report = manipulability.ManipulationReport(manipulability.WOM_ONLY, None, None, None)
+        monkeypatch.setattr(manipulability, "classify", lambda *args, **kwargs: report)
+        with pytest.raises(VerificationError, match="immune cell"):
+            run_experiment(ExperimentConfig((3,), (21,), (7,), samples=2, seed=0))
 
 
 class TestGoldenCsv:

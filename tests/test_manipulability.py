@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omvote import (
+    CcumCertificate,
     CcumInstance,
     InvalidParametersError,
     TooLargeError,
     UnsupportedRuleError,
+    VerificationError,
     borda,
     bruteforce_feasible,
     ccum_bruteforce,
@@ -35,7 +37,7 @@ from omvote import (
     make_profile,
     stv,
 )
-from omvote import ccum
+from omvote import ccum, manipulability
 
 IDENTITY3 = (0, 1, 2)
 IDENTITY4 = (0, 1, 2, 3)
@@ -339,3 +341,40 @@ class TestEntryPointsAgree:
         report = classify(truth, kapproval(20), 3, tuple(range(m)))
         assert report.bom_witness is not None
         assert len(built) <= 1
+
+
+class TestVerificationFaults:
+    """Each witness check raises VerificationError when a fault is injected into what it checks."""
+
+    BOM_TRUTH = (3, 0, 1, 2, 4)  # has a best-case witness under 4-approval, n=3, identity priority
+
+    def _find_bom(self):
+        return find_bom(self.BOM_TRUTH, kapproval(4), 3, (0, 1, 2, 3, 4))
+
+    def test_bom_without_certificate(self, monkeypatch):
+        monkeypatch.setattr(manipulability, "solve_ccum", lambda inst, budget=None: CcumCertificate(False, None))
+        with pytest.raises(VerificationError, match="no certificate"):
+            self._find_bom()
+
+    def test_bom_witness_that_does_not_improve(self, monkeypatch):
+        solve = manipulability.solve_ccum
+
+        def truthful_first(inst, budget=None):
+            cert = solve(inst, budget=budget)
+            return CcumCertificate(True, (self.BOM_TRUTH, *cert.manipulator_ballots[1:]))
+
+        monkeypatch.setattr(manipulability, "solve_ccum", truthful_first)
+        with pytest.raises(VerificationError, match="best-case witness"):
+            self._find_bom()
+
+    def test_bruteforce_wom_witness_rechecked(self, monkeypatch):
+        # the truthful worst case of (0, 1, 2, 3) is 2, so the truth itself does not improve it
+        monkeypatch.setattr(manipulability, "_first_wom", lambda table, pos, o_w: IDENTITY4)
+        with pytest.raises(VerificationError, match="worst-case witness"):
+            find_wom(IDENTITY4, kapproval(2), 3, IDENTITY4, mode="bruteforce")
+
+    def test_randomized_truthful_top_not_a_cowinner(self, monkeypatch):
+        monkeypatch.setattr(manipulability, "_cowinner_feasible_map",
+                            lambda rule, n, m, budget=None: {IDENTITY3: frozenset({1, 2})})
+        with pytest.raises(VerificationError, match="not a co-winner"):
+            classify_randomized_tiebreak(IDENTITY3, (2, 1, 0), 3)

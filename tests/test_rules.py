@@ -242,6 +242,33 @@ class TestStv:
                 assert winner(stv(), profile, (0, 1, 2)) == leaders[0]
 
 
+def _stv_reference(profile, tiebreak):
+    # elimination ties drop the outcome that comes last in the tie-break
+    remaining = set(range(profile.m))
+    while len(remaining) > 1:
+        tops = [next(o for o in ballot if o in remaining) for ballot in profile]
+        fewest = min(tops.count(o) for o in remaining)
+        remaining.remove(max((o for o in remaining if tops.count(o) == fewest), key=tiebreak.index))
+    return remaining.pop()
+
+
+def _runoff_reference(profile, tiebreak):
+    # finalists by first places, ties to the higher priority; a tied runoff to the higher priority too
+    tops = [ballot[0] for ballot in profile]
+    a, b = sorted(range(profile.m), key=lambda o: (-tops.count(o), tiebreak.index(o)))[:2]
+    margin = sum(1 if ballot.index(a) < ballot.index(b) else -1 for ballot in profile)
+    return a if margin > 0 else b if margin < 0 else min(a, b, key=tiebreak.index)
+
+
+@pytest.mark.parametrize("rule, reference", [(stv(), _stv_reference), (runoff(), _runoff_reference)],
+                         ids=["stv", "runoff"])
+@pytest.mark.parametrize("m, n", [(3, 4), (4, 2)])
+def test_ties_follow_the_tiebreak_exhaustively(rule, reference, m, n):
+    for profile in enumerate_profiles(m, n):
+        for tiebreak in enumerate_rankings(m):
+            assert winner(rule, profile, tiebreak) == reference(profile, tiebreak), (profile.ballots, tiebreak)
+
+
 class TestRunoff:
     def test_unanimous(self):
         profile = make_profile([(2, 0, 1)] * 4)
