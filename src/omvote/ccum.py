@@ -1,8 +1,10 @@
 """Constructive coalitional manipulation: can free voters make a target win?
 
-For k-approval style rules one counting pass, private to this module,
-decides which targets the free voters can elect, with no ballots built, and
-the greedy solver builds the ballots of a certificate in polynomial time.
+For k-approval style rules, with at most one fixed ballot, a closed form
+private to this module decides which targets the free voters can elect from
+that ballot's approved set and the tie-break, with no ballots built and
+nothing cached, and the greedy solver builds the ballots of a certificate in
+polynomial time.
 The brute-force solver enumerates manipulator ballot tuples for any rule
 and doubles as the correctness oracle for both.  Each solver decides
 achievable by electing the profile it returns, so a certificate needs no
@@ -30,6 +32,7 @@ class CcumInstance:
     tiebreak: tuple
 
     def __post_init__(self):
+        rules.check_rule(self.rule)
         object.__setattr__(self, "tiebreak", make_tiebreak(self.tiebreak))  # m is its length
         m = self.m
         object.__setattr__(self, "fixed_ballots", tuple(make_ranking(b, m) for b in _ballots(self.fixed_ballots)))
@@ -86,46 +89,39 @@ def ccum_greedy_kapproval(inst: CcumInstance) -> CcumCertificate:
     return CcumCertificate(elected == target, ballots)
 
 
-def _kapproval_reachable(k: int, fixed_ballots: tuple, free: int, tiebreak: tuple) -> frozenset:
-    # The targets the free voters can elect under k-approval, by counting alone.
-    # If some free ballots elect t, so do they with t swapped into every
-    # approved set that lacks it: t gains one, one rival loses one.  So every
-    # free voter may approve t, and t then wins iff each rival o ends with at
-    # most cap_o = top - f_o - [o has priority over t] approvals, where f
-    # counts fixed approvals and top = f_t + free, while the free voters hand
-    # out free*(k-1) rival approvals, at most one per voter to each rival.
-    # Counts x_o <= min(cap_o, free) that sum to free*(k-1) can always be
-    # dealt: list each rival x_o times in a row and give the j-th entry to
-    # voter j mod free, so no voter approves a rival twice and each gets k-1.
-    # Hence t is reachable iff no cap_o is negative and the min(cap_o, free)
-    # sum to at least free*(k-1).
+def _kapproval_reachable(k: int, n: int, fixed, tiebreak: tuple) -> frozenset:
+    # The targets that n voters, all free or all but one holding *fixed*, can
+    # elect under k-approval, by counting alone.  Free ballots electing t
+    # still do with t swapped into every approved set that lacks it, so every
+    # free voter approves t, and t then wins iff each rival o ends with at
+    # most cap_o = top - f_o - [o has priority over t] approvals (f the fixed
+    # approvals, top = f_t + free) while the free voters hand out free*(k-1)
+    # rival approvals, at most one each to a rival.  Any counts x_o <=
+    # min(cap_o, free) summing to free*(k-1) can be dealt (rival by rival,
+    # the j-th approval to voter j mod free), so t is reachable iff no cap_o
+    # is negative and the min(cap_o, free) sum to at least free*(k-1).
     #
-    # Both tests read running counts as the targets go by in priority order,
-    # so no cap is built.  No cap is negative iff top is at least the most
-    # fixed approvals of any outcome and above those of every outcome ahead
-    # of t.  min(cap_o, free) = top - max(f_o + [o ahead of t], f_t), which
-    # is free at o = t, and max(f_o + 1, f_t) = max(f_o, f_t) + [f_o >= f_t];
-    # so, summed over every o, the sum test reads m*top - floors[f_t] -
-    # (outcomes ahead of t with f_o >= f_t) >= free*k, with floors[v] the
-    # sum of max(f_o, v).
+    # Every f_o is 0 or 1.  With room = free*(m-k), idx the outcomes ahead of
+    # t and a the approved ones among them, the sum reads a <= room for an
+    # approved t, whose caps it keeps non-negative, and idx <= room - k for
+    # an unapproved one, whose caps stay non-negative iff free >= 2, or
+    # free = 1 and a = 0.  With no fixed ballot every f_o is 0 and the sum
+    # reads idx <= room.
     m = len(tiebreak)
-    fixed = [0] * m
-    for ballot in fixed_ballots:
-        for o in ballot[:k]:
-            fixed[o] += 1
-    most = max(fixed)
-    floors = [sum(f if f > v else v for f in fixed) for v in range(most + 1)]
-    ahead = [0] * (most + 1)  # outcomes ahead of t in priority, by fixed approvals
-    lead = -1  # the most fixed approvals of an outcome ahead of t
+    if fixed is None:
+        return frozenset(tiebreak[: n * (m - k) + 1])
+    free = n - 1
+    room = free * (m - k)
+    approved = set(fixed[:k])
     reachable = []
-    for t in tiebreak:
-        f = fixed[t]
-        top = f + free
-        if most <= top and lead < top and m * top - floors[f] - sum(ahead[f:]) >= free * k:
+    a = 0
+    for idx, t in enumerate(tiebreak):
+        if t in approved:
+            if a <= room:
+                reachable.append(t)
+            a += 1
+        elif idx <= room - k and (free > 1 or a == 0):
             reachable.append(t)
-        ahead[f] += 1
-        if f > lead:
-            lead = f
     return frozenset(reachable)
 
 
@@ -163,27 +159,27 @@ def possible_outcomes(rule: rules.RuleSpec, n: int, fixed, tiebreak, budget: int
     """Outcomes some ballots of the free voters can elect.
 
     With *fixed* set to one voter's ranking the other n-1 voters are free;
-    with fixed=None all n are.  k-approval rules are decided by counting
-    approvals (_kapproval_reachable), with no ballots built; everything else
-    enumerates ballot tuples.
+    with fixed=None all n are.  k-approval rules are decided in closed form
+    from the fixed ballot's approved set (_kapproval_reachable), with no
+    ballots built and no cache; everything else enumerates ballot tuples.
 
     Every supported rule is neutral: scoring, STV, runoff and Copeland read
     the tie-break only as an order to walk, so relabeling each outcome by
     its place in that order makes it the identity, and winner(pi(P),
     identity) = pi(winner(P, tiebreak)).  A query of an enumerated rule
     under another tie-break is answered under the identity, with the fixed
-    ballot relabeled, and mapped back; counting walks the query's own
-    tie-break and is never relabeled.
+    ballot relabeled, and mapped back; the closed form walks the query's
+    own tie-break and is never relabeled.
 
-    The 2048 most recently used queries are cached under the key they were
-    asked with, and the m! tie-breaks of an enumerated rule share each
-    identity entry: room for the rows of the 64 brute-force tables that
-    manipulability keeps at m=4 and their identity entries, while memory
-    stays bounded and an evicted table is recomputed, not read back from
-    rows that outlived it.  A query is checked here, before any lookup, so
-    the cache holds checked queries only.  k-approval reads only the
-    approved set of the fixed ballot, so its queries are keyed by that set.
+    Only enumerated rules are cached: the 2048 most recently used queries,
+    under the key they were asked with, and the m! tie-breaks of a rule
+    share each identity entry: room for the rows of the 64 brute-force
+    tables that manipulability keeps at m=4 and their identity entries,
+    while memory stays bounded and an evicted table is recomputed, not read
+    back from rows that outlived it.  A query is checked here, before any
+    lookup, so the cache holds checked queries only.
     """
+    rules.check_rule(rule)
     tiebreak = make_tiebreak(tiebreak)
     if fixed is not None:
         fixed = make_ranking(fixed, len(tiebreak))
@@ -195,29 +191,23 @@ def possible_outcomes(rule: rules.RuleSpec, n: int, fixed, tiebreak, budget: int
 def _reachable(rule, n: int, fixed, tiebreak: tuple, budget) -> frozenset:
     # possible_outcomes on a checked query: a valid tie-break, a valid fixed
     # ballot or None, and an int n >= 1
-    m = len(tiebreak)
-    if fixed is not None:
-        k = rules._kapproval_k(rule, m)
-        if k is not None:
-            fixed = tuple(sorted(fixed[:k])) + tuple(sorted(fixed[k:]))
+    k = rules._kapproval_k(rule, len(tiebreak))
+    if k is not None:
+        return _kapproval_reachable(k, n, fixed, tiebreak)
     return _possible_outcomes(rule, n, fixed, tiebreak, budget)
 
 
 @lru_cache(maxsize=2048, typed=True)  # typed: a float budget is its own key, so it meets check_budget
 def _possible_outcomes(rule, n, fixed, tiebreak, budget) -> frozenset:
     m = len(tiebreak)
-    fixed_ballots = (fixed,) if fixed is not None else ()
-    free = n - len(fixed_ballots)
-    k = rules._kapproval_k(rule, m)
-    if k is not None:
-        return _kapproval_reachable(k, fixed_ballots, free, tiebreak)
     identity = tuple(range(m))
     if tiebreak != identity:  # relabel each outcome by its place in the tie-break, which makes it the identity
         place = ranking_positions(tiebreak)
         relabeled = None if fixed is None else tuple(place[o] for o in fixed)
         return frozenset(tiebreak[o] for o in _possible_outcomes(rule, n, relabeled, identity, budget))
+    fixed_ballots = (fixed,) if fixed is not None else ()
     found = set()
-    for profile in enumerate_profiles(m, free, budget, fixed_ballots):
+    for profile in enumerate_profiles(m, n - len(fixed_ballots), budget, fixed_ballots):
         found.add(rules._elect(rule, profile, identity))
         if len(found) == m:
             break

@@ -13,7 +13,15 @@ from dataclasses import dataclass, field
 
 from . import rules
 from .ccum import possible_outcomes
-from .core import Profile, check_budget, check_int, enumerate_rankings, identity_tiebreak, make_tiebreak
+from .core import (
+    Profile,
+    check_budget,
+    check_enumerable,
+    check_int,
+    enumerate_rankings,
+    identity_tiebreak,
+    make_tiebreak,
+)
 
 OM = "OM"
 NOM = "NOM"
@@ -111,6 +119,7 @@ def has_veto_power(rule: rules.RuleSpec, n: int, m: int, tiebreak=None, budget=N
 
     Every rule is neutral, so relabeling by priority position gives every tie-break the identity's verdict.
     """
+    check_enumerable(m)  # before anything of size m is built
     tiebreak = identity_tiebreak(m) if tiebreak is None else make_tiebreak(tiebreak, m)
     possible = possible_outcomes(rule, n, None, tiebreak, budget)
     for report in enumerate_rankings(m):
@@ -130,6 +139,8 @@ def is_almost_unanimous(rule: rules.RuleSpec, n: int, m: int, tiebreak=None, bud
     TooLargeError beyond *budget* (default 10^8) ballot tuples; the search
     has m * m! * ((m-1)!)^(n-1).
     """
+    check_enumerable(m)  # before anything of size m is built
+    rules.check_rule(rule)
     check_int(n, "almost-unanimity's n", 2)
     order = identity_tiebreak(m) if tiebreak is None else make_tiebreak(tiebreak, m)
     rankings = tuple(enumerate_rankings(m))

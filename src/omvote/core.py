@@ -127,11 +127,19 @@ def _ballots(ballots) -> tuple:
         raise InvalidParametersError(f"ballots must be a sequence of rankings, got {ballots!r}") from None
 
 
-def enumerate_rankings(m: int) -> Iterator:
-    """Yield all m! rankings in lexicographic order."""
+def check_enumerable(m: int) -> int:
+    """*m* if its m! rankings may be enumerated; TooLargeError beyond MAX_ENUMERATED_OUTCOMES.
+
+    A search over rankings checks this before it builds anything of size m.
+    """
     if check_int(m, "m", 1) > MAX_ENUMERATED_OUTCOMES:
         raise TooLargeError(f"refusing to enumerate {m}! rankings (m > {MAX_ENUMERATED_OUTCOMES})")
-    return itertools.permutations(range(m))
+    return m
+
+
+def enumerate_rankings(m: int) -> Iterator:
+    """Yield all m! rankings in lexicographic order."""
+    return itertools.permutations(range(check_enumerable(m)))
 
 
 def check_budget(count: int, budget: int | None, what: str = "ballot tuples") -> None:

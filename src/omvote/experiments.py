@@ -59,9 +59,21 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_values", "m_values", "mk_values"):  # stored as tuples, so a range or a list will do
+            object.__setattr__(self, name, _ints(getattr(self, name), name))
         check_int(self.samples, "samples", 1)
         if not (self.n_values and self.m_values and self.mk_values):
             raise InvalidParametersError("empty parameter range")
+
+
+def _ints(values, what: str) -> tuple:
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise InvalidParametersError(f"{what} must be a sequence of integers, got {values!r}") from None
+    for v in values:
+        check_int(v, f"each of {what}")
+    return values
 
 
 def _classify_saturated(pos, n: int, k: int) -> tuple:
@@ -139,15 +151,14 @@ def run_experiment(config: ExperimentConfig) -> list:
 
     The first immune cell is audited on min(500, samples) of its truths.
     """
-    cells = [(n, m, check_int(m, "m") - check_int(mk, "m-k")) for n in config.n_values
-             for m in config.m_values for mk in config.mk_values]
+    cells = [(n, m, m - mk) for n in config.n_values for m in config.m_values for mk in config.mk_values]
     return _run_cells(cells, config.samples, config.seed, DEFAULT_AUDIT_SAMPLES)
 
 
 def sweep_n(m: int, k: int, n_values: Iterable[int], samples: int, seed: int) -> list:
     """Manipulation rates as the voter count grows, m and k fixed."""
     mk = check_int(m, "m") - check_int(k, "k")
-    return run_experiment(ExperimentConfig(tuple(n_values), (m,), (mk,), samples, seed))
+    return run_experiment(ExperimentConfig(n_values, (m,), (mk,), samples, seed))
 
 
 def heatmap(
@@ -158,7 +169,7 @@ def heatmap(
     mk_values: Iterable[int] = range(1, 10),
 ) -> list:
     """Manipulation rates over a grid of m and disapproval counts, n fixed."""
-    return run_experiment(ExperimentConfig((n,), tuple(m_values), tuple(mk_values), samples, seed))
+    return run_experiment(ExperimentConfig((n,), m_values, mk_values, samples, seed))
 
 
 CSV_HEADER = "n,m,k,m_minus_k,samples,seed,p_wom,p_bom,p_om"

@@ -7,11 +7,12 @@ improves the worst reachable outcome is a worst-case manipulation.  A rule
 instance admitting neither, for any misreport, is classified NOM.
 
 Two independent routes are provided: a reduction onto coalition
-manipulation (polynomial, k-approval rules only: approval counts decide
-reachability, the greedy solver builds certificates) and plain
-exhaustive search (any rule, small elections).  They are cross-checked
-against each other in the test suite.  The reduction decides each witness
-once, through the cached reachable sets; a brute-force witness and every
+manipulation (polynomial, k-approval rules only: a closed form in the
+report's approved set decides reachability, uncached, and the greedy solver
+builds certificates) and plain exhaustive search (any rule, small
+elections).  They are cross-checked against each other in the test suite.
+The reduction decides each witness once, through those reachable sets, as
+brute force does through its cached ones; a brute-force witness and every
 BOM witness are checked again against those sets, and a disagreement
 surfaces as a VerificationError rather than being silently trusted.
 """
@@ -59,12 +60,13 @@ class ManipulationReport:
 
 def case_outcomes(truth, report, rule: rules.RuleSpec, n: int, tiebreak, budget=None) -> CaseOutcomes:
     """Reachable-outcome extremes when a voter with preference *truth* files *report*."""
-    truth, tiebreak, pos = _checked(truth, n, tiebreak, budget)
+    truth, tiebreak, pos = _checked(truth, rule, n, tiebreak, budget)
     return _cases(make_ranking(report, len(truth)), rule, n, tiebreak, pos, budget)
 
 
-def _checked(truth, n, tiebreak, budget) -> tuple:
+def _checked(truth, rule, n, tiebreak, budget) -> tuple:
     # the one check of a query at a public entry point: (truth, tiebreak, pos)
+    rules.check_rule(rule)
     truth = make_ranking(truth)
     tiebreak = make_tiebreak(tiebreak, len(truth))
     check_int(n, "n", 2)
@@ -88,7 +90,7 @@ def find_bom(truth, rule: rules.RuleSpec, n: int, tiebreak, budget=None) -> BomW
     every voter manipulate; if it beats the truthful best, the coalition
     certificate's first ballot is the witness misreport.
     """
-    truth, tiebreak, pos = _checked(truth, n, tiebreak, budget)
+    truth, tiebreak, pos = _checked(truth, rule, n, tiebreak, budget)
     return _find_bom(rule, n, tiebreak, pos, _cases(truth, rule, n, tiebreak, pos, budget), budget)
 
 
@@ -115,7 +117,7 @@ def find_wom(truth, rule: rules.RuleSpec, n: int, tiebreak, mode: str = "auto", 
     approvals counted, beats the truthful worst.  mode='bruteforce' scans
     all m! misreports and returns the lexicographically first improving one.
     """
-    truth, tiebreak, pos = _checked(truth, n, tiebreak, budget)
+    truth, tiebreak, pos = _checked(truth, rule, n, tiebreak, budget)
     k = _reduction_k(rule, len(truth), mode)
     return _find_wom(rule, n, tiebreak, pos, _cases(truth, rule, n, tiebreak, pos, budget), k, budget)
 
@@ -151,7 +153,7 @@ def _first_wom(table: dict, pos, o_w):
 
 def classify(truth, rule: rules.RuleSpec, n: int, tiebreak, mode: str = "auto", budget=None) -> ManipulationReport:
     """Full zero-information classification of one truthful ranking."""
-    truth, tiebreak, pos = _checked(truth, n, tiebreak, budget)
+    truth, tiebreak, pos = _checked(truth, rule, n, tiebreak, budget)
     k = _reduction_k(rule, len(truth), mode)
     truthful = _cases(truth, rule, n, tiebreak, pos, budget)
     bom = _find_bom(rule, n, tiebreak, pos, truthful, budget)
@@ -206,9 +208,7 @@ def _bruteforce_feasible_map(rule: rules.RuleSpec, n: int, tiebreak, budget=None
 
 def bruteforce_feasible(rule: rules.RuleSpec, n: int, report, tiebreak, budget=None) -> frozenset:
     """Exhaustively computed reachable outcomes for one fixed report."""
-    report = make_ranking(report)
-    tiebreak = make_tiebreak(tiebreak, len(report))
-    check_int(n, "n", 2)
+    report, tiebreak, _ = _checked(report, rule, n, tiebreak, budget)
     return _bruteforce_feasible_map(rule, n, tiebreak, budget)[report]
 
 

@@ -57,6 +57,13 @@ class RuleSpec:
         return self.name in SCORING_RULE_NAMES
 
 
+def check_rule(rule) -> RuleSpec:
+    """*rule* if it is a RuleSpec; else InvalidParametersError, so no AttributeError escapes for one."""
+    if isinstance(rule, RuleSpec):
+        return rule
+    raise InvalidParametersError(f"rule must be a RuleSpec, got {rule!r}")
+
+
 def borda() -> RuleSpec:
     return RuleSpec("borda")
 
@@ -112,6 +119,7 @@ def score_vector(rule: RuleSpec, m: int, n: int | None = None) -> tuple:
     For the vetofamily the constraint omega > m*eps*(n-1) is checked whenever
     the voter count n is supplied.
     """
+    check_rule(rule)
     check_int(m, "a scoring rule's m", 2)
     if rule.name == "borda":
         return tuple(Fraction(m - 1 - i) for i in range(m))
@@ -157,7 +165,7 @@ def _canonical_weights(rule: RuleSpec, m: int, n: int | None = None) -> tuple:
 
 def kapproval_k(rule: RuleSpec, m: int) -> int | None:
     """The k of a k-approval rule, or None: a scoring rule whose canonical vector is 0/1 approves its sum."""
-    return _kapproval_k(rule, check_int(m, "m"))
+    return _kapproval_k(check_rule(rule), check_int(m, "m"))
 
 
 @lru_cache(maxsize=512)
@@ -296,6 +304,9 @@ def _elect(rule: RuleSpec, profile: Profile, order) -> int:
 
 def winner(rule: RuleSpec, profile: Profile, tiebreak) -> int:
     """Evaluate any supported rule on a profile with a fixed tie-break; an unknown rule is named first."""
+    check_rule(rule)
+    if not isinstance(profile, Profile):
+        raise InvalidParametersError(f"winner needs a Profile, got {profile!r}")
     return _elect(rule, profile, _check_tiebreak(tiebreak, profile.m) if rule.name in RULE_NAMES else None)
 
 

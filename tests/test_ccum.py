@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omvote import (
@@ -25,7 +25,7 @@ from omvote import (
     solve_ccum,
     winner,
 )
-from omvote import ccum
+from omvote import ccum, manipulability
 
 
 class TestGreedy:
@@ -142,27 +142,27 @@ class TestGreedyAgainstBruteforce:
 
 @st.composite
 def kapproval_instances(draw, max_m, max_free):
-    """(k, fixed ballots, free voters, tie-break) with at least one voter."""
+    """(k, n, the one fixed ballot or None, tie-break) with at least one voter."""
     m = draw(st.integers(3, max_m), label="m")
     k = draw(st.integers(1, m - 1), label="k")
-    fixed = tuple(tuple(b) for b in draw(st.lists(st.permutations(range(m)), max_size=3), label="fixed"))
-    free = draw(st.integers(0, max_free), label="free")
-    assume(fixed or free)
-    return k, fixed, free, tuple(draw(st.permutations(range(m)), label="tiebreak"))
+    fixed = draw(st.none() | st.permutations(range(m)).map(tuple), label="fixed")
+    free = draw(st.integers(0 if fixed else 1, max_free), label="free")
+    return k, free + (fixed is not None), fixed, tuple(draw(st.permutations(range(m)), label="tiebreak"))
 
 
-def _counted(k, fixed, free, tiebreak):
-    return ccum._kapproval_reachable(k, fixed, free, tiebreak)
+def _counted(k, n, fixed, tiebreak):
+    return ccum._kapproval_reachable(k, n, fixed, tiebreak)
 
 
-def _solved(solver, k, fixed, free, tiebreak):
+def _solved(solver, k, n, fixed, tiebreak):
     # the targets *solver* elects, asked one CcumInstance at a time
+    fixed_ballots = () if fixed is None else (fixed,)
     return {t for t in range(len(tiebreak))
-            if solver(CcumInstance(kapproval(k), fixed, free, t, tiebreak)).achievable}
+            if solver(CcumInstance(kapproval(k), fixed_ballots, n - len(fixed_ballots), t, tiebreak)).achievable}
 
 
 class TestCountingAgainstSolvers:
-    """The counting test decides reachability; the greedy and brute force stay as its oracles."""
+    """The closed form decides reachability; the greedy and brute force stay as its oracles."""
 
     @settings(max_examples=300, deadline=None)
     @given(kapproval_instances(max_m=12, max_free=6))
@@ -175,31 +175,53 @@ class TestCountingAgainstSolvers:
         assert _counted(*instance) == _solved(ccum_bruteforce, *instance)
 
     def test_plurality(self):
-        # k=1: outcome 0 holds two approvals, so one free voter elects nothing else, three elect anything
-        fixed = ((0, 1, 2), (0, 2, 1))
-        for free, expected in ((1, {0}), (2, {0}), (3, {0, 1, 2})):
-            assert _counted(1, fixed, free, (0, 1, 2)) == expected
-            assert _solved(ccum_greedy_kapproval, 1, fixed, free, (0, 1, 2)) == expected
+        # k=1: the fixed ballot approves 0, the top priority, so one free voter elects nothing else, two elect anything
+        for n, expected in ((2, {0}), (3, {0, 1, 2})):
+            assert _counted(1, n, (0, 1, 2), (0, 1, 2)) == expected
+            assert _solved(ccum_greedy_kapproval, 1, n, (0, 1, 2), (0, 1, 2)) == expected
 
     def test_antiplurality(self):
         # k=m-1: the fixed ballot vetoes 0, and each free voter vetoes one rival of the target;
         # 3 loses every tie, so it needs both higher-priority rivals vetoed, which takes two voters
-        fixed = ((3, 2, 1, 0),)
-        for free, expected in ((1, {1, 2}), (2, {1, 2, 3}), (3, {0, 1, 2, 3})):
-            assert _counted(3, fixed, free, (0, 1, 2, 3)) == expected
-            assert _solved(ccum_bruteforce, 3, fixed, free, (0, 1, 2, 3)) == expected
+        for n, expected in ((2, {1, 2}), (3, {1, 2, 3}), (4, {0, 1, 2, 3})):
+            assert _counted(3, n, (3, 2, 1, 0), (0, 1, 2, 3)) == expected
+            assert _solved(ccum_bruteforce, 3, n, (3, 2, 1, 0), (0, 1, 2, 3)) == expected
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_no_free_voter_leaves_the_fixed_winner(self, k):
-        fixed = ((2, 0, 3, 1), (1, 3, 0, 2), (3, 1, 2, 0))
-        tiebreak = (1, 3, 0, 2)
-        assert _counted(k, fixed, 0, tiebreak) == {winner(kapproval(k), Profile(fixed, 4), tiebreak)}
+        # free = 0 (n = 1): only the fixed ballot's own winner, its approved outcome of highest priority
+        fixed, tiebreak = (2, 0, 3, 1), (1, 3, 0, 2)
+        expected = {winner(kapproval(k), Profile((fixed,), 4), tiebreak)}
+        assert _counted(k, 1, fixed, tiebreak) == expected
+        assert _solved(ccum_bruteforce, k, 1, fixed, tiebreak) == expected
+
+    def test_one_free_voter_behind_an_approved_rival(self):
+        # free = 1, k = 2: the fixed ballot approves 1 and 4.  The lone free voter lifts the
+        # disapproved 0, ahead of both, into a tie it wins, but not 2, behind 1 (a = 0 fails);
+        # two free voters lift every outcome
+        fixed, tiebreak = (1, 4, 0, 2, 3, 5), (0, 1, 2, 3, 4, 5)
+        for n, expected in ((2, {0, 1, 4}), (3, {0, 1, 2, 3, 4, 5})):
+            assert _counted(2, n, fixed, tiebreak) == expected
+            assert _solved(ccum_bruteforce, 2, n, fixed, tiebreak) == expected
 
     def test_all_voters_free(self):
-        # fixed=None: two free voters cannot lift the last in priority over three rivals at k=3
+        # fixed=None: the first n(m-k)+1 outcomes of the tie-break, so two free voters
+        # cannot lift the last in priority over three rivals at k=3
+        assert _counted(3, 2, None, (0, 1, 2, 3)) == {0, 1, 2}
+        assert _solved(ccum_bruteforce, 3, 2, None, (0, 1, 2, 3)) == {0, 1, 2}
         assert possible_outcomes(kapproval(3), 2, None, (0, 1, 2, 3)) == {0, 1, 2}
-        assert _solved(ccum_bruteforce, 3, (), 2, (0, 1, 2, 3)) == {0, 1, 2}
         assert possible_outcomes(kapproval(3), 3, None, (3, 1, 0, 2)) == {0, 1, 2, 3}
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_matches_the_approval_set_quotient(self, m):
+        # manipulability's brute-force table takes the max over multisets of approved sets,
+        # an enumeration independent of both solvers: every report, n <= 4, two tie-breaks
+        for tiebreak in (tuple(range(m)), (*range(1, m, 2), *range(0, m, 2))):
+            for k in range(1, m):
+                for n in (2, 3, 4):
+                    table = manipulability._bruteforce_feasible_map(kapproval(k), n, tiebreak)
+                    for report, feasible in table.items():
+                        assert _counted(k, n, report, tiebreak) == feasible, (k, n, report, tiebreak)
 
 
 class TestPossibleOutcomes:
@@ -288,12 +310,12 @@ class TestPossibleOutcomes:
         assert after.hits >= before.hits + 1
 
     def test_kapproval_keyed_by_approved_set(self):
-        # k-approval reads only the approved set of the fixed ballot
+        # k-approval reads only the approved set of the fixed ballot, in closed form and past the cache
         tiebreak = (3, 0, 4, 1, 2)
-        first = possible_outcomes(kapproval(2), 3, (4, 1, 0, 3, 2), tiebreak)
         before = ccum.possible_outcomes.cache_info()
+        first = possible_outcomes(kapproval(2), 3, (4, 1, 0, 3, 2), tiebreak)
         assert possible_outcomes(kapproval(2), 3, (1, 4, 2, 0, 3), tiebreak) == first
-        assert ccum.possible_outcomes.cache_info().hits == before.hits + 1
+        assert ccum.possible_outcomes.cache_info() == before
 
     @pytest.mark.parametrize("fixed, tiebreak, error", [
         ((0, 1, 2, 3), (0, 1, 2, 3, 4), WrongLengthError),

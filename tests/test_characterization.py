@@ -31,6 +31,7 @@ from omvote import (
     vetofamily,
     weakly_diminishing,
 )
+from omvote import characterization
 from omvote.core import ranking_positions
 
 F = Fraction
@@ -147,6 +148,19 @@ class TestVetoPower:
 def test_non_integer_n_rejected(detector, n):
     with pytest.raises(InvalidParametersError):
         detector(borda(), n, 3)
+
+
+@pytest.mark.parametrize("m", [9, 10**30])
+@pytest.mark.parametrize("detector", [has_veto_power, is_almost_unanimous])
+def test_too_many_outcomes_rejected_first(detector, m, monkeypatch):
+    # m is weighed against the enumeration cap before anything of size m is built
+    def unreachable(*args):
+        raise AssertionError("built before the cap was checked")
+
+    for name in ("identity_tiebreak", "possible_outcomes"):
+        monkeypatch.setattr(characterization, name, unreachable)
+    with pytest.raises(TooLargeError):
+        detector(kapproval(2), 3, m)
 
 
 class TestAlmostUnanimous:

@@ -253,10 +253,13 @@ class TestOneIntegerCheck:
         lambda: omvote.classify((0, 1, 2), omvote.borda(), 3, (0, 1, 2), budget="x"),
         lambda: omvote.kapproval_k(omvote.kapproval(2), 4.0),
         lambda: make_ranking((0, 1, 2), "3"),
+        lambda: omvote.ExperimentConfig(5, (15,), (1,)),
+        lambda: omvote.sweep_n(15, 14, None, 10, 0),
+        lambda: omvote.heatmap(3, None, 10, 0),
     ], ids=["manipulators", "float-target", "str-target", "veto-m", "veto-m-tiebreak", "unanimous-m",
             "profiles-voters", "rankings-m", "sample-m", "sample-seed", "score-vector-m", "sweep-k", "heatmap-mk",
             "config-samples", "audit-n", "bom-str-n", "bom-zero-n", "nom-float-n", "budget", "kapproval-k-m",
-            "ranking-str-m"])
+            "ranking-str-m", "config-int-n", "sweep-none-n", "heatmap-none-m"])
     def test_escape_is_rejected(self, call):
         with pytest.raises(InvalidParametersError):
             call()
@@ -313,9 +316,23 @@ class TestShapeBeforeLength:
         lambda: enumerate_profiles(3, 1, None, None),
         lambda: format_profile(make_profile([(0, 1, 2)]), 5),
         lambda: format_profile(make_profile([(0, 1, 2)]), (0, 1)),  # text that parse_profile would reject
+        lambda: omvote.classify((0, 1, 2), None, 3, (0, 1, 2)),
+        lambda: omvote.find_wom((0, 1, 2), "borda", 3, (0, 1, 2)),
+        lambda: omvote.possible_outcomes(None, 3, None, (0, 1, 2)),
+        lambda: omvote.bruteforce_feasible(None, 3, (0, 1, 2), (0, 1, 2)),
+        lambda: omvote.has_veto_power(None, 3, 3),
+        lambda: omvote.is_almost_unanimous(None, 3, 3),
+        lambda: omvote.solve_ccum(omvote.CcumInstance(None, (), 2, 0, (0, 1, 2))),
+        lambda: omvote.classify((0, 1, 2), ["borda"], 3, (0, 1, 2)),
+        lambda: omvote.possible_outcomes(["borda"], 3, (0, 1, 2), (0, 1, 2)),
+        lambda: omvote.kapproval_k(None, 3),
+        lambda: omvote.winner(omvote.borda(), (0, 1, 2), (0, 1, 2)),
     ], ids=["winner-none", "winner-int", "ccum-instance", "ccum-none-ballots", "ccum-int-ballots",
             "randomized-truth", "scores-none", "cowinners-int", "scoring-winner-none", "profile-none-ballot",
-            "profile-none", "prefers-none", "fixed-none", "format-int-tiebreak", "format-short-tiebreak"])
+            "profile-none", "prefers-none", "fixed-none", "format-int-tiebreak", "format-short-tiebreak",
+            "classify-none-rule", "wom-str-rule", "possible-none-rule", "feasible-none-rule", "veto-none-rule",
+            "unanimous-none-rule", "ccum-none-rule", "classify-list-rule", "possible-list-rule",
+            "kapproval-k-none-rule", "winner-tuple-profile"])
     def test_rejected(self, call):
         with pytest.raises(VotingError):
             call()
