@@ -185,13 +185,12 @@ def possible_outcomes(rule: rules.RuleSpec, n: int, fixed, tiebreak, budget: int
         fixed = make_ranking(fixed, len(tiebreak))
     if budget is not None:
         check_int(budget, "budget")
-    return _reachable(rule, check_int(n, "n", 1), fixed, tiebreak, budget)
+    return _reachable(rule, rules._kapproval_k(rule, len(tiebreak)), check_int(n, "n", 1), fixed, tiebreak, budget)
 
 
-def _reachable(rule, n: int, fixed, tiebreak: tuple, budget) -> frozenset:
+def _reachable(rule, k, n: int, fixed, tiebreak: tuple, budget) -> frozenset:
     # possible_outcomes on a checked query: a valid tie-break, a valid fixed
-    # ballot or None, and an int n >= 1
-    k = rules._kapproval_k(rule, len(tiebreak))
+    # ballot or None, an int n >= 1, and k = rules._kapproval_k(rule, m)
     if k is not None:
         return _kapproval_reachable(k, n, fixed, tiebreak)
     return _possible_outcomes(rule, n, fixed, tiebreak, budget)

@@ -188,17 +188,35 @@ def sample_ranking(m: int, seed: int, index: int) -> Ranking:
     """Uniformly random ranking, fully determined by (m, seed, index).
 
     Fisher-Yates driven by a SplitMix64 stream; bounded draws use rejection
-    sampling so every permutation is exactly equally likely.
+    sampling so every permutation is exactly equally likely.  The checks are
+    made here; the shuffle is _fisher_yates, the stream's one kernel, which
+    the experiment grids call directly with the seed's key and the steps
+    made once, so their truth i of m outcomes is sample_ranking(m, seed, i).
     """
-    state = _mix64((check_int(seed, "seed") & _MASK64) ^ _GOLDEN)
-    state = _mix64(state ^ (check_int(index, "index") & _MASK64))
-    arr = list(range(check_int(m, "m", 1)))
-    for j in range(m - 1, 0, -1):
-        bound = j + 1
-        limit = (1 << 64) - ((1 << 64) % bound)
+    key = _seed_key(check_int(seed, "seed"))
+    return _fisher_yates(m, key, check_int(index, "index"), _fisher_yates_steps(check_int(m, "m", 1)))
+
+
+def _seed_key(seed: int) -> int:
+    return _mix64((seed & _MASK64) ^ _GOLDEN)
+
+
+def _fisher_yates_steps(m: int) -> tuple:
+    # (j, j+1, limit) of each step: a draw r is kept iff r < limit, the largest multiple of j+1 up to 2^64
+    return tuple((j, j + 1, (1 << 64) - (1 << 64) % (j + 1)) for j in range(m - 1, 0, -1))
+
+
+def _fisher_yates(m: int, key: int, index: int, steps: tuple) -> Ranking:
+    # shuffle range(m) by the stream of (key, index), taking the steps of _fisher_yates_steps(m); _mix64 inlined
+    mask, golden = _MASK64, _GOLDEN  # locals: about 10% of a draw goes to global lookups
+    state = _mix64(key ^ (index & mask))
+    arr = list(range(m))
+    for j, bound, limit in steps:
         while True:
-            state = (state + _GOLDEN) & _MASK64
-            r = _mix64(state)
+            state = (state + golden) & mask
+            r = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            r = ((r ^ (r >> 27)) * 0x94D049BB133111EB) & mask
+            r ^= r >> 31
             if r < limit:
                 break
         i = r % bound

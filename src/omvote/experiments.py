@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 from . import manipulability, rules
 from .characterization import kapproval_om
-from .core import check_int, identity_tiebreak, ranking_positions, sample_ranking
+from .core import _fisher_yates, _fisher_yates_steps, _seed_key, check_int, identity_tiebreak, ranking_positions
 from .errors import InvalidParametersError, VerificationError
 
 DEFAULT_SAMPLES = 100_000
@@ -76,60 +76,72 @@ def _ints(values, what: str) -> tuple:
     return values
 
 
-def _classify_saturated(pos, n: int, k: int) -> tuple:
-    """(wom, bom) for the truth with positions *pos*, k-approval, identity tie-break.
+def _classify_saturated(pos, cells) -> list:
+    """(wom, bom) of the truth with positions *pos* in each cell (k, need, L) = (k, (n-1)(m-k)+1, n(m-k)+1).
 
-    Valid only when m >= n*(m-k)+2: the n(m-k) disapprovals never cover all
-    outcomes, so a report approving the set A reaches exactly the c+1 =
-    (n-1)(m-k)+1 highest-priority members of A.  Those lie among the
-    n(m-k)+1 outcomes of highest priority, which under the identity are
-    0..n(m-k), so a scan of their places pos[: n(m-k)+1] in the truth
-    replaces sorting.  Truthfully, at most m-k of them are disapproved and
-    the first c+1 approved ones are reachable.  The candidate misreport
-    approves the outcomes better than the truthful worst and every bad one
-    but the m-k of highest priority; it is a WOM iff c+1 good outcomes come
-    before the (m-k+1)-th bad one, i.e. iff the scan holds c+1 good ones.
+    k-approval, identity tie-break.  Valid only when m >= n*(m-k)+2: the
+    n(m-k) disapprovals never cover all outcomes, so a report approving the
+    set A reaches exactly the need highest-priority members of A.  Those lie
+    among the L outcomes of highest priority, 0..L-1, so a scan of their
+    places pos[:L] in the truth replaces sorting.  At most m-k of them are
+    disapproved, so the approved places a of the scan hold at least need,
+    and the truthful reachable set is the head a[:need].  The candidate
+    misreport approves the outcomes better than the truthful worst, at place
+    cut = max(head), and every bad one but the m-k of highest priority; it
+    is a WOM iff the scan holds need places below cut.  The head holds
+    need-1 and a disapproved place is >= k > cut, so that reads max(head) >
+    min(a[need:]).  The least of L distinct places is at most m-L < k, so
+    approved, and a BOM, a scanned place below min(head), reads min(head) >
+    min(a[need:]).  With a[need:] empty, neither holds.
     """
-    mk = len(pos) - k
-    need = (n - 1) * mk + 1
-    ranks = pos[: n * mk + 1]
-    feasible = [r for r in ranks if r < k][:need]
-    cut = max(feasible)
-    return len([r for r in ranks if r < cut]) >= need, min(ranks) < min(feasible)
+    flags = []
+    for k, need, L in cells:
+        a = [r for r in pos[:L] if r < k]
+        if len(a) > need:
+            head, low = a[:need], min(a[need:])
+            flags.append((max(head) > low, min(head) > low))
+        else:
+            flags.append((False, False))
+    return flags
 
 
 def _run_cells(cells, samples: int, seed: int, audit_samples: int) -> list:
     """One row per (n, m, k) cell, in order, from one sampling pass per m, under the identity priority.
 
-    Truth i of m outcomes is sample_ranking(m, seed, i), drawn once and
-    classified for every sampled cell of that m.  The first immune cell is
-    audited when audit_samples > 0: its first min(audit_samples, samples)
-    truths, the same draws, must each come out NOM through the reduction.
+    Truth i of m outcomes is sample_ranking(m, seed, i), drawn once by its
+    kernel, core._fisher_yates, from the seed's key and the m's steps made
+    once, and classified for every sampled cell of that m by one
+    _classify_saturated call.  The first immune cell is audited when
+    audit_samples > 0: its first min(audit_samples, samples) truths, the
+    same draws, must each come out NOM through the reduction.
     """
     check_int(samples, "samples", 1)
-    check_int(seed, "seed")
+    key = _seed_key(check_int(seed, "seed"))
     immune = [cell for cell in cells if not kapproval_om(*cell).holds]  # the one check of a cell, and its verdict
     audited = immune[0] if immune and audit_samples > 0 else None
+    if audited:
+        rule, tiebreak = rules.kapproval(audited[2]), identity_tiebreak(audited[1])
     counts = {}
     for m in dict.fromkeys(m for _, m, _ in cells):
-        sampled = [(n, k, [0, 0, 0]) for n, mm, k in cells if mm == m and (n, m, k) not in immune]
-        counts.update(((n, m, k), c) for n, k, c in sampled)
+        sampled = [cell for cell in cells if cell[1] == m and cell not in immune]
+        tallies = [[0, 0, 0] for _ in sampled]
+        counts.update(zip(sampled, tallies))
+        consts = [(k, (n - 1) * (m - k) + 1, n * (m - k) + 1) for n, _, k in sampled]
+        steps = _fisher_yates_steps(m)
         audit_n = min(audit_samples, samples) if audited and audited[1] == m else 0
         for i in range(samples if sampled else audit_n):
-            truth = sample_ranking(m, seed, i)
+            truth = _fisher_yates(m, key, i, steps)
             pos = ranking_positions(truth)  # once per draw, for all of its cells
-            for n, k, c in sampled:
-                wom, bom = _classify_saturated(pos, n, k)
+            for (wom, bom), c in zip(_classify_saturated(pos, consts), tallies):
                 if bom and not wom:
                     raise VerificationError(f"best-case-only manipulation at sample {i}: {truth}")
                 c[0] += wom
                 c[1] += bom
                 c[2] += wom or bom
             if i < audit_n:
-                n, _, k = audited
-                report = manipulability.classify(truth, rules.kapproval(k), n, identity_tiebreak(m), mode="reduction")
+                report = manipulability.classify(truth, rule, audited[0], tiebreak, mode="reduction")
                 if report.classification != manipulability.NOM:
-                    raise VerificationError(f"immune cell n={n}, m={m}, k={k} classified "
+                    raise VerificationError(f"immune cell n={audited[0]}, m={m}, k={audited[2]} classified "
                                             f"{report.classification} for {truth}")
     return [ProportionRow(*cell, samples, seed, *counts.get(cell, (0, 0, 0)), sampled=cell in counts)
             for cell in cells]

@@ -60,23 +60,23 @@ class ManipulationReport:
 
 def case_outcomes(truth, report, rule: rules.RuleSpec, n: int, tiebreak, budget=None) -> CaseOutcomes:
     """Reachable-outcome extremes when a voter with preference *truth* files *report*."""
-    truth, tiebreak, pos = _checked(truth, rule, n, tiebreak, budget)
-    return _cases(make_ranking(report, len(truth)), rule, n, tiebreak, pos, budget)
+    truth, tiebreak, pos, k = _checked(truth, rule, n, tiebreak, budget)
+    return _cases(make_ranking(report, len(truth)), rule, k, n, tiebreak, pos, budget)
 
 
 def _checked(truth, rule, n, tiebreak, budget) -> tuple:
-    # the one check of a query at a public entry point: (truth, tiebreak, pos)
+    # the one check of a query at a public entry point: (truth, tiebreak, pos, k), k looked up once per query
     rules.check_rule(rule)
     truth = make_ranking(truth)
     tiebreak = make_tiebreak(tiebreak, len(truth))
     check_int(n, "n", 2)
     if budget is not None:  # a counting route never weighs it, so it is checked here
         check_int(budget, "budget")
-    return truth, tiebreak, ranking_positions(truth)
+    return truth, tiebreak, ranking_positions(truth), rules._kapproval_k(rule, len(truth))
 
 
-def _cases(report, rule, n, tiebreak, pos, budget) -> CaseOutcomes:
-    return _extremes(_reachable(rule, n, report, tiebreak, budget), pos)
+def _cases(report, rule, k, n, tiebreak, pos, budget) -> CaseOutcomes:
+    return _extremes(_reachable(rule, k, n, report, tiebreak, budget), pos)
 
 
 def _extremes(feasible: frozenset, pos) -> CaseOutcomes:
@@ -90,12 +90,12 @@ def find_bom(truth, rule: rules.RuleSpec, n: int, tiebreak, budget=None) -> BomW
     every voter manipulate; if it beats the truthful best, the coalition
     certificate's first ballot is the witness misreport.
     """
-    truth, tiebreak, pos = _checked(truth, rule, n, tiebreak, budget)
-    return _find_bom(rule, n, tiebreak, pos, _cases(truth, rule, n, tiebreak, pos, budget), budget)
+    truth, tiebreak, pos, k = _checked(truth, rule, n, tiebreak, budget)
+    return _find_bom(rule, k, n, tiebreak, pos, _cases(truth, rule, k, n, tiebreak, pos, budget), budget)
 
 
-def _find_bom(rule, n, tiebreak, pos, truthful, budget):
-    reachable_any = _reachable(rule, n, None, tiebreak, budget)
+def _find_bom(rule, k, n, tiebreak, pos, truthful, budget):
+    reachable_any = _reachable(rule, k, n, None, tiebreak, budget)
     o_star = min(reachable_any, key=lambda o: pos[o])
     if pos[o_star] >= pos[truthful.best]:
         return None
@@ -103,7 +103,7 @@ def _find_bom(rule, n, tiebreak, pos, truthful, budget):
     if not cert.achievable:
         raise VerificationError(f"outcome {o_star} reachable but no certificate found")
     witness = BomWitness(cert.manipulator_ballots[0], cert.manipulator_ballots[1:])
-    if pos[_cases(witness.misreport, rule, n, tiebreak, pos, budget).best] >= pos[truthful.best]:
+    if pos[_cases(witness.misreport, rule, k, n, tiebreak, pos, budget).best] >= pos[truthful.best]:
         raise VerificationError("best-case witness does not improve the best case")
     return witness
 
@@ -117,30 +117,29 @@ def find_wom(truth, rule: rules.RuleSpec, n: int, tiebreak, mode: str = "auto", 
     approvals counted, beats the truthful worst.  mode='bruteforce' scans
     all m! misreports and returns the lexicographically first improving one.
     """
-    truth, tiebreak, pos = _checked(truth, rule, n, tiebreak, budget)
-    k = _reduction_k(rule, len(truth), mode)
-    return _find_wom(rule, n, tiebreak, pos, _cases(truth, rule, n, tiebreak, pos, budget), k, budget)
+    truth, tiebreak, pos, k = _checked(truth, rule, n, tiebreak, budget)
+    reduce = _reduction(k, mode)
+    return _find_wom(rule, k, n, tiebreak, pos, _cases(truth, rule, k, n, tiebreak, pos, budget), reduce, budget)
 
 
-def _reduction_k(rule, m: int, mode: str):
-    # the k the reduction runs with, or None when brute force answers
+def _reduction(k, mode: str) -> bool:
+    # whether the reduction answers a rule of this k; False when brute force does
     if mode not in ("auto", "reduction", "bruteforce"):
         raise InvalidParametersError(f"unknown mode {mode!r}")
-    k = rules._kapproval_k(rule, m)
     if mode == "reduction" and k is None:
         raise UnsupportedRuleError("reduction mode needs a k-approval style rule")
-    return None if mode == "bruteforce" else k
+    return mode != "bruteforce" and k is not None
 
 
-def _find_wom(rule, n, tiebreak, pos, truthful, k, budget):
+def _find_wom(rule, k, n, tiebreak, pos, truthful, reduce, budget):
     cut = pos[truthful.worst]
     if cut == 0:
         return None  # worst case is already the top choice
-    if k is not None:  # the reduction's one candidate, decided by its own reachable set
+    if reduce:  # the reduction's one candidate, decided by its own reachable set
         candidate = (*(o for o in tiebreak if pos[o] < cut), *(o for o in reversed(tiebreak) if pos[o] >= cut))
-        return candidate if pos[_cases(candidate, rule, n, tiebreak, pos, budget).worst] < cut else None
+        return candidate if pos[_cases(candidate, rule, k, n, tiebreak, pos, budget).worst] < cut else None
     witness = _first_wom(_bruteforce_feasible_map(rule, n, tiebreak, budget), pos, truthful.worst)
-    if witness is not None and pos[_cases(witness, rule, n, tiebreak, pos, budget).worst] >= cut:
+    if witness is not None and pos[_cases(witness, rule, k, n, tiebreak, pos, budget).worst] >= cut:
         raise VerificationError("worst-case witness does not improve the worst case")
     return witness
 
@@ -153,11 +152,11 @@ def _first_wom(table: dict, pos, o_w):
 
 def classify(truth, rule: rules.RuleSpec, n: int, tiebreak, mode: str = "auto", budget=None) -> ManipulationReport:
     """Full zero-information classification of one truthful ranking."""
-    truth, tiebreak, pos = _checked(truth, rule, n, tiebreak, budget)
-    k = _reduction_k(rule, len(truth), mode)
-    truthful = _cases(truth, rule, n, tiebreak, pos, budget)
-    bom = _find_bom(rule, n, tiebreak, pos, truthful, budget)
-    wom = _find_wom(rule, n, tiebreak, pos, truthful, k, budget)
+    truth, tiebreak, pos, k = _checked(truth, rule, n, tiebreak, budget)
+    reduce = _reduction(k, mode)
+    truthful = _cases(truth, rule, k, n, tiebreak, pos, budget)
+    bom = _find_bom(rule, k, n, tiebreak, pos, truthful, budget)
+    wom = _find_wom(rule, k, n, tiebreak, pos, truthful, reduce, budget)
     return ManipulationReport(_label(bom is not None, wom is not None), bom, wom, truthful)
 
 
@@ -203,12 +202,12 @@ def _bruteforce_feasible_map(rule: rules.RuleSpec, n: int, tiebreak, budget=None
             by_set[s] = frozenset(found)
         return {r: by_set[frozenset(r[:k])] for r in enumerate_rankings(m)}
     check_budget(math.factorial(m) ** n, budget)
-    return {r: _reachable(rule, n, r, tiebreak, budget) for r in enumerate_rankings(m)}
+    return {r: _reachable(rule, k, n, r, tiebreak, budget) for r in enumerate_rankings(m)}
 
 
 def bruteforce_feasible(rule: rules.RuleSpec, n: int, report, tiebreak, budget=None) -> frozenset:
     """Exhaustively computed reachable outcomes for one fixed report."""
-    report, tiebreak, _ = _checked(report, rule, n, tiebreak, budget)
+    report, tiebreak, _, _ = _checked(report, rule, n, tiebreak, budget)
     return _bruteforce_feasible_map(rule, n, tiebreak, budget)[report]
 
 
@@ -227,9 +226,10 @@ def _priority_first(o: int, m: int) -> tuple:
 @lru_cache(maxsize=64, typed=True)
 def _cowinner_feasible_map(rule: rules.RuleSpec, n: int, m: int, budget=None) -> dict:
     check_budget(math.factorial(m) ** n, budget)
+    k = rules._kapproval_k(rule, m)
     return {
         report: frozenset(o for o in range(m)
-                          if o in _reachable(rule, n, report, _priority_first(o, m), budget))
+                          if o in _reachable(rule, k, n, report, _priority_first(o, m), budget))
         for report in enumerate_rankings(m)
     }
 

@@ -29,7 +29,7 @@ from omvote import (
     prefers,
     sample_ranking,
 )
-from omvote import ccum, manipulability, rules
+from omvote import ccum, core, manipulability, rules
 from omvote.experiments import run_experiment
 
 
@@ -142,6 +142,34 @@ class TestSampling:
     @given(st.integers(1, 8), st.integers(0, 2**64 - 1), st.integers(0, 10**6))
     def test_always_a_permutation(self, m, seed, index):
         assert sorted(sample_ranking(m, seed, index)) == list(range(m))
+
+    @pytest.mark.parametrize("m, seed, index, expected", [
+        (15, 0, 0, (10, 14, 8, 2, 4, 6, 7, 3, 0, 9, 12, 13, 5, 1, 11)),
+        (15, 42, 99_999, (6, 8, 0, 12, 14, 5, 4, 9, 3, 7, 2, 11, 10, 13, 1)),
+        (15, -1, 7, (0, 11, 8, 6, 9, 2, 12, 14, 4, 7, 5, 10, 13, 3, 1)),
+        (15, 3, 2**64 + 5, (0, 3, 1, 6, 2, 5, 13, 9, 12, 8, 14, 10, 7, 4, 11)),
+        (21, 0, 0, (1, 8, 9, 20, 16, 17, 0, 12, 14, 4, 13, 3, 19, 11, 6, 5, 18, 7, 10, 15, 2)),
+        (21, 42, 99_999, (1, 6, 0, 19, 20, 14, 16, 18, 13, 12, 7, 15, 4, 3, 9, 11, 8, 17, 2, 5, 10)),
+        (21, -1, 7, (10, 6, 13, 11, 8, 0, 3, 9, 15, 12, 17, 2, 18, 14, 19, 7, 5, 4, 20, 1, 16)),
+        (21, 3, 2**64 + 5, (6, 14, 19, 5, 18, 16, 4, 3, 7, 2, 12, 11, 1, 9, 17, 8, 15, 10, 13, 0, 20)),
+        (30, 0, 0, (11, 2, 28, 17, 25, 27, 13, 22, 23, 6, 8, 21, 20, 0, 5, 1, 3, 15, 4, 14, 12, 19, 9, 18, 24,
+                    29, 16, 7, 10, 26)),
+        (30, 42, 99_999, (22, 17, 20, 23, 0, 18, 6, 14, 13, 19, 27, 9, 16, 12, 29, 25, 2, 3, 15, 11, 5, 8, 4, 28,
+                          7, 24, 26, 10, 21, 1)),
+        (30, -1, 7, (6, 15, 18, 29, 17, 28, 20, 23, 13, 12, 2, 21, 3, 9, 0, 8, 5, 16, 25, 27, 22, 26, 14, 24, 7,
+                     10, 4, 11, 19, 1)),
+        (30, 3, 2**64 + 5, (25, 5, 17, 12, 6, 10, 18, 22, 4, 29, 8, 15, 11, 14, 16, 24, 21, 28, 0, 7, 20, 9, 13,
+                            19, 27, 2, 1, 3, 23, 26)),
+    ])
+    def test_pinned_stream_at_paper_scale(self, m, seed, index, expected):
+        # frozen at the experiments' m = 15 and 21..30, with a negative seed and an index past 2^64
+        assert sample_ranking(m, seed, index) == expected
+
+    @given(st.integers(1, 40), st.integers(-2**70, 2**70), st.integers(0, 2**66))
+    def test_kernel_with_precomputed_steps(self, m, seed, index):
+        # the grids' route: the seed's key and the steps made once, one kernel call per draw
+        steps = core._fisher_yates_steps(m)
+        assert core._fisher_yates(m, core._seed_key(seed), index, steps) == sample_ranking(m, seed, index)
 
 
 PROFILE_TEXT = """\

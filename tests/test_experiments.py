@@ -25,6 +25,31 @@ from omvote.core import ranking_positions
 from omvote.experiments import _classify_saturated, run_experiment
 
 
+def consts(cells):
+    # what the grid's classifier reads of each (n, m, k) cell
+    return [(k, (n - 1) * (m - k) + 1, n * (m - k) + 1) for n, m, k in cells]
+
+
+def flags(truth, n, k):
+    # (wom, bom) of one truth in one cell, through the grid's classifier
+    return _classify_saturated(ranking_positions(truth), consts([(n, len(truth), k)]))[0]
+
+
+def naive_flags(pos, n, k):
+    # the classifier as first written, one cell per call: count the places below the truthful worst
+    mk = len(pos) - k
+    need = (n - 1) * mk + 1
+    ranks = pos[: n * mk + 1]
+    feasible = [r for r in ranks if r < k][:need]
+    cut = max(feasible)
+    return len([r for r in ranks if r < cut]) >= need, min(ranks) < min(feasible)
+
+
+def saturated_cells(m):
+    # every (n, m, k) with n >= 3 whose n(m-k) disapprovals leave two outcomes uncovered
+    return [(n, m, m - mk) for mk in range(1, m) for n in range(3, (m - 2) // mk + 1)]
+
+
 class TestShortCircuit:
     def test_immune_cell_is_analytic_zero(self):
         row = om_proportion(14, 15, 14, samples=1000, seed=1)
@@ -74,7 +99,7 @@ class TestFastClassifierAgreement:
         n, m, k = 3, 5, 4
         tiebreak = tuple(range(m))
         for truth in enumerate_rankings(m):
-            wom, bom = _classify_saturated(ranking_positions(truth), n, k)
+            wom, bom = flags(truth, n, k)
             report = classify(truth, kapproval(k), n, tiebreak, mode="reduction")
             assert wom == (report.wom_witness is not None), truth
             assert bom == (report.bom_witness is not None), truth
@@ -84,7 +109,7 @@ class TestFastClassifierAgreement:
         tiebreak = tuple(range(m))
         for i in range(200):
             truth = sample_ranking(m, seed=5, index=i)
-            wom, bom = _classify_saturated(ranking_positions(truth), n, k)
+            wom, bom = flags(truth, n, k)
             report = classify(truth, kapproval(k), n, tiebreak, mode="reduction")
             assert wom == (report.wom_witness is not None), truth
             assert bom == (report.bom_witness is not None), truth
@@ -99,22 +124,43 @@ class TestFastClassifierAgreement:
         truth = tuple(data.draw(st.permutations(range(m)), label="truth"))
         k = m - mk
         place = ranking_positions(tiebreak)  # the fast path runs under the identity: relabel o as its place
-        wom, bom = _classify_saturated(ranking_positions(tuple(place[o] for o in truth)), n, k)
+        wom, bom = flags(tuple(place[o] for o in truth), n, k)
         report = classify(truth, kapproval(k), n, tiebreak, mode="reduction")
         assert wom == (report.wom_witness is not None)
         assert bom == (report.bom_witness is not None)
+
+
+class TestNaiveClassifierAgreement:
+    """The grid's classifier against its first transcription, on the same truths and cells."""
+
+    @pytest.mark.parametrize("m", range(5, 9))
+    def test_every_truth_of_every_saturated_cell(self, m):
+        cells = saturated_cells(m)
+        read = consts(cells)
+        for truth in enumerate_rankings(m):
+            pos = ranking_positions(truth)
+            assert _classify_saturated(pos, read) == [naive_flags(pos, n, k) for n, _, k in cells], truth
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_random_cells_up_to_m30(self, data):
+        m = data.draw(st.integers(5, 30), label="m")
+        cells = data.draw(st.lists(st.sampled_from(saturated_cells(m)), min_size=1, max_size=4), label="cells")
+        pos = ranking_positions(tuple(data.draw(st.permutations(range(m)), label="truth")))
+        assert _classify_saturated(pos, consts(cells)) == [naive_flags(pos, n, k) for n, _, k in cells]
 
 
 class TestSharedDraws:
     @pytest.fixture
     def draws(self, monkeypatch):
         seen = []
+        draw = experiments._fisher_yates
 
-        def counting(m, seed, index):
+        def counting(m, key, index, steps):
             seen.append((m, index))
-            return sample_ranking(m, seed, index)
+            return draw(m, key, index, steps)
 
-        monkeypatch.setattr(experiments, "sample_ranking", counting)
+        monkeypatch.setattr(experiments, "_fisher_yates", counting)
         return seen
 
     def test_fig1_draws_each_truth_once(self, draws):
@@ -144,8 +190,8 @@ class TestRelabelingInvariance:
         for i in range(200):
             truth = sample_ranking(m, seed=12, index=i)
             report = classify(tuple(sigma[o] for o in truth), kapproval(k), n, sigma, mode="reduction")
-            flags = (report.wom_witness is not None, report.bom_witness is not None)
-            assert _classify_saturated(ranking_positions(truth), n, k) == flags
+            witnessed = (report.wom_witness is not None, report.bom_witness is not None)
+            assert flags(truth, n, k) == witnessed
 
 
 class TestGrids:
@@ -195,7 +241,7 @@ class TestAudit:
         assert [(r.m - r.k, r.sampled) for r in rows] == [(1, True), (7, False)]
 
     def test_best_case_only_sample_raises(self, monkeypatch):
-        monkeypatch.setattr(experiments, "_classify_saturated", lambda pos, n, k: (False, True))
+        monkeypatch.setattr(experiments, "_classify_saturated", lambda pos, cells: [(False, True)] * len(cells))
         with pytest.raises(VerificationError, match="best-case-only"):
             om_proportion(3, 15, 14, samples=1, seed=0)
 
