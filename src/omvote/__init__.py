@@ -38,7 +38,7 @@ from .errors import (
     VotingError,
     WrongLengthError,
 )
-from .experiments import ExperimentConfig, ProportionRow, heatmap, om_proportion, rows_to_csv, sweep_n
+from .experiments import ExperimentConfig, ProportionRow, heatmap, rows_to_csv, sweep_n
 from .manipulability import (
     BomWitness,
     CaseOutcomes,

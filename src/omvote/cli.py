@@ -78,10 +78,9 @@ def _resolve_tiebreak(arg, m, from_file=None):
 
 
 def _config(args, command: str, **extra) -> dict:
-    budget = DEFAULT_BUDGET if args.budget is None else args.budget
-    cfg = {"command": command, "seed": args.seed, "budget": budget, "format": args.format}
-    cfg.update(extra)
-    return cfg
+    """The configuration that ran: the command, its budget where it takes one, the format, then *extra*."""
+    budget = {"budget": args.budget} if "budget" in args else {}
+    return {"command": command, **budget, "format": args.format, **extra}
 
 
 # --------------------------------------------------------------------------- commands
@@ -225,30 +224,31 @@ def _cmd_experiment(args) -> int:
 
 
 class _AfterFigure(argparse.Action):
-    """Rejects --seed or --budget before the figure name: the figure's parser owns them."""
+    """Rejects --seed before the figure name: the figure's parser owns it."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         parser.error(f"{option_string} goes after the figure name, e.g. 'experiment fig1 {option_string} ...'")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
-    shared.add_argument("--budget", type=int, default=None,
-                        help=f"enumeration budget override (default {DEFAULT_BUDGET})")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
+    budgeted = argparse.ArgumentParser(add_help=False)
+    budgeted.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                          help=f"enumeration budget override (default {DEFAULT_BUDGET})")
 
     parser = argparse.ArgumentParser(prog="om-vote",
                                      description="Voting-rule winners and obvious-manipulation analysis.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("winner", parents=[shared], help="evaluate a rule on a profile file")
+    p = sub.add_parser("winner", help="evaluate a rule on a profile file")
     p.add_argument("--rule", required=True, help="e.g. borda, kapproval:k=2, scoring:w=6,5,4,0")
     p.add_argument("--profile", required=True, help="profile file (text format)")
     p.add_argument("--tiebreak", help="priority order, e.g. 0,1,2 (default: file entry, else identity)")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=_cmd_winner)
 
-    p = sub.add_parser("ccum", parents=[shared], help="coalition manipulation for a target outcome")
+    p = sub.add_parser("ccum", parents=[budgeted], help="coalition manipulation for a target outcome")
     p.add_argument("--rule", required=True)
     p.add_argument("--fixed-profile", required=True, help="ballots already cast")
     p.add_argument("--manipulators", type=int, required=True)
@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=_cmd_ccum)
 
-    p = sub.add_parser("analyze", parents=[shared], help="classify one truthful ranking")
+    p = sub.add_parser("analyze", parents=[budgeted], help="classify one truthful ranking")
     p.add_argument("--rule", required=True)
     p.add_argument("--n", type=int, required=True, help="total number of voters")
     p.add_argument("--truth", required=True, help="truthful ranking, e.g. 0,1,3,2")
@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("characterize", parents=[shared], help="closed-form verdicts for a rule instance")
+    p = sub.add_parser("characterize", parents=[budgeted], help="closed-form verdicts for a rule instance")
     p.add_argument("--rule", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
@@ -279,9 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_characterize)
 
     p = sub.add_parser("experiment", help="Monte Carlo manipulation-rate tables")
-    p.add_argument("--seed", "--budget", action=_AfterFigure, nargs="?", help=argparse.SUPPRESS)
+    p.add_argument("--seed", action=_AfterFigure, nargs="?", help=argparse.SUPPRESS)
     fig = p.add_subparsers(dest="figure", required=True)
-    f1 = fig.add_parser("fig1", parents=[shared], help="rates vs number of voters")
+    f1 = fig.add_parser("fig1", parents=[seeded], help="rates vs number of voters")
     f1.add_argument("--m", type=int, required=True)
     f1.add_argument("--k", type=int, required=True)
     f1.add_argument("--n", required=True, help="voter range, e.g. 3:14")
@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     f1.add_argument("--out", help="CSV output path (default: stdout)")
     f1.add_argument("--format", choices=["csv", "json"], default="csv")
     f1.set_defaults(func=_cmd_experiment)
-    f2 = fig.add_parser("fig2", parents=[shared], help="rates over an m x disapprovals grid")
+    f2 = fig.add_parser("fig2", parents=[seeded], help="rates over an m x disapprovals grid")
     f2.add_argument("--n", type=int, required=True)
     f2.add_argument("--m", required=True, help="outcome range, e.g. 21:30")
     f2.add_argument("--mk", default="1:9", help="disapproval range m-k (default 1:9)")

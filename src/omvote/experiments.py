@@ -18,7 +18,7 @@ from .core import _fisher_yates, _fisher_yates_steps, _seed_key, check_int, iden
 from .errors import InvalidParametersError, VerificationError
 
 DEFAULT_SAMPLES = 100_000
-DEFAULT_AUDIT_SAMPLES = 500
+AUDIT_SAMPLES = 500
 
 
 @dataclass(frozen=True)
@@ -105,20 +105,20 @@ def _classify_saturated(pos, cells) -> list:
     return flags
 
 
-def _run_cells(cells, samples: int, seed: int, audit_samples: int) -> list:
+def _run_cells(cells, samples: int, seed: int) -> list:
     """One row per (n, m, k) cell, in order, from one sampling pass per m, under the identity priority.
 
     Truth i of m outcomes is sample_ranking(m, seed, i), drawn once by its
     kernel, core._fisher_yates, from the seed's key and the m's steps made
     once, and classified for every sampled cell of that m by one
-    _classify_saturated call.  The first immune cell is audited when
-    audit_samples > 0: its first min(audit_samples, samples) truths, the
-    same draws, must each come out NOM through the reduction.
+    _classify_saturated call.  The first immune cell is audited: its first
+    min(AUDIT_SAMPLES, samples) truths, the same draws, must each come out
+    NOM through the reduction.
     """
     check_int(samples, "samples", 1)
     key = _seed_key(check_int(seed, "seed"))
     immune = [cell for cell in cells if not kapproval_om(*cell).holds]  # the one check of a cell, and its verdict
-    audited = immune[0] if immune and audit_samples > 0 else None
+    audited = immune[0] if immune else None
     if audited:
         rule, tiebreak = rules.kapproval(audited[2]), identity_tiebreak(audited[1])
     counts = {}
@@ -128,7 +128,7 @@ def _run_cells(cells, samples: int, seed: int, audit_samples: int) -> list:
         counts.update(zip(sampled, tallies))
         consts = [(k, (n - 1) * (m - k) + 1, n * (m - k) + 1) for n, _, k in sampled]
         steps = _fisher_yates_steps(m)
-        audit_n = min(audit_samples, samples) if audited and audited[1] == m else 0
+        audit_n = min(AUDIT_SAMPLES, samples) if audited and audited[1] == m else 0
         for i in range(samples if sampled else audit_n):
             truth = _fisher_yates(m, key, i, steps)
             pos = ranking_positions(truth)  # once per draw, for all of its cells
@@ -147,24 +147,14 @@ def _run_cells(cells, samples: int, seed: int, audit_samples: int) -> list:
             for cell in cells]
 
 
-def om_proportion(n: int, m: int, k: int, samples: int, seed: int) -> ProportionRow:
-    """Estimate manipulation rates for one k-approval cell, under the identity priority.
-
-    Sample i draws truth sample_ranking(m, seed, i), so estimates are
-    reproducible and independent of batching.  Immune cells short-circuit
-    to exact zeros without sampling.
-    Neutral rule, uniform truth: relabeling by any priority order keeps the rates, so the identity loses nothing.
-    """
-    return _run_cells([(n, m, k)], samples, seed, 0)[0]
-
-
 def run_experiment(config: ExperimentConfig) -> list:
-    """Evaluate every cell of the grid, rows in (n, m, m-k) order.
+    """Evaluate every cell of the grid, rows in (n, m, m-k) order, under the identity priority.
 
     The first immune cell is audited on min(500, samples) of its truths.
+    Neutral rule, uniform truth: relabeling by any priority order keeps the rates, so the identity loses nothing.
     """
     cells = [(n, m, m - mk) for n in config.n_values for m in config.m_values for mk in config.mk_values]
-    return _run_cells(cells, config.samples, config.seed, DEFAULT_AUDIT_SAMPLES)
+    return _run_cells(cells, config.samples, config.seed)
 
 
 def sweep_n(m: int, k: int, n_values: Iterable[int], samples: int, seed: int) -> list:

@@ -115,16 +115,16 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("extra", [[], ["--mode", "auto"]])
     def test_randomized_tiebreak_stdout_unchanged(self, extra, capsys):
-        # sha256 of the stdout bytes, recorded before unused flags were rejected
+        # sha256 of the stdout bytes, recorded when the config echo dropped the seed analyze never reads
         assert main(["analyze", "--rule", "borda", "--n", "3", "--truth", "0,1,2",
                      "--randomized-tiebreak"] + extra) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-        assert digest == "db69a20e77f90e4577d23d836b47fb06271c755fe50dc0bae73837b91813b7c1"
+        assert digest == "2bffaeaf5c8be473409cf465501a9afde8b783212d035ca4980136dc04fda618"
 
-    def test_config_echoed_with_seed(self, capsys):
+    def test_config_echoed_without_seed(self, capsys):
         main(["analyze", "--rule", "plurality", "--n", "3", "--truth", "0,1,2"])
         config = json.loads(capsys.readouterr().out)["config"]
-        assert config["seed"] == 0 and config["command"] == "analyze"
+        assert "seed" not in config and config["command"] == "analyze"
 
     def test_zero_budget_echoed(self, capsys):
         assert main(["analyze", "--rule", "plurality", "--n", "3", "--truth", "0,1,2",
@@ -206,12 +206,11 @@ class TestExperiment:
                      "--samples", "10"]) == 2
         assert capsys.readouterr().out == ""
 
-    @pytest.mark.parametrize("flag", ["--seed", "--budget"])
-    def test_flag_before_figure_names_its_place(self, flag, capsys):
-        assert main(["experiment", flag, "5", "fig1", "--m", "15", "--k", "14", "--n", "3"]) == 2
+    def test_seed_before_figure_names_its_place(self, capsys):
+        assert main(["experiment", "--seed", "5", "fig1", "--m", "15", "--k", "14", "--n", "3"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"{flag} goes after the figure name" in captured.err
+        assert "--seed goes after the figure name" in captured.err
 
     def test_fig2_stdout(self, capsys):
         assert main(["experiment", "fig2", "--n", "3", "--m", "21:22", "--mk", "7:8",
@@ -228,6 +227,45 @@ class TestExperiment:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "e79d96a72e030f24f11c69b8466d8af17da8ac51e1abbb8983155151b042401b")
+
+
+def runnable(command, path):
+    # a valid invocation of each subcommand, with *path* as its profile file
+    return {
+        "winner": ["winner", "--rule", "borda", "--profile", path],
+        "ccum": ["ccum", "--rule", "plurality", "--fixed-profile", path, "--manipulators", "1", "--target", "0"],
+        "analyze": ["analyze", "--rule", "plurality", "--n", "3", "--truth", "0,1,2"],
+        "characterize": ["characterize", "--rule", "borda", "--n", "3", "--m", "3"],
+        "fig1": ["experiment", "fig1", "--m", "15", "--k", "14", "--n", "3", "--samples", "10"],
+        "fig2": ["experiment", "fig2", "--n", "3", "--m", "21", "--mk", "7", "--samples", "10"],
+    }[command]
+
+
+class TestOnlyReadFlags:
+    """Each subcommand takes only the flags it reads, and echoes only the configuration that ran."""
+
+    @pytest.mark.parametrize("command, flag", [
+        ("winner", "--seed"), ("winner", "--budget"), ("ccum", "--seed"), ("analyze", "--seed"),
+        ("characterize", "--seed"), ("fig1", "--budget"), ("fig2", "--budget"),
+    ])
+    def test_unread_flag_rejected(self, command, flag, profile_file, capsys):
+        argv = runnable(command, profile_file(UNANIMOUS))
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv + [flag, "1"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_winner_echo(self, profile_file, capsys):
+        path = profile_file(UNANIMOUS)
+        assert main(runnable("winner", path)) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header == f"# command=winner format=text rule=borda profile={path} tiebreak=0,1,2 n=3 m=3"
+
+    @pytest.mark.parametrize("command", ["ccum", "analyze", "characterize"])
+    def test_budgeted_echo(self, command, profile_file, capsys):
+        assert main(runnable(command, profile_file(UNANIMOUS)) + ["--format", "json"]) == 0
+        keys = list(json.loads(capsys.readouterr().out)["config"])
+        assert keys[:3] == ["command", "budget", "format"] and "seed" not in keys
 
 
 class TestExitCodes:

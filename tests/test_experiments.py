@@ -15,7 +15,6 @@ from omvote import (
     heatmap,
     kapproval,
     kapproval_om,
-    om_proportion,
     rows_to_csv,
     sample_ranking,
     sweep_n,
@@ -52,12 +51,12 @@ def saturated_cells(m):
 
 class TestShortCircuit:
     def test_immune_cell_is_analytic_zero(self):
-        row = om_proportion(14, 15, 14, samples=1000, seed=1)
+        row = sweep_n(15, 14, [14], samples=1000, seed=1)[0]
         assert (row.wom_count, row.bom_count, row.om_count) == (0, 0, 0)
         assert not row.sampled
 
     def test_sampled_cell_is_flagged(self):
-        assert om_proportion(3, 15, 14, samples=10, seed=1).sampled
+        assert sweep_n(15, 14, [3], samples=10, seed=1)[0].sampled
 
     def test_boundary_arithmetic(self):
         # the experiments read each cell's immunity from this verdict: immune iff n(m-k) > m-2
@@ -72,14 +71,15 @@ class TestNonIntegerCells:
     @pytest.mark.parametrize("args", [(3.0, 15, 14, 10, 0), (3, 15.0, 14, 10, 0), (3, 15, 14.0, 10, 0),
                                       (3, 15, 14, 10.0, 0), (3, 15, 14, 10, 1.5)])
     def test_rejected(self, args):
+        n, m, k, samples, seed = args
         with pytest.raises(InvalidParametersError):
-            om_proportion(*args)
+            sweep_n(m, k, [n], samples, seed)[0]
 
 
 class TestDeterminism:
     def test_reruns_identical(self):
-        a = om_proportion(3, 15, 14, samples=2000, seed=42)
-        b = om_proportion(3, 15, 14, samples=2000, seed=42)
+        a = sweep_n(15, 14, [3], samples=2000, seed=42)[0]
+        b = sweep_n(15, 14, [3], samples=2000, seed=42)[0]
         assert a == b
 
     def test_csv_bytes_identical(self):
@@ -88,8 +88,8 @@ class TestDeterminism:
         assert rows_to_csv(rows1) == rows_to_csv(rows2)
 
     def test_seed_changes_counts(self):
-        a = om_proportion(3, 15, 14, samples=2000, seed=1)
-        b = om_proportion(3, 15, 14, samples=2000, seed=2)
+        a = sweep_n(15, 14, [3], samples=2000, seed=1)[0]
+        b = sweep_n(15, 14, [3], samples=2000, seed=2)[0]
         assert (a.wom_count, a.bom_count) != (b.wom_count, b.bom_count)
 
 
@@ -222,14 +222,14 @@ class TestGrids:
         with pytest.raises(InvalidParametersError):
             ExperimentConfig((), (15,), (1,), samples=10)
         with pytest.raises(InvalidParametersError):
-            om_proportion(3, 15, 15, samples=10, seed=0)
+            sweep_n(15, 15, [3], samples=10, seed=0)[0]
         with pytest.raises(InvalidParametersError):
-            om_proportion(2, 15, 14, samples=10, seed=0)
+            sweep_n(15, 14, [2], samples=10, seed=0)[0]
 
     @pytest.mark.parametrize("samples", [0, -3])
     def test_single_cell_entries_need_a_sample(self, samples):
         with pytest.raises(InvalidParametersError):
-            om_proportion(3, 15, 14, samples, 0)
+            sweep_n(15, 14, [3], samples, 0)[0]
         with pytest.raises(InvalidParametersError):
             run_experiment(ExperimentConfig((14,), (15,), (1,), samples, 0))
 
@@ -243,7 +243,7 @@ class TestAudit:
     def test_best_case_only_sample_raises(self, monkeypatch):
         monkeypatch.setattr(experiments, "_classify_saturated", lambda pos, cells: [(False, True)] * len(cells))
         with pytest.raises(VerificationError, match="best-case-only"):
-            om_proportion(3, 15, 14, samples=1, seed=0)
+            sweep_n(15, 14, [3], samples=1, seed=0)[0]
 
     def test_audited_truth_not_nom_raises(self, monkeypatch):
         report = manipulability.ManipulationReport(manipulability.WOM_ONLY, None, None, None)
@@ -283,7 +283,7 @@ class TestGoldenCsv:
 
 class TestCsv:
     def test_header_and_formatting(self):
-        rows = [om_proportion(14, 15, 14, samples=100, seed=3)]
+        rows = [sweep_n(15, 14, [14], samples=100, seed=3)[0]]
         text = rows_to_csv(rows)
         lines = text.strip().split("\n")
         assert lines[0] == "n,m,k,m_minus_k,samples,seed,p_wom,p_bom,p_om"
