@@ -21,7 +21,6 @@ from .core import (
     make_ranking,
     make_tiebreak,
     parse_profile,
-    prefers,
     read_profile_file,
     sample_ranking,
     write_profile_file,
@@ -47,8 +46,6 @@ from .manipulability import (
     case_outcomes,
     classify,
     classify_randomized_tiebreak,
-    find_bom,
-    find_wom,
 )
 from .rules import (
     RuleSpec,

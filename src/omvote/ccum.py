@@ -44,10 +44,6 @@ class CcumInstance:
     def m(self) -> int:
         return len(self.tiebreak)
 
-    @property
-    def n(self) -> int:
-        return len(self.fixed_ballots) + self.num_manipulators
-
 
 @dataclass(frozen=True)
 class CcumCertificate:
@@ -138,21 +134,18 @@ def ccum_bruteforce(inst: CcumInstance, budget: int | None = None) -> CcumCertif
     return CcumCertificate(False, None)
 
 
-def solve_ccum(inst: CcumInstance, solver: str = "auto", budget: int | None = None) -> CcumCertificate:
-    """Dispatch to the greedy solver for k-approval, brute force otherwise.
+def solve_ccum(inst: CcumInstance, budget: int | None = None) -> CcumCertificate:
+    """The greedy solver for a k-approval rule, brute force otherwise.
 
+    The rule picks the solver; to run one regardless, call it directly.
     Each solver elects the very profile it returns through rules._elect, so
     an achievable certificate elects the target and is not elected again.
     """
     if budget is not None:
         check_int(budget, "budget")
-    if solver == "auto":
-        solver = "greedy" if rules._kapproval_k(inst.rule, inst.m) is not None else "bruteforce"
-    if solver == "greedy":
+    if rules._kapproval_k(inst.rule, inst.m) is not None:
         return ccum_greedy_kapproval(inst)
-    if solver == "bruteforce":
-        return ccum_bruteforce(inst, budget)
-    raise InvalidParametersError(f"unknown solver {solver!r}")
+    return ccum_bruteforce(inst, budget)
 
 
 def possible_outcomes(rule: rules.RuleSpec, n: int, fixed, tiebreak, budget: int | None = None) -> frozenset:

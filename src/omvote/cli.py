@@ -9,10 +9,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import characterization, experiments, manipulability, rules
-from .core import DEFAULT_BUDGET, identity_tiebreak, make_ranking, make_tiebreak, read_profile_file
+from .core import DEFAULT_BUDGET, check_int, identity_tiebreak, make_ranking, make_tiebreak, read_profile_file
 from .errors import InvalidParametersError, TooLargeError, VotingError
 
 
@@ -37,20 +36,9 @@ def _parse_range(text: str) -> tuple:
         raise InvalidParametersError(f"expected N or LO:HI, got {text!r}") from None
 
 
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, frozenset, set)):
-        items = sorted(value) if isinstance(value, (set, frozenset)) else value
-        return [_jsonable(v) for v in items]
-    return value
-
-
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(_jsonable(payload), indent=2))
+        print(json.dumps(payload, indent=2, default=str))  # a Fraction prints as str(Fraction)
     else:
         config = payload.get("config", {})
         print("# " + " ".join(f"{k}={_text_value(v)}" for k, v in config.items()))
@@ -62,8 +50,6 @@ def _emit(payload: dict, fmt: str) -> None:
 def _text_value(value) -> str:
     if isinstance(value, (list, tuple)):
         return ",".join(_text_value(v) for v in value)
-    if isinstance(value, (set, frozenset)):
-        return ",".join(_text_value(v) for v in sorted(value))
     if isinstance(value, dict):
         return "{" + " ".join(f"{k}={_text_value(v)}" for k, v in value.items()) + "}"
     return str(value)
@@ -110,11 +96,11 @@ def _cmd_ccum(args) -> int:
     profile, file_tb = read_profile_file(args.fixed_profile)
     tiebreak = _resolve_tiebreak(args.tiebreak, profile.m, file_tb)
     inst = CcumInstance(rule, profile.ballots, args.manipulators, args.target, tiebreak)
-    cert = solve_ccum(inst, solver=args.solver, budget=args.budget)
+    cert = solve_ccum(inst, budget=args.budget)
     payload = {
         "config": _config(args, "ccum", rule=rules.rule_label(rule), fixed_profile=args.fixed_profile,
                           manipulators=args.manipulators, target=args.target,
-                          tiebreak=list(tiebreak), solver=args.solver),
+                          tiebreak=list(tiebreak)),
         "achievable": cert.achievable,
         "manipulator_ballots": [list(b) for b in cert.manipulator_ballots]
         if cert.manipulator_ballots is not None else None,
@@ -156,7 +142,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_characterize(args) -> int:
     rule = rules.parse_rule(args.rule)
-    n, m = args.n, args.m
+    n, m = check_int(args.n, "n", 1), check_int(args.m, "m", 1)  # checked even where no verdict reads them
     verdicts = []
     if rule.is_scoring:
         ws = rules.score_vector(rule, m, n)
@@ -223,10 +209,12 @@ def _cmd_experiment(args) -> int:
 # --------------------------------------------------------------------------- parser
 
 
-class _AfterFigure(argparse.Action):
-    """Rejects --seed before the figure name: the figure's parser owns it."""
+class _BeforeFigure(argparse.Action):
+    """Rejects --seed before the figure name, whose parser owns it, and --budget, which nothing reads."""
 
     def __call__(self, parser, namespace, values, option_string=None):
+        if option_string == "--budget":
+            parser.error("experiment takes no --budget")
         parser.error(f"{option_string} goes after the figure name, e.g. 'experiment fig1 {option_string} ...'")
 
 
@@ -254,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manipulators", type=int, required=True)
     p.add_argument("--target", type=int, required=True)
     p.add_argument("--tiebreak")
-    p.add_argument("--solver", choices=["auto", "greedy", "bruteforce"], default="auto")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=_cmd_ccum)
 
@@ -279,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_characterize)
 
     p = sub.add_parser("experiment", help="Monte Carlo manipulation-rate tables")
-    p.add_argument("--seed", action=_AfterFigure, nargs="?", help=argparse.SUPPRESS)
+    p.add_argument("--seed", "--budget", action=_BeforeFigure, nargs="?", help=argparse.SUPPRESS)
     fig = p.add_subparsers(dest="figure", required=True)
     f1 = fig.add_parser("fig1", parents=[seeded], help="rates vs number of voters")
     f1.add_argument("--m", type=int, required=True)

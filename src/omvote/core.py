@@ -85,15 +85,6 @@ def ranking_positions(ranking: Ranking) -> list:
     return positions
 
 
-def prefers(ranking: Ranking, a: int, b: int) -> bool:
-    """True iff outcome *a* comes before outcome *b* in *ranking*."""
-    ranking = make_ranking(ranking)
-    m = len(ranking)
-    if not all(isinstance(o, int) and 0 <= o < m for o in (a, b)):
-        raise OutOfRangeIndexError(f"outcomes {a!r}, {b!r} must be integers in [0, {m})")
-    return ranking.index(a) < ranking.index(b)
-
-
 @dataclass(frozen=True)
 class Profile:
     """An ordered list of ballots over a common set of m outcomes."""

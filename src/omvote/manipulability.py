@@ -83,18 +83,10 @@ def _extremes(feasible: frozenset, pos) -> CaseOutcomes:
     return CaseOutcomes(min(feasible, key=pos.__getitem__), max(feasible, key=pos.__getitem__), feasible)
 
 
-def find_bom(truth, rule: rules.RuleSpec, n: int, tiebreak, budget=None) -> BomWitness | None:
-    """Misreport strictly improving the best case, if one exists.
-
-    The best reachable outcome over *all* reports is computed by letting
-    every voter manipulate; if it beats the truthful best, the coalition
-    certificate's first ballot is the witness misreport.
-    """
-    truth, tiebreak, pos, k = _checked(truth, rule, n, tiebreak, budget)
-    return _find_bom(rule, k, n, tiebreak, pos, _cases(truth, rule, k, n, tiebreak, pos, budget), budget)
-
-
 def _find_bom(rule, k, n, tiebreak, pos, truthful, budget):
+    # With every voter free, the best outcome reachable under any report is
+    # found; if it beats the truthful best, the first ballot of its coalition
+    # certificate is the witness misreport.
     reachable_any = _reachable(rule, k, n, None, tiebreak, budget)
     o_star = min(reachable_any, key=lambda o: pos[o])
     if pos[o_star] >= pos[truthful.best]:
@@ -106,20 +98,6 @@ def _find_bom(rule, k, n, tiebreak, pos, truthful, budget):
     if pos[_cases(witness.misreport, rule, k, n, tiebreak, pos, budget).best] >= pos[truthful.best]:
         raise VerificationError("best-case witness does not improve the best case")
     return witness
-
-
-def find_wom(truth, rule: rules.RuleSpec, n: int, tiebreak, mode: str = "auto", budget=None):
-    """Misreport strictly improving the worst case, or None.
-
-    mode='reduction' builds one candidate misreport (outcomes better than
-    the truthful worst first, in priority order; the rest behind, reversed)
-    and returns it iff its worst reachable outcome, with the other voters'
-    approvals counted, beats the truthful worst.  mode='bruteforce' scans
-    all m! misreports and returns the lexicographically first improving one.
-    """
-    truth, tiebreak, pos, k = _checked(truth, rule, n, tiebreak, budget)
-    reduce = _reduction(k, mode)
-    return _find_wom(rule, k, n, tiebreak, pos, _cases(truth, rule, k, n, tiebreak, pos, budget), reduce, budget)
 
 
 def _reduction(k, mode: str) -> bool:
@@ -151,7 +129,17 @@ def _first_wom(table: dict, pos, o_w):
 
 
 def classify(truth, rule: rules.RuleSpec, n: int, tiebreak, mode: str = "auto", budget=None) -> ManipulationReport:
-    """Full zero-information classification of one truthful ranking."""
+    """Full zero-information classification of one truthful ranking.
+
+    The BOM witness comes from the coalition certificate of the best
+    outcome any report can reach.  The WOM witness depends on *mode*:
+    'reduction' builds one candidate misreport (outcomes better than the
+    truthful worst first, in priority order; the rest behind, reversed)
+    and returns it iff its worst reachable outcome beats the truthful
+    worst; 'bruteforce' scans all m! misreports and returns the
+    lexicographically first improving one; 'auto' means the reduction for
+    k-approval rules and brute force otherwise.
+    """
     truth, tiebreak, pos, k = _checked(truth, rule, n, tiebreak, budget)
     reduce = _reduction(k, mode)
     truthful = _cases(truth, rule, k, n, tiebreak, pos, budget)

@@ -20,7 +20,6 @@ from omvote import (
     classify_randomized_tiebreak,
     copeland,
     enumerate_rankings,
-    find_wom,
     has_veto_power,
     heatmap,
     kapproval,
@@ -161,7 +160,7 @@ def test_criterion_5_strict_rule_witness():
     ok = truthful.worst == 2 and pos[shifted.worst] < pos[2]
     # same answer from the misreport-search route (the reduction route does
     # not apply: the rule is not of the k-approval form)
-    witness = find_wom(truth, rule, 3, tiebreak, mode="bruteforce")
+    witness = classify(truth, rule, 3, tiebreak, mode="bruteforce").wom_witness
     ok = ok and witness == misreport
     ok = ok and 2 not in bruteforce_feasible(rule, 3, misreport, tiebreak)
     _report(

@@ -97,10 +97,6 @@ class TestSolveDispatch:
         brute = solve_ccum(CcumInstance(borda(), ((0, 1, 2),), 1, 0, (0, 1, 2)))
         assert greedy.achievable and brute.achievable
 
-    def test_unknown_solver(self):
-        with pytest.raises(InvalidParametersError):
-            solve_ccum(CcumInstance(borda(), ((0, 1, 2),), 1, 0, (0, 1, 2)), solver="x")
-
 
 class TestInstanceChecks:
     @pytest.mark.parametrize("fixed, free, target", [

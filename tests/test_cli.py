@@ -121,6 +121,16 @@ class TestAnalyze:
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == "2bffaeaf5c8be473409cf465501a9afde8b783212d035ca4980136dc04fda618"
 
+    def test_best_case_witness_json(self, capsys):
+        # m=15, k=14, n=3, identity priority: the truth's top choice 3 is reachable only by misreporting
+        truth = (3,) + tuple(o for o in range(15) if o != 3)
+        assert main(["analyze", "--rule", "kapproval:k=14", "--n", "3", "--truth", ",".join(map(str, truth))]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        witness = classify(truth, parse_rule("kapproval:k=14"), 3, tuple(range(15))).bom_witness
+        assert payload["classification"] == "BOM-and-WOM"
+        assert payload["bom_witness"] == {"misreport": list(witness.misreport),
+                                          "others": [list(b) for b in witness.others]}
+
     def test_config_echoed_without_seed(self, capsys):
         main(["analyze", "--rule", "plurality", "--n", "3", "--truth", "0,1,2"])
         config = json.loads(capsys.readouterr().out)["config"]
@@ -182,6 +192,13 @@ class TestCharacterize:
         if "NOM" in implied.values():
             assert labels == {"NOM"}
 
+    @pytest.mark.parametrize("rule", ["stv", "copeland", "runoff"])
+    @pytest.mark.parametrize("n, m", [("-5", "-5"), ("0", "3"), ("3", "0")])
+    def test_bad_n_or_m_rejected(self, rule, n, m, capsys):
+        # no verdict of a non-scoring rule reads n or m without --exhaustive, so they are checked up front
+        assert main(["characterize", "--rule", rule, "--n", n, "--m", m]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_no_tiebreak_flag(self, capsys):
         # every rule is neutral, so no priority order changes a verdict; there is none to choose
         assert main(["characterize", "--rule", "borda", "--n", "3", "--m", "3", "--exhaustive",
@@ -211,6 +228,12 @@ class TestExperiment:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--seed goes after the figure name" in captured.err
+
+    def test_budget_before_figure_says_experiment_takes_none(self, capsys):
+        assert main(["experiment", "--budget", "5", "fig1", "--m", "15", "--k", "14", "--n", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--budget" in captured.err and "invalid choice" not in captured.err
 
     def test_fig2_stdout(self, capsys):
         assert main(["experiment", "fig2", "--n", "3", "--m", "21:22", "--mk", "7:8",
@@ -245,7 +268,7 @@ class TestOnlyReadFlags:
     """Each subcommand takes only the flags it reads, and echoes only the configuration that ran."""
 
     @pytest.mark.parametrize("command, flag", [
-        ("winner", "--seed"), ("winner", "--budget"), ("ccum", "--seed"), ("analyze", "--seed"),
+        ("winner", "--seed"), ("winner", "--budget"), ("ccum", "--seed"), ("ccum", "--solver"), ("analyze", "--seed"),
         ("characterize", "--seed"), ("fig1", "--budget"), ("fig2", "--budget"),
     ])
     def test_unread_flag_rejected(self, command, flag, profile_file, capsys):
@@ -260,6 +283,12 @@ class TestOnlyReadFlags:
         assert main(runnable("winner", path)) == 0
         header = capsys.readouterr().out.splitlines()[0]
         assert header == f"# command=winner format=text rule=borda profile={path} tiebreak=0,1,2 n=3 m=3"
+
+    def test_ccum_echo(self, profile_file, capsys):
+        # the solver is picked from the rule, so the echo names none
+        assert main(runnable("ccum", profile_file(UNANIMOUS)) + ["--format", "json"]) == 0
+        keys = list(json.loads(capsys.readouterr().out)["config"])
+        assert keys == ["command", "budget", "format", "rule", "fixed_profile", "manipulators", "target", "tiebreak"]
 
     @pytest.mark.parametrize("command", ["ccum", "analyze", "characterize"])
     def test_budgeted_echo(self, command, profile_file, capsys):

@@ -26,7 +26,6 @@ from omvote import (
     make_ranking,
     make_tiebreak,
     parse_profile,
-    prefers,
     sample_ranking,
 )
 from omvote import ccum, core, manipulability, rules
@@ -63,23 +62,6 @@ class TestMakeRanking:
     def test_length_stands_for_an_equal_m(self):
         # m=3.0 equals the length, so the ranking is valid; its count is the int length
         assert make_ranking((2, 0, 1), 3.0) == (2, 0, 1)
-
-
-class TestPrefers:
-    def test_basic(self):
-        r = (2, 0, 1)
-        assert prefers(r, 2, 1)
-        assert not prefers(r, 1, 0)
-        assert prefers((0, 1, 2), 0, 2)
-
-    def test_out_of_range(self):
-        with pytest.raises(OutOfRangeIndexError):
-            prefers((0, 1, 2), 0, 5)
-
-    @pytest.mark.parametrize("a, b", [(0.5, 1), (1.0, 2), (0, "1")])
-    def test_non_integer_outcomes(self, a, b):
-        with pytest.raises(OutOfRangeIndexError):
-            prefers((0, 1, 2), a, b)
 
 
 class TestEnumeration:
@@ -210,6 +192,12 @@ class TestProfileFormat:
         with pytest.raises(ProfileFormatError):
             parse_profile("3\n0,1\n")
 
+    @pytest.mark.parametrize("text", ["", "a b\n0,1\n", "1 2\n0,x\n"],
+                             ids=["empty", "non-integer-header", "malformed-index-list"])
+    def test_malformed_text(self, text):
+        with pytest.raises(ProfileFormatError):
+            parse_profile(text)
+
     def test_ballot_count_mismatch(self):
         with pytest.raises(ProfileFormatError):
             parse_profile("2 2\n0,1\n")
@@ -267,6 +255,7 @@ class TestOneIntegerCheck:
         lambda: omvote.has_veto_power(omvote.borda(), 2, 3.0, (0, 1, 2)),
         lambda: omvote.is_almost_unanimous(omvote.borda(), 3, 2.5),
         lambda: omvote.enumerate_profiles(3, 1.5),
+        lambda: omvote.enumerate_profiles(3, 0),
         lambda: omvote.enumerate_rankings(2.5),
         lambda: omvote.sample_ranking(2.5, 0, 0),
         lambda: omvote.sample_ranking(3, "a", 0),
@@ -285,7 +274,7 @@ class TestOneIntegerCheck:
         lambda: omvote.sweep_n(15, 14, None, 10, 0),
         lambda: omvote.heatmap(3, None, 10, 0),
     ], ids=["manipulators", "float-target", "str-target", "veto-m", "veto-m-tiebreak", "unanimous-m",
-            "profiles-voters", "rankings-m", "sample-m", "sample-seed", "score-vector-m", "sweep-k", "heatmap-mk",
+            "profiles-voters", "profiles-no-voters", "rankings-m", "sample-m", "sample-seed", "score-vector-m", "sweep-k", "heatmap-mk",
             "config-samples", "audit-n", "bom-str-n", "bom-zero-n", "nom-float-n", "budget", "kapproval-k-m",
             "ranking-str-m", "config-int-n", "sweep-none-n", "heatmap-none-m"])
     def test_escape_is_rejected(self, call):
@@ -340,12 +329,11 @@ class TestShapeBeforeLength:
         lambda: omvote.scoring_winner(None, make_profile([(0, 1, 2)]), (0, 1, 2)),
         lambda: make_profile([None]),
         lambda: make_profile(None),
-        lambda: prefers(None, 0, 1),
         lambda: enumerate_profiles(3, 1, None, None),
         lambda: format_profile(make_profile([(0, 1, 2)]), 5),
         lambda: format_profile(make_profile([(0, 1, 2)]), (0, 1)),  # text that parse_profile would reject
         lambda: omvote.classify((0, 1, 2), None, 3, (0, 1, 2)),
-        lambda: omvote.find_wom((0, 1, 2), "borda", 3, (0, 1, 2)),
+        lambda: omvote.classify((0, 1, 2), "borda", 3, (0, 1, 2)),
         lambda: omvote.possible_outcomes(None, 3, None, (0, 1, 2)),
         lambda: omvote.bruteforce_feasible(None, 3, (0, 1, 2), (0, 1, 2)),
         lambda: omvote.has_veto_power(None, 3, 3),
@@ -357,8 +345,8 @@ class TestShapeBeforeLength:
         lambda: omvote.winner(omvote.borda(), (0, 1, 2), (0, 1, 2)),
     ], ids=["winner-none", "winner-int", "ccum-instance", "ccum-none-ballots", "ccum-int-ballots",
             "randomized-truth", "scores-none", "cowinners-int", "scoring-winner-none", "profile-none-ballot",
-            "profile-none", "prefers-none", "fixed-none", "format-int-tiebreak", "format-short-tiebreak",
-            "classify-none-rule", "wom-str-rule", "possible-none-rule", "feasible-none-rule", "veto-none-rule",
+            "profile-none", "fixed-none", "format-int-tiebreak", "format-short-tiebreak",
+            "classify-none-rule", "classify-str-rule", "possible-none-rule", "feasible-none-rule", "veto-none-rule",
             "unanimous-none-rule", "ccum-none-rule", "classify-list-rule", "possible-list-rule",
             "kapproval-k-none-rule", "winner-tuple-profile"])
     def test_rejected(self, call):

@@ -22,8 +22,6 @@ from omvote import (
     dowdall,
     enumerate_profiles,
     enumerate_rankings,
-    find_bom,
-    find_wom,
     kapproval,
     kapproval_k,
     paperfamily,
@@ -65,18 +63,18 @@ class TestFindBom:
     @pytest.mark.parametrize("truth", list(enumerate_rankings(3)))
     def test_strict_scoring_never_improves_best(self, truth):
         # with strictly decreasing weights the truthful best is the top choice
-        assert find_bom(truth, borda(), 3, IDENTITY3) is None
+        assert classify(truth, borda(), 3, IDENTITY3).bom_witness is None
 
     @pytest.mark.parametrize("truth", list(enumerate_rankings(3)))
     def test_plurality_never(self, truth):
-        assert find_bom(truth, plurality(), 3, IDENTITY3) is None
+        assert classify(truth, plurality(), 3, IDENTITY3).bom_witness is None
 
     def test_large_kapproval_witness(self):
         # m=15, k=14, n=3, identity priority: only outcomes 0..3 are ever
         # electable; a voter whose top choice is 3 but who ranks 14 last can
         # reach 3 only by misreporting
         truth = (3,) + tuple(o for o in range(15) if o != 3)
-        witness = find_bom(truth, kapproval(14), 3, tuple(range(15)))
+        witness = classify(truth, kapproval(14), 3, tuple(range(15))).bom_witness
         assert witness is not None
         improved = case_outcomes(truth, witness.misreport, kapproval(14), 3, tuple(range(15)))
         assert improved.best == 3
@@ -92,25 +90,25 @@ class TestFindWom:
         m, k = 15, 14
         truth = tuple(range(m))
         tiebreak = (13,) + tuple(range(13)) + (14,)
-        witness = find_wom(truth, kapproval(k), 3, tiebreak, mode="reduction")
+        witness = classify(truth, kapproval(k), 3, tiebreak, mode="reduction").wom_witness
         assert witness == tuple(range(13)) + (14, 13)
 
     def test_paperfamily_bruteforce_witness_is_lex_first(self):
         # truth ranks outcome 2 last; swapping outcomes 1 and 3 vetoes 2
-        witness = find_wom((0, 1, 3, 2), paperfamily(), 3, IDENTITY4, mode="bruteforce")
+        witness = classify((0, 1, 3, 2), paperfamily(), 3, IDENTITY4, mode="bruteforce").wom_witness
         assert witness == (0, 3, 1, 2)
 
     @pytest.mark.parametrize("truth", list(enumerate_rankings(3)))
     def test_borda_never(self, truth):
-        assert find_wom(truth, borda(), 3, IDENTITY3, mode="bruteforce") is None
+        assert classify(truth, borda(), 3, IDENTITY3, mode="bruteforce").wom_witness is None
 
     def test_reduction_refuses_non_kapproval(self):
         with pytest.raises(UnsupportedRuleError):
-            find_wom((0, 1, 2), borda(), 3, IDENTITY3, mode="reduction")
+            classify((0, 1, 2), borda(), 3, IDENTITY3, mode="reduction")
 
     def test_top_choice_worst_case_cannot_improve(self):
         # feasible set {0} with truth (0,1,2): worst case is the top choice
-        assert find_wom((0, 1, 2), plurality(), 2, IDENTITY3, mode="bruteforce") is None
+        assert classify((0, 1, 2), plurality(), 2, IDENTITY3, mode="bruteforce").wom_witness is None
 
 
 class TestClassify:
@@ -155,10 +153,10 @@ class TestReductionAgainstBruteforce:
             for tiebreak in rankings:
                 rows = {r: bruteforce_feasible(rule, n, r, tiebreak) for r in rankings}
                 for truth in rankings:
-                    red = find_wom(truth, rule, n, tiebreak, mode="reduction")
-                    bru = find_wom(truth, rule, n, tiebreak, mode="bruteforce")
+                    reduced = classify(truth, rule, n, tiebreak, mode="reduction")
+                    red, bom = reduced.wom_witness, reduced.bom_witness
+                    bru = classify(truth, rule, n, tiebreak, mode="bruteforce").wom_witness
                     assert (red is None) == (bru is None), (m, k, tiebreak, truth)
-                    bom = find_bom(truth, rule, n, tiebreak)
                     pos = {o: i for i, o in enumerate(truth)}
                     truthful_best = min(rows[truth], key=pos.get)
                     improvable = any(
@@ -265,22 +263,18 @@ class TestBudgetBoundaries:
 
 
 class TestQueryChecks:
-    @pytest.mark.parametrize("entry", [classify, find_wom])
-    def test_unknown_mode_rejected_before_any_answer(self, entry):
+    def test_unknown_mode_rejected_before_any_answer(self):
         # n=2, truth (0,1,2): the truthful worst is the top choice, which once returned before the mode check
         with pytest.raises(InvalidParametersError):
-            entry((0, 1, 2), plurality(), 2, IDENTITY3, "bogus")
+            classify((0, 1, 2), plurality(), 2, IDENTITY3, "bogus")
 
-    @pytest.mark.parametrize("entry", [classify, find_wom])
-    def test_reduction_needs_kapproval_before_any_answer(self, entry):
+    def test_reduction_needs_kapproval_before_any_answer(self):
         with pytest.raises(UnsupportedRuleError):
-            entry((0, 1, 2), stv(), 2, IDENTITY3, "reduction")
+            classify((0, 1, 2), stv(), 2, IDENTITY3, "reduction")
 
     @pytest.mark.parametrize("n", [2.5, 3.0, "3", None])
     def test_non_integer_n_rejected(self, n):
         for call in (lambda: classify((0, 1, 2), borda(), n, IDENTITY3),
-                     lambda: find_bom((0, 1, 2), borda(), n, IDENTITY3),
-                     lambda: find_wom((0, 1, 2), borda(), n, IDENTITY3),
                      lambda: case_outcomes((0, 1, 2), (1, 0, 2), borda(), n, IDENTITY3),
                      lambda: classify_randomized_tiebreak((0, 1, 2), (2, 1, 0), n)):
             with pytest.raises(InvalidParametersError):
@@ -292,7 +286,7 @@ RULE_NAMES = ("borda", "plurality", "antiplurality", "dowdall", "paperfamily", "
 
 
 class TestEntryPointsAgree:
-    """classify checks its query once and shares its truthful cases; the public functions check their own."""
+    """classify's truthful cases are case_outcomes', and its BOM witness does not depend on the mode."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -312,15 +306,12 @@ class TestEntryPointsAgree:
         tiebreak = tuple(data.draw(st.permutations(range(m)), label="tiebreak"))
         modes = ["auto", "bruteforce"] + (["reduction"] if kapproval_k(rule, m) is not None else [])
         cases = case_outcomes(truth, truth, rule, n, tiebreak)
-        bom = find_bom(truth, rule, n, tiebreak)
         labels = {(False, False): "NOM", (True, False): "BOM-only",
                   (False, True): "WOM-only", (True, True): "BOM-and-WOM"}
-        for mode in modes:
-            report = classify(truth, rule, n, tiebreak, mode)
-            wom = find_wom(truth, rule, n, tiebreak, mode)
-            assert report.classification == labels[bom is not None, wom is not None]
-            assert report.bom_witness == bom
-            assert report.wom_witness == wom
+        reports = [classify(truth, rule, n, tiebreak, mode) for mode in modes]
+        for report in reports:
+            assert report.classification == labels[report.bom_witness is not None, report.wom_witness is not None]
+            assert report.bom_witness == reports[0].bom_witness
             assert report.truthful_cases == cases
 
     def test_fresh_kapproval_classify_builds_at_most_one_instance(self, monkeypatch):
@@ -348,13 +339,13 @@ class TestVerificationFaults:
 
     BOM_TRUTH = (3, 0, 1, 2, 4)  # has a best-case witness under 4-approval, n=3, identity priority
 
-    def _find_bom(self):
-        return find_bom(self.BOM_TRUTH, kapproval(4), 3, (0, 1, 2, 3, 4))
+    def _bom_witness(self):
+        return classify(self.BOM_TRUTH, kapproval(4), 3, (0, 1, 2, 3, 4)).bom_witness
 
     def test_bom_without_certificate(self, monkeypatch):
         monkeypatch.setattr(manipulability, "solve_ccum", lambda inst, budget=None: CcumCertificate(False, None))
         with pytest.raises(VerificationError, match="no certificate"):
-            self._find_bom()
+            self._bom_witness()
 
     def test_bom_witness_that_does_not_improve(self, monkeypatch):
         solve = manipulability.solve_ccum
@@ -365,13 +356,13 @@ class TestVerificationFaults:
 
         monkeypatch.setattr(manipulability, "solve_ccum", truthful_first)
         with pytest.raises(VerificationError, match="best-case witness"):
-            self._find_bom()
+            self._bom_witness()
 
     def test_bruteforce_wom_witness_rechecked(self, monkeypatch):
         # the truthful worst case of (0, 1, 2, 3) is 2, so the truth itself does not improve it
         monkeypatch.setattr(manipulability, "_first_wom", lambda table, pos, o_w: IDENTITY4)
         with pytest.raises(VerificationError, match="worst-case witness"):
-            find_wom(IDENTITY4, kapproval(2), 3, IDENTITY4, mode="bruteforce")
+            classify(IDENTITY4, kapproval(2), 3, IDENTITY4, mode="bruteforce")
 
     def test_randomized_truthful_top_not_a_cowinner(self, monkeypatch):
         monkeypatch.setattr(manipulability, "_cowinner_feasible_map",

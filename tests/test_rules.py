@@ -13,6 +13,7 @@ from omvote import (
     OutOfRangeIndexError,
     RuleSpec,
     UnsupportedRuleError,
+    antiplurality,
     borda,
     classify,
     condorcet_winner,
@@ -84,6 +85,10 @@ class TestScoreVectors:
         with pytest.raises(InvalidParametersError):
             make_score_vector([1, 1, 1])
 
+    def test_single_weight_rejected(self):
+        with pytest.raises(InvalidParametersError):
+            make_score_vector([1])
+
     def test_kapproval_k_detection(self):
         assert kapproval_k(plurality(), 5) == 1
         assert kapproval_k(kapproval(3), 5) == 3
@@ -122,6 +127,11 @@ class TestRuleInputErrors:
         with pytest.raises(InvalidParametersError):
             scoring_winner(weights, profile, (0, 1, 2))
 
+    @pytest.mark.parametrize("rule", [scoring((3, 2, 1, 0)), stv()], ids=["weight-count", "stv"])
+    def test_no_score_vector_at_m3(self, rule):
+        with pytest.raises(InvalidParametersError):
+            score_vector(rule, 3)
+
     def test_kapproval_needs_integer_k(self):
         with pytest.raises(InvalidParametersError):
             kapproval(2.5)
@@ -136,6 +146,7 @@ class TestCanonicalWeights:
         (paperfamily(), (6, 5, 4, 0)),
         (vetofamily(9, 1), (13, 12, 11, 0)),
         (kapproval(2), (1, 1, 0, 0)),
+        (antiplurality(), (1, 1, 1, 0)),
     ])
     def test_pinned_at_m4(self, rule, expected):
         got = _canonical_weights(rule, 4)
@@ -374,6 +385,8 @@ class TestRuleSyntax:
     def test_bad_parameters(self):
         with pytest.raises(InvalidParametersError):
             parse_rule("kapproval:k=two")
+        with pytest.raises(InvalidParametersError):
+            parse_rule("kapproval:x=2")
         with pytest.raises(InvalidParametersError):
             parse_rule("borda:k=2")
 
