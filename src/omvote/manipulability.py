@@ -27,7 +27,8 @@ from typing import NamedTuple
 
 from . import rules
 from .ccum import CcumInstance, _reachable, solve_ccum
-from .core import check_budget, check_int, enumerate_rankings, make_ranking, make_tiebreak, ranking_positions
+from .core import (check_budget, check_enumerable, check_int, enumerate_rankings, make_ranking, make_tiebreak,
+                   ranking_positions)
 from .errors import InvalidParametersError, UnsupportedRuleError, VerificationError
 
 NOM = "NOM"
@@ -123,9 +124,11 @@ def _find_wom(rule, k, n, tiebreak, pos, truthful, reduce, budget):
 
 
 def _first_wom(table: dict, pos, o_w):
-    # the first report in lexicographic order whose worst case beats o_w (never the truth itself)
+    # the first report in lexicographic order (the table's key order) whose
+    # every reachable outcome the truth ranks above o_w (never the truth itself)
     cut = pos[o_w]
-    return next((r for r in enumerate_rankings(len(pos)) if max(map(pos.__getitem__, table[r])) < cut), None)
+    better = frozenset(o for o, p in enumerate(pos) if p < cut)
+    return next((r for r, feasible in table.items() if feasible <= better), None)
 
 
 def classify(truth, rule: rules.RuleSpec, n: int, tiebreak, mode: str = "auto", budget=None) -> ManipulationReport:
@@ -170,11 +173,13 @@ def _label(has_bom: bool, has_wom: bool) -> str:
 
 @lru_cache(maxsize=64, typed=True)  # typed, as ccum._possible_outcomes
 def _bruteforce_feasible_map(rule: rules.RuleSpec, n: int, tiebreak, budget=None) -> dict:
-    m = len(tiebreak)
+    # keyed by all m! rankings in enumerate_rankings order, which _first_wom's scan relies on
+    m = check_enumerable(len(tiebreak))
     k = rules._kapproval_k(rule, m)
     if k is not None:
-        sets = [frozenset(c) for c in itertools.combinations(range(m), k)]
-        check_budget(math.comb(len(sets) + n - 2, n - 1) * len(sets), budget, "approval-set rows")
+        c = math.comb(m, k)
+        check_budget(math.comb(c + n - 2, n - 1) * c, budget, "approval-set rows")
+        sets = [frozenset(s) for s in itertools.combinations(range(m), k)]
         base = []
         for multi in itertools.combinations_with_replacement(sets, n - 1):
             counts = [0] * m
@@ -204,15 +209,21 @@ def bruteforce_feasible(rule: rules.RuleSpec, n: int, report, tiebreak, budget=N
 # reachable set of a report is the union of the co-winner sets over all
 # ballots of the other voters.  o is a co-winner iff it wins under the priority
 # order that puts o first, so each row comes from possible_outcomes under the
-# orders that put its outcomes first.
+# orders that put its outcomes first.  The table is keyed by the caller's
+# weight vector as a tuple, so vectors equal term by term ((3, 2, 1, 0),
+# [3, 2, 1, 0], (3.0, 2.0, 1.0, 0.0) or Fractions) share one entry; the rule
+# is built from the weights and checked for m only on a miss, so an invalid
+# vector never gets an entry.
 
 
 def _priority_first(o: int, m: int) -> tuple:
     return (o, *(p for p in range(m) if p != o))
 
 
-@lru_cache(maxsize=64, typed=True)
-def _cowinner_feasible_map(rule: rules.RuleSpec, n: int, m: int, budget=None) -> dict:
+@lru_cache(maxsize=64, typed=True)  # typed, so a float budget never hits an int budget's entry
+def _cowinner_feasible_map(weights: tuple, n: int, m: int, budget=None) -> dict:
+    rule = rules.scoring(weights)
+    rules.score_vector(rule, m)  # one weight per outcome
     check_budget(math.factorial(m) ** n, budget)
     k = rules._kapproval_k(rule, m)
     return {
@@ -233,9 +244,12 @@ def classify_randomized_tiebreak(truth, weights, n: int, budget=None) -> Manipul
     """
     truth = make_ranking(truth)
     m = len(truth)
-    rule = rules.scoring(weights)
-    rules.score_vector(rule, m)  # one weight per outcome
-    table = _cowinner_feasible_map(rule, check_int(n, "n", 2), m, budget)
+    n = check_int(n, "n", 2)
+    try:
+        table = _cowinner_feasible_map(tuple(weights), n, m, budget)
+    except TypeError:
+        rules.scoring(weights)  # weights that tuple() or hash() rejects: the rule check names the fault
+        raise
     if truth[0] not in table[truth]:
         raise VerificationError(f"truthful top {truth[0]} is not a co-winner of the truthful report")
     pos = ranking_positions(truth)

@@ -131,6 +131,13 @@ class TestAnalyze:
         assert payload["bom_witness"] == {"misreport": list(witness.misreport),
                                           "others": [list(b) for b in witness.others]}
 
+    def test_bruteforce_beyond_enumerable_m_exits_3(self, capsys):
+        # m=30, k=15: refused before any of the C(30, 15) approval sets is built
+        assert main(["analyze", "--rule", "kapproval:k=15", "--n", "3", "--mode", "bruteforce",
+                     "--truth", ",".join(map(str, range(30)))]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "30!" in captured.err
+
     def test_config_echoed_without_seed(self, capsys):
         main(["analyze", "--rule", "plurality", "--n", "3", "--truth", "0,1,2"])
         config = json.loads(capsys.readouterr().out)["config"]

@@ -1,6 +1,9 @@
 """Best-case / worst-case manipulation detection, both solver routes."""
 
 import itertools
+import math
+import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +39,7 @@ from omvote import (
     stv,
 )
 from omvote import ccum, manipulability
+from omvote.core import ranking_positions
 
 IDENTITY3 = (0, 1, 2)
 IDENTITY4 = (0, 1, 2, 3)
@@ -109,6 +113,34 @@ class TestFindWom:
     def test_top_choice_worst_case_cannot_improve(self):
         # feasible set {0} with truth (0,1,2): worst case is the top choice
         assert classify((0, 1, 2), plurality(), 2, IDENTITY3, mode="bruteforce").wom_witness is None
+
+    @staticmethod
+    def _first_wom_by_max(table, pos, o_w):
+        # reference: the first report in enumeration order whose worst reachable outcome, by a max over
+        # positions, beats o_w
+        cut = pos[o_w]
+        return next((r for r in enumerate_rankings(len(pos)) if max(map(pos.__getitem__, table[r])) < cut), None)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_subset_scan_matches_max_scan(self, data):
+        m = data.draw(st.integers(3, 5), label="m")
+        rankings = list(enumerate_rankings(m))
+        masks = data.draw(st.lists(st.integers(1, 2**m - 1), min_size=len(rankings), max_size=len(rankings)),
+                          label="rows")
+        table = {r: frozenset(o for o in range(m) if mask >> o & 1) for r, mask in zip(rankings, masks)}
+        pos = ranking_positions(data.draw(st.permutations(range(m)), label="truth"))
+        o_w = data.draw(st.integers(0, m - 1), label="o_w")
+        assert manipulability._first_wom(table, pos, o_w) == self._first_wom_by_max(table, pos, o_w)
+
+    @pytest.mark.parametrize("table", [
+        lambda: manipulability._bruteforce_feasible_map(kapproval(2), 3, IDENTITY4),
+        lambda: manipulability._bruteforce_feasible_map(borda(), 2, IDENTITY4),
+        lambda: manipulability._cowinner_feasible_map((3, 2, 1, 0), 2, 4),
+    ], ids=["approval-sets", "possible-outcomes", "cowinners"])
+    def test_tables_keep_enumeration_order(self, table):
+        # the subset scan returns the first match in key order, which must be the lexicographic one
+        assert list(table()) == list(enumerate_rankings(4))
 
 
 class TestClassify:
@@ -203,6 +235,29 @@ class TestBruteforceFeasible:
             bruteforce_feasible(kapproval(1), 3, (0, 1, 2), IDENTITY3, 17)
         assert bruteforce_feasible(kapproval(1), 3, (0, 1, 2), IDENTITY3, 18) == {0, 1, 2}
 
+    @pytest.mark.parametrize("budget", [None, 10**30])
+    def test_large_kapproval_refused_before_any_approval_set(self, budget, monkeypatch):
+        # m=22, k=11: C(22, 11) = 705,432 approval sets and 22! rankings; refused before either is
+        # built, by the m <= 8 cap whatever the budget, so no approval set may be made at all
+        monkeypatch.setattr(manipulability.itertools, "combinations", lambda *args: pytest.fail("sets built"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLargeError):
+                classify(tuple(range(22)), kapproval(11), 3, tuple(range(22)), mode="bruteforce", budget=budget)
+            with pytest.raises(TooLargeError):
+                bruteforce_feasible(kapproval(11), 3, tuple(range(22)), tuple(range(22)), budget)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**18  # a list of 10^5 frozensets would take more than 2 MiB of pointers alone
+
+    def test_approval_set_budget_weighed_before_the_sets(self, monkeypatch):
+        # m=8, k=4: 70 sets times C(70+1, 2) multisets, one row over the budget, refused before any set is made
+        count = math.comb(71, 2) * 70
+        monkeypatch.setattr(manipulability.itertools, "combinations", lambda *args: pytest.fail("sets built"))
+        with pytest.raises(TooLargeError):
+            bruteforce_feasible(kapproval(4), 3, tuple(range(8)), tuple(range(8)), count - 1)
+
 
 class TestRandomizedTiebreak:
     @pytest.mark.parametrize("weights", [(2, 1, 0), (1, 1, 0)])
@@ -240,6 +295,34 @@ class TestRandomizedTiebreak:
             report = classify_randomized_tiebreak(truth, weights, n)
             assert report.truthful_cases.best == truth[0]
             assert report.bom_witness is None
+
+    EQUAL_VECTORS = [(3, 2, 1, 0), [3, 2, 1, 0], (3.0, 2.0, 1.0, 0.0), tuple(map(Fraction, (3, 2, 1, 0)))]
+
+    def test_equal_weight_vectors_share_one_entry(self):
+        manipulability._cowinner_feasible_map.cache_clear()
+        reports = [[classify_randomized_tiebreak(truth, weights, 3) for truth in enumerate_rankings(4)]
+                   for weights in self.EQUAL_VECTORS]
+        assert all(r == reports[0] for r in reports)
+        assert manipulability._cowinner_feasible_map.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("cached", [False, True])
+    @pytest.mark.parametrize("truth, weights", [
+        (IDENTITY4, (0, 1, 2, 3)),
+        (IDENTITY4, (1, 1, 1, 1)),
+        (IDENTITY3, (3, 2, 1, 0)),
+        (IDENTITY4, ("a", "b", "c", "d")),
+        (IDENTITY4, (3, 2, "x", 0)),
+        (IDENTITY4, None),
+        (IDENTITY4, [[3], [2], [1], [0]]),
+    ], ids=["increasing", "constant", "wrong-length", "strings", "one-string", "none", "nested-list"])
+    def test_invalid_weights_rejected_whatever_the_cache_holds(self, truth, weights, cached):
+        manipulability._cowinner_feasible_map.cache_clear()
+        if cached:
+            classify_randomized_tiebreak(IDENTITY4, (3, 2, 1, 0), 3)
+        size = manipulability._cowinner_feasible_map.cache_info().currsize
+        with pytest.raises(InvalidParametersError):
+            classify_randomized_tiebreak(truth, weights, 3)
+        assert manipulability._cowinner_feasible_map.cache_info().currsize == size
 
 
 class TestBudgetBoundaries:
@@ -366,6 +449,6 @@ class TestVerificationFaults:
 
     def test_randomized_truthful_top_not_a_cowinner(self, monkeypatch):
         monkeypatch.setattr(manipulability, "_cowinner_feasible_map",
-                            lambda rule, n, m, budget=None: {IDENTITY3: frozenset({1, 2})})
+                            lambda weights, n, m, budget=None: {IDENTITY3: frozenset({1, 2})})
         with pytest.raises(VerificationError, match="not a co-winner"):
             classify_randomized_tiebreak(IDENTITY3, (2, 1, 0), 3)
