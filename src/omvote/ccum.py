@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import rules
-from .core import Profile, _ballots, check_int, enumerate_profiles, make_ranking, make_tiebreak, ranking_positions
+from .core import (Profile, _ballots, check_budget, check_int, enumerate_profiles, make_ranking, make_tiebreak,
+                   ranking_positions)
 from .errors import InvalidParametersError
 
 
@@ -141,8 +142,7 @@ def solve_ccum(inst: CcumInstance, budget: int | None = None) -> CcumCertificate
     Each solver elects the very profile it returns through rules._elect, so
     an achievable certificate elects the target and is not elected again.
     """
-    if budget is not None:
-        check_int(budget, "budget")
+    check_budget(0, budget)
     if rules._kapproval_k(inst.rule, inst.m) is not None:
         return ccum_greedy_kapproval(inst)
     return ccum_bruteforce(inst, budget)
@@ -176,8 +176,7 @@ def possible_outcomes(rule: rules.RuleSpec, n: int, fixed, tiebreak, budget: int
     tiebreak = make_tiebreak(tiebreak)
     if fixed is not None:
         fixed = make_ranking(fixed, len(tiebreak))
-    if budget is not None:
-        check_int(budget, "budget")
+    check_budget(0, budget)
     return _reachable(rule, rules._kapproval_k(rule, len(tiebreak)), check_int(n, "n", 1), fixed, tiebreak, budget)
 
 

@@ -7,6 +7,7 @@ Results go to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -101,9 +102,7 @@ def _cmd_ccum(args) -> int:
         "config": _config(args, "ccum", rule=rules.rule_label(rule), fixed_profile=args.fixed_profile,
                           manipulators=args.manipulators, target=args.target,
                           tiebreak=list(tiebreak)),
-        "achievable": cert.achievable,
-        "manipulator_ballots": [list(b) for b in cert.manipulator_ballots]
-        if cert.manipulator_ballots is not None else None,
+        **dataclasses.asdict(cert),
     }
     _emit(payload, args.format)
     return 0
@@ -153,30 +152,14 @@ def _cmd_characterize(args) -> int:
         verdicts.append(characterization.bom_iff(n, ws))
         verdicts.append(characterization.weakly_diminishing(n, ws))
     if args.exhaustive:
-        verdicts.append(characterization.TheoremVerdict(
-            "has_veto_power",
-            characterization.has_veto_power(rule, n, m, None, args.budget),
-            characterization.NO_CLAIM,
-            {"n": n, "m": m},
-        ))
-        verdicts.append(characterization.TheoremVerdict(
-            "is_almost_unanimous",
-            characterization.is_almost_unanimous(rule, n, m, None, args.budget),
-            characterization.NO_CLAIM,
-            {"n": n, "m": m},
-        ))
+        for detector in (characterization.has_veto_power, characterization.is_almost_unanimous):
+            verdicts.append(characterization.TheoremVerdict(
+                detector.__name__, detector(rule, n, m, None, args.budget), characterization.NO_CLAIM,
+                {"n": n, "m": m}))
     payload = {
         "config": _config(args, "characterize", rule=rules.rule_label(rule), n=n, m=m,
                           exhaustive=args.exhaustive),
-        "verdicts": [
-            {
-                "predicate": v.predicate,
-                "holds": v.holds,
-                "implied_classification": v.implied_classification,
-                "parameters": v.parameters,
-            }
-            for v in verdicts
-        ],
+        "verdicts": [dataclasses.asdict(v) for v in verdicts],
     }
     _emit(payload, args.format)
     return 0

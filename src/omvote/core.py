@@ -136,9 +136,10 @@ def enumerate_rankings(m: int) -> Iterator:
 def check_budget(count: int, budget: int | None, what: str = "ballot tuples") -> None:
     """Raise TooLargeError when a search over *count* *what* exceeds *budget* (default 10^8).
 
-    This is the one budget gate: every exhaustive search and table pre-check is weighed here.
+    This is the one budget gate: every exhaustive search and table pre-check is weighed here, and
+    an entry point that may weigh nothing checks its budget, an integer >= 0 or None, by weighing 0.
     """
-    if count > (DEFAULT_BUDGET if budget is None else check_int(budget, "budget")):
+    if count > (DEFAULT_BUDGET if budget is None else check_int(budget, "budget", 0)):
         raise TooLargeError(f"{count} {what} exceed the enumeration budget")
 
 

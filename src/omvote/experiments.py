@@ -32,7 +32,6 @@ class ProportionRow:
     seed: int
     wom_count: int
     bom_count: int
-    om_count: int
     sampled: bool  # False when the zero verdict is analytic, not estimated
 
     @property
@@ -45,25 +44,7 @@ class ProportionRow:
 
     @property
     def p_om(self) -> float:
-        return self.om_count / self.samples
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Grid of cells to estimate: n x m x (number of disapprovals m-k)."""
-
-    n_values: tuple
-    m_values: tuple
-    mk_values: tuple
-    samples: int = DEFAULT_SAMPLES
-    seed: int = 0
-
-    def __post_init__(self):
-        for name in ("n_values", "m_values", "mk_values"):  # stored as tuples, so a range or a list will do
-            object.__setattr__(self, name, _ints(getattr(self, name), name))
-        check_int(self.samples, "samples", 1)
-        if not (self.n_values and self.m_values and self.mk_values):
-            raise InvalidParametersError("empty parameter range")
+        return self.p_wom  # every BOM draw is a WOM draw (run_experiment raises otherwise), so OM is WOM
 
 
 def _ints(values, what: str) -> tuple:
@@ -105,18 +86,24 @@ def _classify_saturated(pos, cells) -> list:
     return flags
 
 
-def _run_cells(cells, samples: int, seed: int) -> list:
-    """One row per (n, m, k) cell, in order, from one sampling pass per m, under the identity priority.
+def run_experiment(n_values, m_values, mk_values, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> list:
+    """One row per cell (n, m, m - mk) of the grid, in (n, m, mk) order, under the identity priority.
 
-    Truth i of m outcomes is sample_ranking(m, seed, i), drawn once by its
-    kernel, core._fisher_yates, from the seed's key and the m's steps made
-    once, and classified for every sampled cell of that m by one
-    _classify_saturated call.  The first immune cell is audited: its first
-    min(AUDIT_SAMPLES, samples) truths, the same draws, must each come out
-    NOM through the reduction.
+    Neutral rule, uniform truth: relabeling by any priority order keeps the
+    rates, so the identity loses nothing.  Truth i of m outcomes is
+    sample_ranking(m, seed, i), drawn once by its kernel, core._fisher_yates,
+    from the seed's key and the m's steps made once, and classified for every
+    sampled cell of that m by one _classify_saturated call.  The first immune
+    cell is audited: its first min(AUDIT_SAMPLES, samples) truths, the same
+    draws, must each come out NOM through the reduction.
     """
+    n_values, m_values = _ints(n_values, "n_values"), _ints(m_values, "m_values")  # a range or a list will do
+    mk_values = _ints(mk_values, "mk_values")
     check_int(samples, "samples", 1)
+    if not (n_values and m_values and mk_values):
+        raise InvalidParametersError("empty parameter range")
     key = _seed_key(check_int(seed, "seed"))
+    cells = [(n, m, m - mk) for n in n_values for m in m_values for mk in mk_values]
     immune = [cell for cell in cells if not kapproval_om(*cell).holds]  # the one check of a cell, and its verdict
     audited = immune[0] if immune else None
     if audited:
@@ -124,7 +111,7 @@ def _run_cells(cells, samples: int, seed: int) -> list:
     counts = {}
     for m in dict.fromkeys(m for _, m, _ in cells):
         sampled = [cell for cell in cells if cell[1] == m and cell not in immune]
-        tallies = [[0, 0, 0] for _ in sampled]
+        tallies = [[0, 0] for _ in sampled]
         counts.update(zip(sampled, tallies))
         consts = [(k, (n - 1) * (m - k) + 1, n * (m - k) + 1) for n, _, k in sampled]
         steps = _fisher_yates_steps(m)
@@ -137,30 +124,19 @@ def _run_cells(cells, samples: int, seed: int) -> list:
                     raise VerificationError(f"best-case-only manipulation at sample {i}: {truth}")
                 c[0] += wom
                 c[1] += bom
-                c[2] += wom or bom
             if i < audit_n:
                 report = manipulability.classify(truth, rule, audited[0], tiebreak, mode="reduction")
                 if report.classification != manipulability.NOM:
                     raise VerificationError(f"immune cell n={audited[0]}, m={m}, k={audited[2]} classified "
                                             f"{report.classification} for {truth}")
-    return [ProportionRow(*cell, samples, seed, *counts.get(cell, (0, 0, 0)), sampled=cell in counts)
+    return [ProportionRow(*cell, samples, seed, *counts.get(cell, (0, 0)), sampled=cell in counts)
             for cell in cells]
-
-
-def run_experiment(config: ExperimentConfig) -> list:
-    """Evaluate every cell of the grid, rows in (n, m, m-k) order, under the identity priority.
-
-    The first immune cell is audited on min(500, samples) of its truths.
-    Neutral rule, uniform truth: relabeling by any priority order keeps the rates, so the identity loses nothing.
-    """
-    cells = [(n, m, m - mk) for n in config.n_values for m in config.m_values for mk in config.mk_values]
-    return _run_cells(cells, config.samples, config.seed)
 
 
 def sweep_n(m: int, k: int, n_values: Iterable[int], samples: int, seed: int) -> list:
     """Manipulation rates as the voter count grows, m and k fixed."""
     mk = check_int(m, "m") - check_int(k, "k")
-    return run_experiment(ExperimentConfig(n_values, (m,), (mk,), samples, seed))
+    return run_experiment(n_values, (m,), (mk,), samples, seed)
 
 
 def heatmap(
@@ -171,7 +147,7 @@ def heatmap(
     mk_values: Iterable[int] = range(1, 10),
 ) -> list:
     """Manipulation rates over a grid of m and disapproval counts, n fixed."""
-    return run_experiment(ExperimentConfig((n,), m_values, mk_values, samples, seed))
+    return run_experiment((n,), m_values, mk_values, samples, seed)
 
 
 CSV_HEADER = "n,m,k,m_minus_k,samples,seed,p_wom,p_bom,p_om"

@@ -71,8 +71,7 @@ def _checked(truth, rule, n, tiebreak, budget) -> tuple:
     truth = make_ranking(truth)
     tiebreak = make_tiebreak(tiebreak, len(truth))
     check_int(n, "n", 2)
-    if budget is not None:  # a counting route never weighs it, so it is checked here
-        check_int(budget, "budget")
+    check_budget(0, budget)  # a counting route never weighs it, so it is checked here
     return truth, tiebreak, ranking_positions(truth), rules._kapproval_k(rule, len(truth))
 
 

@@ -213,6 +213,47 @@ class TestCharacterize:
         assert capsys.readouterr().out == ""
 
 
+class TestRecordBytes:
+    """The stdout bytes of the library's records as printed; sha256 digests recorded before the CLI printed them
+    with dataclasses.asdict."""
+
+    @pytest.mark.parametrize("argv, fmt, digest", [
+        (["--rule", "vetofamily:omega=9,eps=1", "--n", "3", "--m", "4"], "json",
+         "c11a56eed284a4234201f5d49dd752f3c711a9012c65169acca698978f4853ef"),
+        (["--rule", "vetofamily:omega=9,eps=1", "--n", "3", "--m", "4"], "text",
+         "3f6a21a4ee6647b12fa92b1d21e9849b527803d193d6a343eea134daa6a9af57"),
+        (["--rule", "stv", "--n", "3", "--m", "4"], "json",
+         "7ef7c5cdbbc9faf0ef8a531fc1b9e32e7703cae8fa6e36c9e0e066c05e432116"),
+        (["--rule", "stv", "--n", "3", "--m", "4"], "text",
+         "ba915f6dba465cbe7b18355c3e212c699c894457972b5100c9a2b3b5e8161fed"),
+    ], ids=["vetofamily-json", "vetofamily-text", "stv-json", "stv-text"])
+    def test_characterize(self, argv, fmt, digest, capsys):
+        assert main(["characterize", *argv, "--exhaustive", "--format", fmt]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("rule, ballots, target, tiebreak, fmt, digest", [
+        ("plurality", "1 3\n0,1,2\n", "1", "1,0,2", "json",
+         "e583ce42874781d717c88518fa9cbe6fdc414cdd1e1c3c5903a5d8542fd95401"),
+        ("plurality", "1 3\n0,1,2\n", "1", "1,0,2", "text",
+         "ef5173c2998dde77880c55f14c3d44d7c4468f6d292401516d023577cc95291d"),
+        ("plurality", "2 3\n0,1,2\n0,1,2\n", "2", "0,1,2", "json",
+         "b0908d04f2ab8ca08953f83a667a731d82dfceed95c43668462835ee3c215ea0"),
+        ("plurality", "2 3\n0,1,2\n0,1,2\n", "2", "0,1,2", "text",
+         "4117808e3ad539da90d73bb99046f8eb039511e00f7d9f2c6485c3a9a517ec06"),
+        ("borda", "2 3\n0,1,2\n0,1,2\n", "2", "0,1,2", "json",
+         "df4fb3121d8e7745bc85e671a478e8ad2b3d13e2536ad3a5b3727a2b1806cae6"),
+        ("borda", "2 3\n0,1,2\n0,1,2\n", "2", "0,1,2", "text",
+         "c9cb6c8c16761f3df780ac28db6bfad3b38ae5b70ef53c5e2a0a24dd2efe45d1"),
+    ], ids=["greedy-achievable-json", "greedy-achievable-text", "greedy-unachievable-json",
+            "greedy-unachievable-text", "bruteforce-null-json", "bruteforce-null-text"])
+    def test_ccum(self, rule, ballots, target, tiebreak, fmt, digest, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # the echoed profile path is relative, so the bytes do not depend on tmp_path
+        (tmp_path / "fixed.txt").write_text(ballots, encoding="utf-8")
+        assert main(["ccum", "--rule", rule, "--fixed-profile", "fixed.txt", "--manipulators", "1",
+                     "--target", target, "--tiebreak", tiebreak, "--format", fmt]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 class TestExperiment:
     def test_fig1_csv_determinism(self, tmp_path, capsys):
         out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
@@ -308,6 +349,13 @@ class TestExitCodes:
     def test_unknown_rule_is_invalid_input(self, capsys):
         assert main(["analyze", "--rule", "bucklin", "--n", "3", "--truth", "0,1,2"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rule", ["kapproval:k=2", "borda"])
+    def test_negative_budget_is_invalid_input(self, rule, capsys):
+        # once echoed by the counting route and exit 3 by brute force; now exit 2 on every route
+        assert main(["analyze", "--rule", rule, "--n", "3", "--truth", "0,1,2,3", "--budget", "-7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "budget must be an integer >= 0" in captured.err
 
     def test_budget_exceeded(self, capsys):
         rc = main(["analyze", "--rule", "borda", "--n", "3", "--truth", "0,1,2",

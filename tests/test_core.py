@@ -262,15 +262,15 @@ class TestOneIntegerCheck:
         lambda: omvote.score_vector(omvote.borda(), 2.5),
         lambda: omvote.sweep_n(15, "14", range(3, 5), 10, 0),
         lambda: omvote.heatmap(3, [21], 10, 0, mk_values=["1"]),
-        lambda: omvote.ExperimentConfig((3,), (15,), (1,), samples="10"),
-        lambda: run_experiment(omvote.ExperimentConfig(("14",), (15,), (1,), 10, 0)),  # the audited cell's n
+        lambda: run_experiment((3,), (15,), (1,), samples="10"),
+        lambda: run_experiment(("14",), (15,), (1,), 10, 0),  # the audited cell's n
         lambda: omvote.bom_iff("3", (1, 1, 0)),
         lambda: omvote.bom_iff(0, (1, 1, 0)),
         lambda: omvote.scoring_nom_sufficient(1.5, (2, 1, 0)),
         lambda: omvote.classify((0, 1, 2), omvote.borda(), 3, (0, 1, 2), budget="x"),
         lambda: omvote.kapproval_k(omvote.kapproval(2), 4.0),
         lambda: make_ranking((0, 1, 2), "3"),
-        lambda: omvote.ExperimentConfig(5, (15,), (1,)),
+        lambda: run_experiment(5, (15,), (1,)),
         lambda: omvote.sweep_n(15, 14, None, 10, 0),
         lambda: omvote.heatmap(3, None, 10, 0),
     ], ids=["manipulators", "float-target", "str-target", "veto-m", "veto-m-tiebreak", "unanimous-m",
@@ -299,11 +299,27 @@ class TestOneIntegerCheck:
         lambda budget: omvote.has_veto_power(omvote.kapproval(2), 3, 4, None, budget),
     ], ids=["classify", "possible_outcomes", "solve_ccum", "veto"])
     def test_counting_routes_check_the_budget(self, call):
-        # they never weigh it, so a negative int passes, but a budget that is not an int is named
-        call(-1)
-        for budget in ("x", 1e9):
+        # they never weigh it, so they check it as core.check_budget does: an integer >= 0
+        call(0)
+        for budget in (-1, "x", 1e9):
             with pytest.raises(InvalidParametersError):
                 call(budget)
+
+    @pytest.mark.parametrize("call", [
+        lambda budget: omvote.classify((0, 1, 2), omvote.borda(), 3, (0, 1, 2), budget=budget),
+        lambda budget: omvote.possible_outcomes(omvote.borda(), 3, None, (0, 1, 2), budget),
+        lambda budget: omvote.solve_ccum(omvote.CcumInstance(omvote.borda(), (), 2, 1, (0, 1, 2)), budget=budget),
+        lambda budget: omvote.has_veto_power(omvote.borda(), 3, 3, None, budget),
+        lambda budget: omvote.is_almost_unanimous(omvote.borda(), 3, 3, None, budget),
+        lambda budget: omvote.classify_randomized_tiebreak((0, 1, 2), (2, 1, 0), 3, budget),
+        lambda budget: list(omvote.enumerate_profiles(3, 1, budget)),
+    ], ids=["classify", "possible_outcomes", "solve_ccum", "veto", "unanimous", "randomized", "profiles"])
+    def test_searches_reject_a_negative_budget(self, call):
+        # a budget of 0 is weighed and exceeded; -1 is no budget at all, not one more that is exceeded
+        with pytest.raises(TooLargeError):
+            call(0)
+        with pytest.raises(InvalidParametersError, match="budget must be an integer >= 0"):
+            call(-1)
 
     def test_kapproval_k_checks_before_its_cache(self):
         rule = omvote.kapproval(2)
@@ -377,7 +393,7 @@ class TestOneTiebreakCheckPerSearch:
         # kernels walk the tie-break itself: positions are taken of truths, and of a tie-break only by the relabel
         calls = self._sites(lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == "ranking_positions")
         assert calls == {("ccum", "_possible_outcomes"), ("manipulability", "_checked"),
-                         ("manipulability", "classify_randomized_tiebreak"), ("experiments", "_run_cells")}
+                         ("manipulability", "classify_randomized_tiebreak"), ("experiments", "run_experiment")}
         named = self._sites(lambda node: "prank" in {getattr(node, a, None) for a in ("id", "arg", "attr", "name")})
         assert named <= {("ccum", "_possible_outcomes")}
 

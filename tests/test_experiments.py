@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omvote import (
-    ExperimentConfig,
     InvalidParametersError,
     VerificationError,
     classify,
@@ -52,7 +51,7 @@ def saturated_cells(m):
 class TestShortCircuit:
     def test_immune_cell_is_analytic_zero(self):
         row = sweep_n(15, 14, [14], samples=1000, seed=1)[0]
-        assert (row.wom_count, row.bom_count, row.om_count) == (0, 0, 0)
+        assert (row.wom_count, row.bom_count, row.p_om) == (0, 0, 0)
         assert not row.sampled
 
     def test_sampled_cell_is_flagged(self):
@@ -169,17 +168,17 @@ class TestSharedDraws:
         assert sorted(draws) == [(15, i) for i in range(3000)]
 
     def test_mixed_grid_draws_once_per_m(self, draws):
-        run_experiment(ExperimentConfig((3, 4), (15, 21), (1, 2, 7), 50, 5))
+        run_experiment((3, 4), (15, 21), (1, 2, 7), 50, 5)
         assert sorted(draws) == [(m, i) for m in (15, 21) for i in range(50)]
 
     def test_audit_only_grid_draws_audit_samples(self, draws):
-        run_experiment(ExperimentConfig((3,), (21,), (7, 8), samples=10, seed=8))
+        run_experiment((3,), (21,), (7, 8), samples=10, seed=8)
         assert sorted(draws) == [(21, i) for i in range(10)]
 
     def test_immune_cell_audit_passes(self, draws):
         # every one of the 25 truths is classified NOM through the reduction, or the run raises
-        (row,) = run_experiment(ExperimentConfig((3,), (21,), (7,), samples=25, seed=6))
-        assert (row.om_count, row.sampled) == (0, False)
+        (row,) = run_experiment((3,), (21,), (7,), samples=25, seed=6)
+        assert (row.wom_count, row.sampled) == (0, False)
         assert sorted(draws) == [(21, i) for i in range(25)]
 
 
@@ -200,8 +199,8 @@ class TestGrids:
         assert [(r.m, r.m - r.k) for r in rows] == [
             (21, 1), (21, 7), (21, 8), (22, 1), (22, 7), (22, 8)]
         by_cell = {(r.m, r.m - r.k): r for r in rows}
-        assert by_cell[(21, 7)].om_count == 0 and not by_cell[(21, 7)].sampled
-        assert by_cell[(22, 8)].om_count == 0
+        assert by_cell[(21, 7)].wom_count == 0 and not by_cell[(21, 7)].sampled
+        assert by_cell[(22, 8)].wom_count == 0
         assert by_cell[(21, 1)].sampled
 
     def test_monotone_trend_reported(self, capsys):
@@ -213,14 +212,14 @@ class TestGrids:
 
     def test_sweep_reaches_zero_at_boundary(self):
         rows = sweep_n(15, 14, range(3, 15), samples=200, seed=2)
-        assert rows[-1].om_count == 0 and not rows[-1].sampled
-        assert rows[0].om_count > 0
+        assert rows[-1].wom_count == 0 and not rows[-1].sampled
+        assert rows[0].wom_count > 0
 
     def test_config_validation(self):
         with pytest.raises(InvalidParametersError):
-            ExperimentConfig((3,), (15,), (1,), samples=0)
+            run_experiment((3,), (15,), (1,), samples=0)
         with pytest.raises(InvalidParametersError):
-            ExperimentConfig((), (15,), (1,), samples=10)
+            run_experiment((), (15,), (1,), samples=10)
         with pytest.raises(InvalidParametersError):
             sweep_n(15, 15, [3], samples=10, seed=0)[0]
         with pytest.raises(InvalidParametersError):
@@ -231,13 +230,12 @@ class TestGrids:
         with pytest.raises(InvalidParametersError):
             sweep_n(15, 14, [3], samples, 0)[0]
         with pytest.raises(InvalidParametersError):
-            run_experiment(ExperimentConfig((14,), (15,), (1,), samples, 0))
+            run_experiment((14,), (15,), (1,), samples, 0)
 
 
 class TestAudit:
     def test_run_experiment_audits_first_zero_cell(self):
-        cfg = ExperimentConfig((3,), (21,), (1, 7), samples=100, seed=8)
-        rows = run_experiment(cfg)
+        rows = run_experiment((3,), (21,), (1, 7), samples=100, seed=8)
         assert [(r.m - r.k, r.sampled) for r in rows] == [(1, True), (7, False)]
 
     def test_best_case_only_sample_raises(self, monkeypatch):
@@ -249,7 +247,7 @@ class TestAudit:
         report = manipulability.ManipulationReport(manipulability.WOM_ONLY, None, None, None)
         monkeypatch.setattr(manipulability, "classify", lambda *args, **kwargs: report)
         with pytest.raises(VerificationError, match="immune cell"):
-            run_experiment(ExperimentConfig((3,), (21,), (7,), samples=2, seed=0))
+            run_experiment((3,), (21,), (7,), samples=2, seed=0)
 
 
 class TestGoldenCsv:
@@ -275,7 +273,7 @@ class TestGoldenCsv:
 
     def test_mixed_grid_keeps_row_order(self):
         # several n and several m: the work may be regrouped, the rows may not
-        rows = run_experiment(ExperimentConfig((3, 4), (15, 21), (1, 2, 7), 500, 5))
+        rows = run_experiment((3, 4), (15, 21), (1, 2, 7), 500, 5)
         assert [(r.n, r.m, r.m - r.k) for r in rows] == [
             (n, m, mk) for n in (3, 4) for m in (15, 21) for mk in (1, 2, 7)]
         assert self.digest(rows) == "f2daea1c584cc24b8aca6a8fdc5381963a39f9029e60a4598d270821385ff850"
