@@ -49,8 +49,9 @@ def _emit(payload: dict, fmt: str) -> None:
 
 
 def _text_value(value) -> str:
-    if isinstance(value, (list, tuple)):
-        return ",".join(_text_value(v) for v in value)
+    if isinstance(value, (list, tuple)):  # a list of ballots joins with ';', so ballots keep their bounds
+        sep = ";" if all(isinstance(v, (list, tuple)) for v in value) else ","
+        return sep.join(_text_value(v) for v in value)
     if isinstance(value, dict):
         return "{" + " ".join(f"{k}={_text_value(v)}" for k, v in value.items()) + "}"
     return str(value)

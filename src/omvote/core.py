@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import struct
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -165,25 +166,32 @@ def enumerate_profiles(m: int, voters: int, budget: int | None = None, fixed=())
 #
 # Each (seed, index) pair keys its own SplitMix64 stream, so sample i is the
 # same no matter how many samples were drawn before it or on which worker.
+# A stream is stepped alone by _fisher_yates, its definition, or together
+# with the streams of the next indices, as lanes of one integer, by
+# _fisher_yates_many; both give the same rankings.
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def _mix64(z: int) -> int:
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+def _mix64(z: int, mask: int = _MASK64) -> int:
+    # SplitMix64's mixer in every 128-bit slot of z whose low 64 bits mask covers (one slot by default); each
+    # multiplicand is masked to those bits, so that its product stays in its slot, and bits above them are garbage
+    z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
+    z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
     return z ^ (z >> 31)
 
 
 def sample_ranking(m: int, seed: int, index: int) -> Ranking:
     """Uniformly random ranking, fully determined by (m, seed, index).
 
-    Fisher-Yates driven by a SplitMix64 stream; bounded draws use rejection
-    sampling so every permutation is exactly equally likely.  The checks are
-    made here; the shuffle is _fisher_yates, the stream's one kernel, which
-    the experiment grids call directly with the seed's key and the steps
-    made once, so their truth i of m outcomes is sample_ranking(m, seed, i).
+    Fisher-Yates driven by the SplitMix64 stream of (seed, index); bounded
+    draws use rejection sampling so every permutation is exactly equally
+    likely.  The checks are made here; the shuffle is _fisher_yates, which
+    steps the one stream alone.  The experiment grids step the streams of
+    consecutive indices in lanes, through _fisher_yates_many with the seed's
+    key and the steps made once, so their truth i of m outcomes is still
+    sample_ranking(m, seed, i).
     """
     key = _seed_key(check_int(seed, "seed"))
     return _fisher_yates(m, key, check_int(index, "index"), _fisher_yates_steps(check_int(m, "m", 1)))
@@ -214,6 +222,40 @@ def _fisher_yates(m: int, key: int, index: int, steps: tuple) -> Ranking:
         i = r % bound
         arr[j], arr[i] = arr[i], arr[j]
     return tuple(arr)
+
+
+def _fisher_yates_many(m: int, key: int, start: int, count: int, steps: tuple) -> list:
+    """[_fisher_yates(m, key, start + c, steps) for c in range(count)], the count streams stepped together.
+
+    Stream c's 64-bit state sits in the 128-bit slot c of one integer, so a
+    step is a few whole-integer operations for all lanes: the golden
+    increment, then the mixer, which masks every slot to its low 64 bits
+    before each multiply so that a lane's product stays in its slot.  The
+    lanes are read out, byte order explicit, for each one's bounded index
+    and swap.  A lane whose draw is rejected (probability below 2^-59 per
+    step) has run ahead of its stream; it is drawn again alone by
+    _fisher_yates.  The integer holds 16 bytes per lane, so callers bound
+    count.
+    """
+    slots = struct.Struct("<" + "Q8x" * count)  # slot c: lane c in its low 8 bytes, then 8 zero bytes
+    one = int.from_bytes(slots.pack(*[1] * count), "little")
+    mask, golden = _MASK64 * one, _GOLDEN * one
+    seeds = slots.pack(*[key ^ ((start + c) & _MASK64) for c in range(count)])
+    state = _mix64(int.from_bytes(seeds, "little"), mask) & mask
+    arrs = [list(range(m)) for _ in range(count)]
+    redraw = set()
+    for j, bound, limit in steps:
+        state = (state + golden) & mask
+        lanes = slots.unpack(_mix64(state, mask).to_bytes(slots.size, "little"))
+        if max(lanes) >= limit:  # a lane's draw is rejected
+            redraw.update(c for c, r in enumerate(lanes) if r >= limit)
+        for arr, r in zip(arrs, lanes):
+            i = r % bound
+            arr[j], arr[i] = arr[i], arr[j]
+    draws = [tuple(arr) for arr in arrs]
+    for c in redraw:
+        draws[c] = _fisher_yates(m, key, start + c, steps)
+    return draws
 
 
 # ---------------------------------------------------------------------------

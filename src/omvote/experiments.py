@@ -14,11 +14,12 @@ from typing import Iterable, Sequence
 
 from . import manipulability, rules
 from .characterization import kapproval_om
-from .core import _fisher_yates, _fisher_yates_steps, _seed_key, check_int, identity_tiebreak, ranking_positions
+from .core import _fisher_yates_many, _fisher_yates_steps, _seed_key, check_int, identity_tiebreak, ranking_positions
 from .errors import InvalidParametersError, VerificationError
 
 DEFAULT_SAMPLES = 100_000
 AUDIT_SAMPLES = 500
+CHUNK = 512  # truths drawn together as lanes of one integer: bounds a draw's memory at any samples
 
 
 @dataclass(frozen=True)
@@ -91,11 +92,12 @@ def run_experiment(n_values, m_values, mk_values, samples: int = DEFAULT_SAMPLES
 
     Neutral rule, uniform truth: relabeling by any priority order keeps the
     rates, so the identity loses nothing.  Truth i of m outcomes is
-    sample_ranking(m, seed, i), drawn once by its kernel, core._fisher_yates,
-    from the seed's key and the m's steps made once, and classified for every
-    sampled cell of that m by one _classify_saturated call.  The first immune
-    cell is audited: its first min(AUDIT_SAMPLES, samples) truths, the same
-    draws, must each come out NOM through the reduction.
+    sample_ranking(m, seed, i), drawn once, CHUNK truths at a time, by
+    core._fisher_yates_many from the seed's key and the m's steps made once,
+    and classified for every sampled cell of that m by one _classify_saturated
+    call.  The first immune cell is audited: its first min(AUDIT_SAMPLES,
+    samples) truths, the same draws, must each come out NOM through the
+    reduction.
     """
     n_values, m_values = _ints(n_values, "n_values"), _ints(m_values, "m_values")  # a range or a list will do
     mk_values = _ints(mk_values, "mk_values")
@@ -116,19 +118,21 @@ def run_experiment(n_values, m_values, mk_values, samples: int = DEFAULT_SAMPLES
         consts = [(k, (n - 1) * (m - k) + 1, n * (m - k) + 1) for n, _, k in sampled]
         steps = _fisher_yates_steps(m)
         audit_n = min(AUDIT_SAMPLES, samples) if audited and audited[1] == m else 0
-        for i in range(samples if sampled else audit_n):
-            truth = _fisher_yates(m, key, i, steps)
-            pos = ranking_positions(truth)  # once per draw, for all of its cells
-            for (wom, bom), c in zip(_classify_saturated(pos, consts), tallies):
-                if bom and not wom:
-                    raise VerificationError(f"best-case-only manipulation at sample {i}: {truth}")
-                c[0] += wom
-                c[1] += bom
-            if i < audit_n:
-                report = manipulability.classify(truth, rule, audited[0], tiebreak, mode="reduction")
-                if report.classification != manipulability.NOM:
-                    raise VerificationError(f"immune cell n={audited[0]}, m={m}, k={audited[2]} classified "
-                                            f"{report.classification} for {truth}")
+        draws = samples if sampled else audit_n
+        for start in range(0, draws, CHUNK):
+            chunk = _fisher_yates_many(m, key, start, min(CHUNK, draws - start), steps)
+            for i, truth in enumerate(chunk, start):
+                pos = ranking_positions(truth)  # once per draw, for all of its cells
+                for (wom, bom), c in zip(_classify_saturated(pos, consts), tallies):
+                    if bom and not wom:
+                        raise VerificationError(f"best-case-only manipulation at sample {i}: {truth}")
+                    c[0] += wom
+                    c[1] += bom
+                if i < audit_n:
+                    report = manipulability.classify(truth, rule, audited[0], tiebreak, mode="reduction")
+                    if report.classification != manipulability.NOM:
+                        raise VerificationError(f"immune cell n={audited[0]}, m={m}, k={audited[2]} classified "
+                                                f"{report.classification} for {truth}")
     return [ProportionRow(*cell, samples, seed, *counts.get(cell, (0, 0)), sampled=cell in counts)
             for cell in cells]
 

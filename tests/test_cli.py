@@ -77,6 +77,12 @@ class TestCcum:
                      "--manipulators", "0", "--target", "2", "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["achievable"] is False
 
+    def test_text_keeps_ballot_bounds(self, profile_file, capsys):
+        path = profile_file("1 3\n0,1,2\n")
+        assert main(["ccum", "--rule", "plurality", "--fixed-profile", path,
+                     "--manipulators", "2", "--target", "2", "--format", "text"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == ["achievable: True", "manipulator_ballots: 2,1,0;2,1,0"]
+
 
 class TestAnalyze:
     def test_strict_rule_worst_case_manipulation(self, capsys):
@@ -130,6 +136,15 @@ class TestAnalyze:
         assert payload["classification"] == "BOM-and-WOM"
         assert payload["bom_witness"] == {"misreport": list(witness.misreport),
                                           "others": [list(b) for b in witness.others]}
+
+    def test_best_case_witness_text_keeps_ballot_bounds(self, capsys):
+        truth = (3,) + tuple(o for o in range(15) if o != 3)
+        assert main(["analyze", "--rule", "kapproval:k=14", "--n", "3", "--truth", ",".join(map(str, truth)),
+                     "--format", "text"]) == 0
+        witness = classify(truth, parse_rule("kapproval:k=14"), 3, tuple(range(15))).bom_witness
+        first, second = (",".join(map(str, b)) for b in witness.others)
+        misreport = ",".join(map(str, witness.misreport))
+        assert f"bom_witness: {{misreport={misreport} others={first};{second}}}" in capsys.readouterr().out.splitlines()
 
     def test_bruteforce_beyond_enumerable_m_exits_3(self, capsys):
         # m=30, k=15: refused before any of the C(30, 15) approval sets is built

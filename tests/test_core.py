@@ -7,7 +7,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import omvote
@@ -152,6 +152,38 @@ class TestSampling:
         # the grids' route: the seed's key and the steps made once, one kernel call per draw
         steps = core._fisher_yates_steps(m)
         assert core._fisher_yates(m, core._seed_key(seed), index, steps) == sample_ranking(m, seed, index)
+
+    @settings(deadline=None)
+    @given(st.integers(1, 30), st.integers(-2**70, 2**70), st.integers(1, 600),
+           st.one_of(st.integers(0, 2**20), st.integers(2**64 - 600, 2**64 + 600)), st.booleans())
+    def test_lanes_equal_the_scalar_kernel(self, m, seed, count, start, forced):
+        # a start near 2^64 wraps index & mask inside one pack; limits of 2^63 reject about half the lanes per step
+        key, steps = core._seed_key(seed), core._fisher_yates_steps(m)
+        if forced:
+            steps = tuple((j, bound, 1 << 63) for j, bound, _ in steps)
+        expected = [core._fisher_yates(m, key, start + c, steps) for c in range(count)]
+        assert core._fisher_yates_many(m, key, start, count, steps) == expected
+
+    @given(st.integers(1, 30), st.integers(-2**70, 2**70), st.integers(0, 2**66), st.integers(1, 40))
+    def test_lane_c_is_sample_ranking(self, m, seed, start, count):
+        lanes = core._fisher_yates_many(m, core._seed_key(seed), start, count, core._fisher_yates_steps(m))
+        assert lanes == [sample_ranking(m, seed, start + c) for c in range(count)]
+
+    def test_rejected_lanes_are_redrawn_alone(self, monkeypatch):
+        redrawn = []
+        scalar = core._fisher_yates
+
+        def counting(m, key, index, steps):
+            redrawn.append(index)
+            return scalar(m, key, index, steps)
+
+        (j, bound, _), *rest = core._fisher_yates_steps(15)  # only the first step rejects, about half the lanes
+        key, steps = core._seed_key(5), ((j, bound, 1 << 63), *rest)
+        expected = [scalar(15, key, i, steps) for i in range(100, 300)]
+        monkeypatch.setattr(core, "_fisher_yates", counting)
+        assert core._fisher_yates_many(15, key, 100, 200, steps) == expected
+        assert 50 < len(redrawn) < 150 and len(set(redrawn)) == len(redrawn)
+        assert set(redrawn) <= set(range(100, 300))
 
 
 PROFILE_TEXT = """\

@@ -149,17 +149,63 @@ class TestNaiveClassifierAgreement:
         assert _classify_saturated(pos, consts(cells)) == [naive_flags(pos, n, k) for n, _, k in cells]
 
 
+def reference_rows(n_values, m_values, mk_values, samples, seed):
+    # the grid one cell and one draw at a time: sample_ranking and the classifier, immune cells zero
+    rows = []
+    for n in n_values:
+        for m in m_values:
+            for mk in mk_values:
+                cell = (n, m, m - mk)
+                sampled = kapproval_om(*cell).holds
+                wom = bom = 0
+                for i in range(samples if sampled else 0):
+                    w, b = _classify_saturated(ranking_positions(sample_ranking(m, seed, i)), consts([cell]))[0]
+                    wom, bom = wom + w, bom + b
+                rows.append(experiments.ProportionRow(*cell, samples, seed, wom, bom, sampled=sampled))
+    return rows
+
+
+class TestChunkedDraws:
+    """Truths drawn CHUNK at a time give the rows of one draw per truth, and the audit reads the first truths."""
+
+    @pytest.fixture
+    def audited(self, monkeypatch):
+        seen = []
+        classify_ = manipulability.classify
+
+        def recording(truth, *args, **kwargs):
+            seen.append(truth)
+            return classify_(truth, *args, **kwargs)
+
+        monkeypatch.setattr(manipulability, "classify", recording)
+        return seen
+
+    @pytest.mark.parametrize("samples", [experiments.CHUNK - 1, experiments.CHUNK, experiments.CHUNK + 1])
+    def test_rows_equal_the_per_draw_loop(self, samples, audited):
+        grid = ((3, 4), (15, 21), (1, 2, 7))  # (3, 15, 8) is the first immune cell, audited among sampled cells
+        assert run_experiment(*grid, samples, 9) == reference_rows(*grid, samples, 9)
+        assert audited == [sample_ranking(15, 9, i) for i in range(min(experiments.AUDIT_SAMPLES, samples))]
+
+    def test_audit_across_a_chunk_boundary(self, monkeypatch, audited):
+        # an audit-only m whose audit reads more truths than one chunk holds
+        monkeypatch.setattr(experiments, "AUDIT_SAMPLES", experiments.CHUNK + 2)
+        grid, samples = ((3,), (21,), (7, 8)), experiments.CHUNK + 5
+        assert run_experiment(*grid, samples, 8) == reference_rows(*grid, samples, 8)
+        assert audited == [sample_ranking(21, 8, i) for i in range(experiments.CHUNK + 2)]
+
+
 class TestSharedDraws:
     @pytest.fixture
     def draws(self, monkeypatch):
         seen = []
-        draw = experiments._fisher_yates
+        draw = experiments._fisher_yates_many
 
-        def counting(m, key, index, steps):
-            seen.append((m, index))
-            return draw(m, key, index, steps)
+        def counting(m, key, start, count, steps):
+            lanes = draw(m, key, start, count, steps)
+            seen.extend((m, start + i) for i in range(len(lanes)))
+            return lanes
 
-        monkeypatch.setattr(experiments, "_fisher_yates", counting)
+        monkeypatch.setattr(experiments, "_fisher_yates_many", counting)
         return seen
 
     def test_fig1_draws_each_truth_once(self, draws):
