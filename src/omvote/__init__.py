@@ -37,7 +37,7 @@ from .errors import (
     VotingError,
     WrongLengthError,
 )
-from .experiments import ProportionRow, heatmap, rows_to_csv, sweep_n
+from .experiments import ProportionRow, exact_rates, heatmap, rows_to_csv, sweep_n
 from .manipulability import (
     BomWitness,
     CaseOutcomes,

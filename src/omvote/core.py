@@ -39,8 +39,10 @@ def check_int(value, what: str, least: int | None = None, most: int | None = Non
     The one check of a count or index taken from a caller (voters, outcomes,
     approvals, manipulators, targets, samples, seeds, budgets), so the
     package has one idea of a valid count and no TypeError escapes for one.
+    A bool is not a count: True would pass as 1 and be reported as True.
     """
-    if isinstance(value, int) and (least is None or value >= least) and (most is None or value <= most):
+    if (isinstance(value, int) and not isinstance(value, bool)
+            and (least is None or value >= least) and (most is None or value <= most)):
         return value
     low, high = ("" if least is None else f" >= {least}"), ("" if most is None else f" <= {most}")
     raise InvalidParametersError(f"{what} must be an integer{low}{low and high and ' and'}{high}, got {value!r}")

@@ -10,16 +10,19 @@ one such cell per run is audited by sampling anyway and asserting NOM.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import comb
 from typing import Iterable, Sequence
 
 from . import manipulability, rules
 from .characterization import kapproval_om
-from .core import _fisher_yates_many, _fisher_yates_steps, _seed_key, check_int, identity_tiebreak, ranking_positions
+from .core import _fisher_yates_many, _fisher_yates_steps, _seed_key, check_int, identity_tiebreak
 from .errors import InvalidParametersError, VerificationError
 
 DEFAULT_SAMPLES = 100_000
 AUDIT_SAMPLES = 500
 CHUNK = 512  # truths drawn together as lanes of one integer: bounds a draw's memory at any samples
+MAX_M = 256  # the grid holds each place in a byte
 
 
 @dataclass(frozen=True)
@@ -58,33 +61,73 @@ def _ints(values, what: str) -> tuple:
     return values
 
 
-def _classify_saturated(pos, cells) -> list:
-    """(wom, bom) of the truth with positions *pos* in each cell (k, need, L) = (k, (n-1)(m-k)+1, n(m-k)+1).
+def _classify_saturated(positions, cells) -> list:
+    """(wom, bom, first) for each cell (k, need, L) = (k, (n-1)(m-k)+1, n(m-k)+1), over the truths of *positions*.
 
-    k-approval, identity tie-break.  Valid only when m >= n*(m-k)+2: the
-    n(m-k) disapprovals never cover all outcomes, so a report approving the
-    set A reaches exactly the need highest-priority members of A.  Those lie
-    among the L outcomes of highest priority, 0..L-1, so a scan of their
-    places pos[:L] in the truth replaces sorting.  At most m-k of them are
-    disapproved, so the approved places a of the scan hold at least need,
-    and the truthful reachable set is the head a[:need].  The candidate
-    misreport approves the outcomes better than the truthful worst, at place
-    cut = max(head), and every bad one but the m-k of highest priority; it
-    is a WOM iff the scan holds need places below cut.  The head holds
-    need-1 and a disapproved place is >= k > cut, so that reads max(head) >
-    min(a[need:]).  The least of L distinct places is at most m-L < k, so
-    approved, and a BOM, a scanned place below min(head), reads min(head) >
-    min(a[need:]).  With a[need:] empty, neither holds.
+    *positions* holds one bytes object per truth, its places by outcome
+    (ranking_positions as bytes); wom and bom count the truths that are WOM
+    and BOM in the cell, and first is the index of the first truth that is
+    BOM but not WOM, or None.  k-approval, identity tie-break.  Valid only
+    when m >= n*(m-k)+2: the n(m-k) disapprovals never cover all outcomes,
+    so a report approving the set A reaches exactly the need
+    highest-priority members of A.  Those lie among the L outcomes of
+    highest priority, 0..L-1, so a scan of their places pos[:L] in the truth
+    replaces sorting.  At most m-k of them are disapproved, so the approved
+    places a of the scan hold at least need, and the truthful reachable set
+    is the head a[:need].  The candidate misreport approves the outcomes
+    better than the truthful worst, at place cut = max(head), and every bad
+    one but the m-k of highest priority; it is a WOM iff the scan holds need
+    places below cut.  The head holds need-1 and a disapproved place is >= k
+    > cut, so that reads max(head) > min(a[need:]).  The least of L distinct
+    places is at most m-L < k, so approved, and a BOM, a scanned place below
+    min(head), reads min(a) == min(a[need:]).  With a[need:] empty, neither
+    holds.  The cell loop is the outer one: the scan deletes the disapproved
+    places k..m-1 (m = k + L - need) with one table made per cell, and
+    bytes.translate, slicing, min and max all run in C.
     """
-    flags = []
+    counts = []
     for k, need, L in cells:
-        a = [r for r in pos[:L] if r < k]
-        if len(a) > need:
-            head, low = a[:need], min(a[need:])
-            flags.append((max(head) > low, min(head) > low))
-        else:
-            flags.append((False, False))
-    return flags
+        drop = bytes(range(k, k + L - need))
+        wom = bom = 0
+        first = None
+        for i, pos in enumerate(positions):
+            a = pos[:L].translate(None, drop)
+            tail = a[need:]
+            if tail:
+                low = min(tail)
+                if max(a[:need]) > low:
+                    wom += 1
+                    bom += min(a) == low
+                elif min(a) == low and first is None:
+                    first = i
+        counts.append((wom, bom, first))
+    return counts
+
+
+def exact_rates(n: int, m: int, k: int) -> tuple:
+    """(p_wom, p_bom) of the cell (n, m, k) as Fractions: the rates run_experiment estimates, exactly.
+
+    A saturated cell reads a uniform truth through the places of the
+    L = n(m-k)+1 highest-priority outcomes (see _classify_saturated).  The
+    number J of them that the truth approves is hypergeometric,
+    P(J=j) = C(k,j)C(m-k,L-j)/C(m,L) for c <= j <= min(k, L) with
+    c = (n-1)(m-k)+1, and given J=j the approved ones are the j best-ranked
+    of the L, in uniform relative order.  The truth is WOM iff the first c
+    approved ones in priority order are not the c best-ranked, with
+    probability 1 - 1/C(j,c), and BOM iff the best-ranked of the L is not
+    among those c, with probability 1 - c/j.  Immune cells (kapproval_om
+    fails) are 0, returned before the sum; there c >= k, so the sum is
+    empty or its one term is 0.
+    """
+    if not kapproval_om(n, m, k).holds:
+        return Fraction(0), Fraction(0)
+    c, L = (n - 1) * (m - k) + 1, n * (m - k) + 1
+    p_wom = p_bom = Fraction(0)
+    for j in range(c, min(k, L) + 1):
+        p = Fraction(comb(k, j) * comb(m - k, L - j), comb(m, L))
+        p_wom += p * (1 - Fraction(1, comb(j, c)))
+        p_bom += p * (1 - Fraction(c, j))
+    return p_wom, p_bom
 
 
 def run_experiment(n_values, m_values, mk_values, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> list:
@@ -93,17 +136,22 @@ def run_experiment(n_values, m_values, mk_values, samples: int = DEFAULT_SAMPLES
     Neutral rule, uniform truth: relabeling by any priority order keeps the
     rates, so the identity loses nothing.  Truth i of m outcomes is
     sample_ranking(m, seed, i), drawn once, CHUNK truths at a time, by
-    core._fisher_yates_many from the seed's key and the m's steps made once,
-    and classified for every sampled cell of that m by one _classify_saturated
-    call.  The first immune cell is audited: its first min(AUDIT_SAMPLES,
-    samples) truths, the same draws, must each come out NOM through the
-    reduction.
+    core._fisher_yates_many from the seed's key and the m's steps made once.
+    Each chunk's places become bytes, by one bytes.maketrans per truth, and
+    one _classify_saturated call counts the chunk's WOM and BOM truths in
+    every sampled cell of that m; a truth that is BOM but not WOM raises
+    VerificationError.  Places are bytes, so every m is at most MAX_M,
+    checked before anything is drawn.  The first immune cell is audited: its
+    first min(AUDIT_SAMPLES, samples) truths, the same draws, must each come
+    out NOM through the reduction.
     """
     n_values, m_values = _ints(n_values, "n_values"), _ints(m_values, "m_values")  # a range or a list will do
     mk_values = _ints(mk_values, "mk_values")
     check_int(samples, "samples", 1)
     if not (n_values and m_values and mk_values):
         raise InvalidParametersError("empty parameter range")
+    if max(m_values) > MAX_M:
+        raise InvalidParametersError(f"m must be at most {MAX_M}, since places are bytes; got {max(m_values)}")
     key = _seed_key(check_int(seed, "seed"))
     cells = [(n, m, m - mk) for n in n_values for m in m_values for mk in mk_values]
     immune = [cell for cell in cells if not kapproval_om(*cell).holds]  # the one check of a cell, and its verdict
@@ -116,23 +164,22 @@ def run_experiment(n_values, m_values, mk_values, samples: int = DEFAULT_SAMPLES
         tallies = [[0, 0] for _ in sampled]
         counts.update(zip(sampled, tallies))
         consts = [(k, (n - 1) * (m - k) + 1, n * (m - k) + 1) for n, _, k in sampled]
-        steps = _fisher_yates_steps(m)
+        steps, places = _fisher_yates_steps(m), bytes(range(m))
         audit_n = min(AUDIT_SAMPLES, samples) if audited and audited[1] == m else 0
         draws = samples if sampled else audit_n
         for start in range(0, draws, CHUNK):
             chunk = _fisher_yates_many(m, key, start, min(CHUNK, draws - start), steps)
-            for i, truth in enumerate(chunk, start):
-                pos = ranking_positions(truth)  # once per draw, for all of its cells
-                for (wom, bom), c in zip(_classify_saturated(pos, consts), tallies):
-                    if bom and not wom:
-                        raise VerificationError(f"best-case-only manipulation at sample {i}: {truth}")
-                    c[0] += wom
-                    c[1] += bom
-                if i < audit_n:
-                    report = manipulability.classify(truth, rule, audited[0], tiebreak, mode="reduction")
-                    if report.classification != manipulability.NOM:
-                        raise VerificationError(f"immune cell n={audited[0]}, m={m}, k={audited[2]} classified "
-                                                f"{report.classification} for {truth}")
+            positions = [bytes.maketrans(bytes(truth), places)[:m] for truth in chunk]  # ranking_positions, in C
+            for (wom, bom, first), c in zip(_classify_saturated(positions, consts), tallies):
+                if first is not None:
+                    raise VerificationError(f"best-case-only manipulation at sample {start + first}: {chunk[first]}")
+                c[0] += wom
+                c[1] += bom
+            for i, truth in enumerate(chunk[:max(audit_n - start, 0)], start):
+                report = manipulability.classify(truth, rule, audited[0], tiebreak, mode="reduction")
+                if report.classification != manipulability.NOM:
+                    raise VerificationError(f"immune cell n={audited[0]}, m={m}, k={audited[2]} classified "
+                                            f"{report.classification} for {truth}")
     return [ProportionRow(*cell, samples, seed, *counts.get(cell, (0, 0)), sampled=cell in counts)
             for cell in cells]
 

@@ -138,7 +138,8 @@ def test_criterion_4_best_case_implies_worst_case():
     sampled_violations = 0
     for i in range(10_000):
         truth = sample_ranking(m, SEED, i)
-        ((wom, bom),) = _classify_saturated(ranking_positions(truth), [(k, (n - 1) * (m - k) + 1, n * (m - k) + 1)])
+        ((wom, bom, _),) = _classify_saturated([bytes(ranking_positions(truth))],
+                                               [(k, (n - 1) * (m - k) + 1, n * (m - k) + 1)])
         if bom and not wom:
             sampled_violations += 1
     ok = not grid_violations and sampled_violations == 0

@@ -372,6 +372,12 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and "budget must be an integer >= 0" in captured.err
 
+    def test_m_beyond_a_byte_is_invalid_input(self, capsys):
+        # the grid holds each place in a byte, so m=257 is refused before a truth is drawn
+        assert main(["experiment", "fig1", "--m", "257", "--k", "256", "--n", "3", "--samples", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "m must be at most 256" in captured.err
+
     def test_budget_exceeded(self, capsys):
         rc = main(["analyze", "--rule", "borda", "--n", "3", "--truth", "0,1,2",
                    "--budget", "10"])

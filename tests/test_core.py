@@ -305,10 +305,14 @@ class TestOneIntegerCheck:
         lambda: run_experiment(5, (15,), (1,)),
         lambda: omvote.sweep_n(15, 14, None, 10, 0),
         lambda: omvote.heatmap(3, None, 10, 0),
+        lambda: run_experiment((3,), (15,), (1,), samples=True),
+        lambda: run_experiment((3,), (15,), (1,), 10, seed=False),
+        lambda: omvote.sample_ranking(True, 0, 0),
     ], ids=["manipulators", "float-target", "str-target", "veto-m", "veto-m-tiebreak", "unanimous-m",
             "profiles-voters", "profiles-no-voters", "rankings-m", "sample-m", "sample-seed", "score-vector-m", "sweep-k", "heatmap-mk",
             "config-samples", "audit-n", "bom-str-n", "bom-zero-n", "nom-float-n", "budget", "kapproval-k-m",
-            "ranking-str-m", "config-int-n", "sweep-none-n", "heatmap-none-m"])
+            "ranking-str-m", "config-int-n", "sweep-none-n", "heatmap-none-m", "bool-samples", "bool-seed",
+            "bool-sample-m"])
     def test_escape_is_rejected(self, call):
         with pytest.raises(InvalidParametersError):
             call()
@@ -422,10 +426,11 @@ class TestOneTiebreakCheckPerSearch:
         return sites
 
     def test_tiebreak_positions_only_to_relabel(self):
-        # kernels walk the tie-break itself: positions are taken of truths, and of a tie-break only by the relabel
+        # kernels walk the tie-break itself: positions are taken of truths, and of a tie-break only by the relabel;
+        # the grid takes its truths' positions as bytes, by bytes.maketrans
         calls = self._sites(lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == "ranking_positions")
         assert calls == {("ccum", "_possible_outcomes"), ("manipulability", "_checked"),
-                         ("manipulability", "classify_randomized_tiebreak"), ("experiments", "run_experiment")}
+                         ("manipulability", "classify_randomized_tiebreak")}
         named = self._sites(lambda node: "prank" in {getattr(node, a, None) for a in ("id", "arg", "attr", "name")})
         assert named <= {("ccum", "_possible_outcomes")}
 

@@ -1,6 +1,8 @@
 """Monte Carlo proportion estimates: determinism, short-circuits, cross-checks."""
 
 import hashlib
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +32,7 @@ def consts(cells):
 
 def flags(truth, n, k):
     # (wom, bom) of one truth in one cell, through the grid's classifier
-    return _classify_saturated(ranking_positions(truth), consts([(n, len(truth), k)]))[0]
+    return _classify_saturated([bytes(ranking_positions(truth))], consts([(n, len(truth), k)]))[0][:2]
 
 
 def naive_flags(pos, n, k):
@@ -138,7 +140,8 @@ class TestNaiveClassifierAgreement:
         read = consts(cells)
         for truth in enumerate_rankings(m):
             pos = ranking_positions(truth)
-            assert _classify_saturated(pos, read) == [naive_flags(pos, n, k) for n, _, k in cells], truth
+            counts = _classify_saturated([bytes(pos)], read)
+            assert [c[:2] for c in counts] == [naive_flags(pos, n, k) for n, _, k in cells], truth
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -146,7 +149,8 @@ class TestNaiveClassifierAgreement:
         m = data.draw(st.integers(5, 30), label="m")
         cells = data.draw(st.lists(st.sampled_from(saturated_cells(m)), min_size=1, max_size=4), label="cells")
         pos = ranking_positions(tuple(data.draw(st.permutations(range(m)), label="truth")))
-        assert _classify_saturated(pos, consts(cells)) == [naive_flags(pos, n, k) for n, _, k in cells]
+        counts = _classify_saturated([bytes(pos)], consts(cells))
+        assert [c[:2] for c in counts] == [naive_flags(pos, n, k) for n, _, k in cells]
 
 
 def reference_rows(n_values, m_values, mk_values, samples, seed):
@@ -159,7 +163,8 @@ def reference_rows(n_values, m_values, mk_values, samples, seed):
                 sampled = kapproval_om(*cell).holds
                 wom = bom = 0
                 for i in range(samples if sampled else 0):
-                    w, b = _classify_saturated(ranking_positions(sample_ranking(m, seed, i)), consts([cell]))[0]
+                    pos = bytes(ranking_positions(sample_ranking(m, seed, i)))
+                    w, b, _ = _classify_saturated([pos], consts([cell]))[0]
                     wom, bom = wom + w, bom + b
                 rows.append(experiments.ProportionRow(*cell, samples, seed, wom, bom, sampled=sampled))
     return rows
@@ -180,7 +185,8 @@ class TestChunkedDraws:
         monkeypatch.setattr(manipulability, "classify", recording)
         return seen
 
-    @pytest.mark.parametrize("samples", [experiments.CHUNK - 1, experiments.CHUNK, experiments.CHUNK + 1])
+    @pytest.mark.parametrize("samples", [experiments.CHUNK - 1, experiments.CHUNK, experiments.CHUNK + 1,
+                                         2 * experiments.CHUNK + 1])  # the last: chunks past the audit's end
     def test_rows_equal_the_per_draw_loop(self, samples, audited):
         grid = ((3, 4), (15, 21), (1, 2, 7))  # (3, 15, 8) is the first immune cell, audited among sampled cells
         assert run_experiment(*grid, samples, 9) == reference_rows(*grid, samples, 9)
@@ -192,6 +198,88 @@ class TestChunkedDraws:
         grid, samples = ((3,), (21,), (7, 8)), experiments.CHUNK + 5
         assert run_experiment(*grid, samples, 8) == reference_rows(*grid, samples, 8)
         assert audited == [sample_ranking(21, 8, i) for i in range(experiments.CHUNK + 2)]
+
+
+class TestByteBound:
+    """Places are bytes: m runs up to 256, and a larger m is refused before anything is drawn."""
+
+    def test_m_257_is_refused(self):
+        with pytest.raises(InvalidParametersError, match="at most 256"):
+            run_experiment((3,), (257,), (1,), 1, 0)
+
+    def test_refused_before_any_draw(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew a truth")
+
+        monkeypatch.setattr(experiments, "_fisher_yates_many", no_draws)
+        with pytest.raises(InvalidParametersError):
+            run_experiment((3,), (15, 257), (1,), 1, 0)
+
+    def test_place_255_in_a_byte(self):
+        # at m=256 the last place is 255, the largest a byte holds
+        grid = ((3,), (256,), (1,))
+        assert run_experiment(*grid, 1, 0) == reference_rows(*grid, 1, 0)
+        for last in range(5):  # the outcome ranked last is scanned (0..3) or not (4)
+            truth = tuple(o for o in range(256) if o != last) + (last,)
+            pos = ranking_positions(truth)
+            assert [c[:2] for c in _classify_saturated([bytes(pos)], consts([(3, 256, 255)]))] == [
+                naive_flags(pos, 3, 255)]
+
+
+class TestExactRates:
+    """exact_rates against the grid's kernel on every truth, against the theorem, and at paper scale."""
+
+    @pytest.mark.parametrize("m", range(5, 9))
+    def test_kernel_counts_over_all_truths(self, m):
+        positions = [bytes(ranking_positions(truth)) for truth in enumerate_rankings(m)]
+        cells = saturated_cells(m)
+        counts = _classify_saturated(positions, consts(cells))
+        for (n, _, k), (wom, bom, first) in zip(cells, counts):
+            p_wom, p_bom = experiments.exact_rates(n, m, k)
+            assert (wom, bom, first) == (p_wom * len(positions), p_bom * len(positions), None), (n, m, k)
+
+    @pytest.mark.parametrize("m", range(5, 8))
+    def test_reduction_counts_over_all_truths(self, m):
+        # the kernel-free route: classify every truth through the reduction
+        truths = list(enumerate_rankings(m))
+        for n, _, k in saturated_cells(m):
+            reports = [classify(truth, kapproval(k), n, tuple(range(m)), mode="reduction") for truth in truths]
+            wom = sum(r.wom_witness is not None for r in reports)
+            bom = sum(r.bom_witness is not None for r in reports)
+            assert (Fraction(wom, len(truths)), Fraction(bom, len(truths))) == experiments.exact_rates(n, m, k)
+
+    def test_saturated_cells_up_to_m8(self):
+        assert sum(len(saturated_cells(m)) for m in range(5, 9)) == 11
+
+    def test_positive_iff_the_theorem_holds(self):
+        for m in range(3, 61):
+            for k in range(1, m):
+                for n in range(3, 41):
+                    p_wom, p_bom = experiments.exact_rates(n, m, k)
+                    holds = kapproval_om(n, m, k).holds
+                    assert (p_wom > 0, p_bom > 0) == (holds, holds), (n, m, k)
+                    assert 0 <= p_bom <= p_wom < 1
+
+    @pytest.mark.parametrize("cell, expected", [
+        ((3, 15, 14), (Fraction(11, 20), Fraction(11, 60))),
+        ((3, 30, 21), (Fraction(10051, 20300), Fraction(601, 20300))),
+        ((14, 15, 14), (0, 0)),
+    ])
+    def test_paper_scale(self, cell, expected):
+        assert experiments.exact_rates(*cell) == expected
+
+    @pytest.mark.parametrize("m", range(4, 31))
+    def test_one_disapproval_closed_form(self, m):
+        # at m-k=1: p_wom = n(m-n-1)/((n+1)m) = n * p_bom
+        for n in range(3, m - 1):
+            p_wom, p_bom = experiments.exact_rates(n, m, m - 1)
+            assert p_wom == Fraction(n * (m - n - 1), (n + 1) * m) == n * p_bom
+
+    def test_rejects_what_kapproval_om_rejects(self):
+        with pytest.raises(InvalidParametersError):
+            experiments.exact_rates(2, 15, 14)
+        with pytest.raises(InvalidParametersError):
+            experiments.exact_rates(3, 15, 15)
 
 
 class TestSharedDraws:
@@ -285,9 +373,19 @@ class TestAudit:
         assert [(r.m - r.k, r.sampled) for r in rows] == [(1, True), (7, False)]
 
     def test_best_case_only_sample_raises(self, monkeypatch):
-        monkeypatch.setattr(experiments, "_classify_saturated", lambda pos, cells: [(False, True)] * len(cells))
+        monkeypatch.setattr(experiments, "_classify_saturated", lambda positions, cells: [(0, 1, 0)] * len(cells))
         with pytest.raises(VerificationError, match="best-case-only"):
             sweep_n(15, 14, [3], samples=1, seed=0)[0]
+
+    def test_best_case_only_names_the_absolute_sample(self, monkeypatch):
+        # the kernel reports a chunk index; the error names the sample index and the truth
+        def second_chunk_third_truth(positions, cells):
+            return [(0, 1, 2 if len(positions) < experiments.CHUNK else None)] * len(cells)
+
+        monkeypatch.setattr(experiments, "_classify_saturated", second_chunk_third_truth)
+        index = experiments.CHUNK + 2
+        with pytest.raises(VerificationError, match=re.escape(f"sample {index}: {sample_ranking(15, 4, index)}")):
+            sweep_n(15, 14, [3], samples=experiments.CHUNK + 3, seed=4)
 
     def test_audited_truth_not_nom_raises(self, monkeypatch):
         report = manipulability.ManipulationReport(manipulability.WOM_ONLY, None, None, None)
