@@ -8,17 +8,18 @@ polynomial time.
 The brute-force solver enumerates manipulator ballot tuples for any rule
 and doubles as the correctness oracle for both.  Each solver decides
 achievable by electing the profile it returns, so a certificate needs no
-second check.
+second check.  Every other exhaustive reachable set sums ballot tallies.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from . import rules
-from .core import (Profile, _ballots, check_budget, check_int, enumerate_profiles, make_ranking, make_tiebreak,
-                   ranking_positions)
+from .core import (Profile, _ballots, check_budget, check_int, enumerate_profiles, enumerate_rankings, make_ranking,
+                   make_tiebreak, ranking_positions)
 from .errors import InvalidParametersError
 
 
@@ -69,10 +70,7 @@ def ccum_greedy_kapproval(inst: CcumInstance) -> CcumCertificate:
         raise InvalidParametersError(f"greedy solver needs a k-approval rule, got {inst.rule.name}")
     target = inst.target
     others = [o for o in reversed(inst.tiebreak) if o != target]  # lowest priority first
-    scores = [0] * m
-    for ballot in inst.fixed_ballots:
-        for o in ballot[:k]:
-            scores[o] += 1
+    scores = rules._totals((1,) * k, m, inst.fixed_ballots)
     ballots = []
     for _ in range(inst.num_manipulators):
         scores[target] += 1
@@ -154,17 +152,18 @@ def possible_outcomes(rule: rules.RuleSpec, n: int, fixed, tiebreak, budget: int
     With *fixed* set to one voter's ranking the other n-1 voters are free;
     with fixed=None all n are.  k-approval rules are decided in closed form
     from the fixed ballot's approved set (_kapproval_reachable), with no
-    ballots built and no cache; everything else enumerates ballot tuples.
+    ballots built and no cache; everything else sums ballot tallies (_row),
+    weighing C(d+f-1, f) multisets of f free voters' d one-ballot tallies.
 
     Every supported rule is neutral: scoring, STV, runoff and Copeland read
     the tie-break only as an order to walk, so relabeling each outcome by
     its place in that order makes it the identity, and winner(pi(P),
-    identity) = pi(winner(P, tiebreak)).  A query of an enumerated rule
+    identity) = pi(winner(P, tiebreak)).  A query of a summed rule
     under another tie-break is answered under the identity, with the fixed
     ballot relabeled, and mapped back; the closed form walks the query's
     own tie-break and is never relabeled.
 
-    Only enumerated rules are cached: the 2048 most recently used queries,
+    Only summed rules are cached: the 2048 most recently used queries,
     under the key they were asked with, and the m! tie-breaks of a rule
     share each identity entry: room for the rows of the 64 brute-force
     tables that manipulability keeps at m=4 and their identity entries,
@@ -196,10 +195,40 @@ def _possible_outcomes(rule, n, fixed, tiebreak, budget) -> frozenset:
         place = ranking_positions(tiebreak)
         relabeled = None if fixed is None else tuple(place[o] for o in fixed)
         return frozenset(tiebreak[o] for o in _possible_outcomes(rule, n, relabeled, identity, budget))
-    fixed_ballots = (fixed,) if fixed is not None else ()
-    found = set()
-    for profile in enumerate_profiles(m, n - len(fixed_ballots), budget, fixed_ballots):
-        found.add(rules._elect(rule, profile, identity))
+    _weigh(rule, m, n, n - (fixed is not None), budget)
+    if fixed is None:  # the first ballot is free too: the rows of all its tallies
+        return frozenset().union(*(_row(rule, m, n, u) for u in _units(rule, m, n)))
+    return _row(rule, m, n, rules._tally(rule, m, n, (fixed,)))
+
+
+@lru_cache(maxsize=512)
+def _units(rule, m: int, n: int, top=None) -> tuple:
+    # the distinct one-ballot tallies, for n voters, of the m! rankings, or of those ranking *top* first
+    return tuple(dict.fromkeys(rules._tally(rule, m, n, (r,)) for r in enumerate_rankings(m) if top in (None, r[0])))
+
+
+def _weigh(rule, m: int, n: int, free: int, budget, rows: int = 1, top=None) -> None:
+    # rows searches, each over the C(d+free-1, free) multisets of free ballots' d one-ballot tallies (_units(top)),
+    # which bound their distinct sums: the weight of every summed search, checked before any sum is built
+    check_budget(rows * math.comb(len(_units(rule, m, n, top)) + free - 1, free), budget, "ballot multisets")
+
+
+@lru_cache(maxsize=64)
+def _sums(rule, m: int, n: int, top=None) -> tuple:
+    # the distinct tallies of n-1 free ballots (of _units(top)), kept as every row of a table reads them: from the
+    # empty tally, add each one-ballot tally n-1 times, dropping duplicates at each step
+    units, sums = _units(rule, m, n, top), {rules._tally(rule, m, n, ())}
+    for _ in range(n - 1):
+        sums = {s + u for s in sums for u in units}
+    return tuple(sums)
+
+
+@lru_cache(maxsize=2048)
+def _row(rule, m: int, n: int, tally, top=None) -> frozenset:
+    # the winners under the identity of one ballot's tally plus each sum of _sums(top); rankings of one tally share it
+    decide, identity, found = rules._decider(rule, m, n), tuple(range(m)), set()
+    for s in _sums(rule, m, n, top):
+        found.add(decide(tally + s, identity))
         if len(found) == m:
             break
     return frozenset(found)

@@ -7,21 +7,11 @@ exhaustive search at small scale, so each side can validate the other.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, field
 
 from . import rules
-from .ccum import possible_outcomes
-from .core import (
-    Profile,
-    check_budget,
-    check_enumerable,
-    check_int,
-    enumerate_rankings,
-    identity_tiebreak,
-    make_tiebreak,
-)
+from .ccum import _row, _units, _weigh, possible_outcomes
+from .core import check_enumerable, check_int, enumerate_rankings, identity_tiebreak, make_tiebreak
 
 OM = "OM"
 NOM = "NOM"
@@ -118,6 +108,7 @@ def has_veto_power(rule: rules.RuleSpec, n: int, m: int, tiebreak=None, budget=N
     """True iff some single report makes some otherwise-possible outcome unreachable.
 
     Every rule is neutral, so relabeling by priority position gives every tie-break the identity's verdict.
+    Its first, all-free query weighs the most, C(d+n-1, n) multisets of the d distinct one-ballot tallies.
     """
     check_enumerable(m)  # before anything of size m is built
     tiebreak = identity_tiebreak(m) if tiebreak is None else make_tiebreak(tiebreak, m)
@@ -131,24 +122,18 @@ def has_veto_power(rule: rules.RuleSpec, n: int, m: int, tiebreak=None, budget=N
 def is_almost_unanimous(rule: rules.RuleSpec, n: int, m: int, tiebreak=None, budget=None) -> bool:
     """True iff an outcome ranked first by at least n-1 voters always wins.
 
-    With tiebreak=None it is required for every priority order, and the
-    identity decides it: every rule is neutral, so relabeling each outcome
-    by its priority position maps the profiles where n-1 voters rank t
-    first, and their winners, onto those under the identity.  Every rule is
-    also anonymous, so the dissenting ballot is placed last only.  Raises
-    TooLargeError beyond *budget* (default 10^8) ballot tuples; the search
-    has m * m! * ((m-1)!)^(n-1).
+    Every rule is neutral, so relabeling each outcome by its priority position maps the profiles where
+    n-1 voters rank t first, and their winners, onto those under the identity, which decides for every
+    order.  Every rule is also anonymous: the verdict holds iff the ccum row of every dissenting ballot,
+    its n-1 free backers ranking t first, is {t}.  Raises TooLargeError beyond *budget* (default 10^8)
+    ballot multisets; the search has m * d * C(d_t+n-2, n-1), d the distinct one-ballot tallies and d_t
+    those of the ballots ranking t first.
     """
     check_enumerable(m)  # before anything of size m is built
     rules.check_rule(rule)
     check_int(n, "almost-unanimity's n", 2)
-    order = identity_tiebreak(m) if tiebreak is None else make_tiebreak(tiebreak, m)
-    rankings = tuple(enumerate_rankings(m))
-    check_budget(m * len(rankings) * math.factorial(m - 1) ** (n - 1), budget)
-    for top in range(m):
-        supporters = [r for r in rankings if r[0] == top]
-        for deviant in rankings:
-            for backers in itertools.product(supporters, repeat=n - 1):
-                if rules._elect(rule, Profile(backers + (deviant,), m), order) != top:
-                    return False
-    return True
+    if tiebreak is not None:
+        make_tiebreak(tiebreak, m)
+    units = _units(rule, m, n)
+    _weigh(rule, m, n, n - 1, budget, m * len(units), 0)
+    return all(_row(rule, m, n, u, top) == {top} for top in range(m) for u in units)

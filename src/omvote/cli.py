@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from functools import lru_cache
 
 from . import characterization, experiments, manipulability, rules
 from .core import DEFAULT_BUDGET, check_int, identity_tiebreak, make_ranking, make_tiebreak, read_profile_file
@@ -202,6 +203,7 @@ class _BeforeFigure(argparse.Action):
         parser.error(f"{option_string} goes after the figure name, e.g. 'experiment fig1 {option_string} ...'")
 
 
+@lru_cache(maxsize=None)  # built once per process: parsing leaves a parser as it was
 def build_parser() -> argparse.ArgumentParser:
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")

@@ -29,7 +29,7 @@ TieBreak = tuple  # permutation of range(m), highest priority first
 #: Hard cap on enumerate_rankings (8! = 40320 rankings).
 MAX_ENUMERATED_OUTCOMES = 8
 
-#: Default cap on the number of enumerated profiles / ballot tuples.
+#: Default cap on the size of an exhaustive search: ballot tuples, or multisets of one-ballot tallies.
 DEFAULT_BUDGET = 10**8
 
 
@@ -139,8 +139,8 @@ def enumerate_rankings(m: int) -> Iterator:
 def check_budget(count: int, budget: int | None, what: str = "ballot tuples") -> None:
     """Raise TooLargeError when a search over *count* *what* exceeds *budget* (default 10^8).
 
-    This is the one budget gate: every exhaustive search and table pre-check is weighed here, and
-    an entry point that may weigh nothing checks its budget, an integer >= 0 or None, by weighing 0.
+    The one budget gate: every exhaustive search is weighed here once, up front, in ballot tuples or ballot
+    multisets, and an entry point that may weigh nothing checks its budget, an int >= 0 or None, by weighing 0.
     """
     if count > (DEFAULT_BUDGET if budget is None else check_int(budget, "budget", 0)):
         raise TooLargeError(f"{count} {what} exceed the enumeration budget")
@@ -151,9 +151,9 @@ def enumerate_profiles(m: int, voters: int, budget: int | None = None, fixed=())
 
     The tuples come in lexicographic order after the *fixed* ballots, which
     every profile starts with.  voters=0 is allowed when *fixed* is non-empty
-    and yields the fixed profile alone.  Every exhaustive ballot search in
-    the package runs through here, so this is where it is weighed against
-    *budget* (default 10^8 tuples); raises TooLargeError beyond it.
+    and yields the fixed profile alone.  ccum_bruteforce searches through
+    here (reachable sets sum tallies instead), so this is where it is weighed
+    against *budget* (default 10^8 tuples); raises TooLargeError beyond it.
     """
     fixed = tuple(make_ranking(b, m) for b in _ballots(fixed))
     if not (check_int(voters, "voters", 0) or fixed):

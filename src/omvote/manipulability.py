@@ -19,14 +19,12 @@ surfaces as a VerificationError rather than being silently trusted.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 from . import rules
-from .ccum import CcumInstance, _reachable, solve_ccum
+from .ccum import CcumInstance, _possible_outcomes, _reachable, _units, _weigh, solve_ccum
 from .core import (check_budget, check_enumerable, check_int, enumerate_rankings, make_ranking, make_tiebreak,
                    ranking_positions)
 from .errors import InvalidParametersError, UnsupportedRuleError, VerificationError
@@ -163,38 +161,17 @@ def _label(has_bom: bool, has_wom: bool) -> str:
 # ---------------------------------------------------------------------------
 # Exhaustive feasible sets (the oracle side).
 #
-# For k-approval style rules only the approved sets matter, so the search
-# quotients rankings down to approval sets and the other voters down to
-# multisets of approval sets; this is exact, not an approximation.  Other
-# rules take each report's row from possible_outcomes, which enumerates the
-# full ballot tuples of the other voters and caches the rows it computes.
+# Each report's row is ccum's summed search, k-approval included (its one-ballot tallies are its approval
+# sets), so the table never reads the closed form.  A table of d distinct one-ballot tallies weighs
+# d * C(d+n-2, n-1) ballot multisets, for k-approval the approval-set count.
 
 
 @lru_cache(maxsize=64, typed=True)  # typed, as ccum._possible_outcomes
 def _bruteforce_feasible_map(rule: rules.RuleSpec, n: int, tiebreak, budget=None) -> dict:
     # keyed by all m! rankings in enumerate_rankings order, which _first_wom's scan relies on
     m = check_enumerable(len(tiebreak))
-    k = rules._kapproval_k(rule, m)
-    if k is not None:
-        c = math.comb(m, k)
-        check_budget(math.comb(c + n - 2, n - 1) * c, budget, "approval-set rows")
-        sets = [frozenset(s) for s in itertools.combinations(range(m), k)]
-        base = []
-        for multi in itertools.combinations_with_replacement(sets, n - 1):
-            counts = [0] * m
-            for s in multi:
-                for o in s:
-                    counts[o] += 1
-            base.append(counts)
-        by_set = {}
-        for s in sets:
-            found = set()
-            for counts in base:
-                found.add(max(tiebreak, key=lambda o: counts[o] + (o in s)))
-            by_set[s] = frozenset(found)
-        return {r: by_set[frozenset(r[:k])] for r in enumerate_rankings(m)}
-    check_budget(math.factorial(m) ** n, budget)
-    return {r: _reachable(rule, k, n, r, tiebreak, budget) for r in enumerate_rankings(m)}
+    _weigh(rule, m, n, n - 1, budget, len(_units(rule, m, n)))
+    return {r: _possible_outcomes(rule, n, r, tiebreak, budget) for r in enumerate_rankings(m)}
 
 
 def bruteforce_feasible(rule: rules.RuleSpec, n: int, report, tiebreak, budget=None) -> frozenset:
@@ -208,11 +185,11 @@ def bruteforce_feasible(rule: rules.RuleSpec, n: int, report, tiebreak, budget=N
 # reachable set of a report is the union of the co-winner sets over all
 # ballots of the other voters.  o is a co-winner iff it wins under the priority
 # order that puts o first, so each row comes from possible_outcomes under the
-# orders that put its outcomes first.  The table is keyed by the caller's
-# weight vector as a tuple, so vectors equal term by term ((3, 2, 1, 0),
-# [3, 2, 1, 0], (3.0, 2.0, 1.0, 0.0) or Fractions) share one entry; the rule
-# is built from the weights and checked for m only on a miss, so an invalid
-# vector never gets an entry.
+# orders that put its outcomes first, cached identity rows, weighed as one
+# table.  The table is keyed by the caller's weight vector as a tuple, so
+# vectors equal term by term ((3, 2, 1, 0), [3, 2, 1, 0], (3.0, 2.0, 1.0, 0.0)
+# or Fractions) share one entry; the rule is built from the weights and
+# checked for m only on a miss, so an invalid vector never gets an entry.
 
 
 def _priority_first(o: int, m: int) -> tuple:
@@ -223,7 +200,7 @@ def _priority_first(o: int, m: int) -> tuple:
 def _cowinner_feasible_map(weights: tuple, n: int, m: int, budget=None) -> dict:
     rule = rules.scoring(weights)
     rules.score_vector(rule, m)  # one weight per outcome
-    check_budget(math.factorial(m) ** n, budget)
+    _weigh(rule, m, n, n - 1, budget, len(_units(rule, m, n)))
     k = rules._kapproval_k(rule, m)
     return {
         report: frozenset(o for o in range(m)

@@ -8,9 +8,11 @@ priority order.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from sys import byteorder
 from typing import Sequence
 
 from .core import Profile, check_int, make_tiebreak
@@ -186,13 +188,13 @@ def scoring_scores(weights: Sequence, profile: Profile) -> dict:
     ws = [int(f) if f.denominator == 1 else f for f in _fractions(weights, "weights")]
     if len(ws) != m:
         raise DimensionMismatchError(f"{len(ws)} weights for {m} outcomes")
-    return dict(enumerate(_totals(ws, profile)))
+    return dict(enumerate(_totals(ws, m, profile.ballots)))
 
 
-def _totals(ws, profile: Profile) -> list:
+def _totals(ws, m: int, ballots) -> list:
     # score sums for weights already exact (ints or Fractions), one per position
-    totals = [0] * profile.m
-    for ballot in profile.ballots:
+    totals = [0] * m
+    for ballot in ballots:
         for w, o in zip(ws, ballot):
             totals[o] += w
     return totals
@@ -239,33 +241,12 @@ def condorcet_winner(profile: Profile):
     return None
 
 
-def _copeland(profile: Profile, order) -> int:
-    """Most pairwise wins (ties half a point each), priority breaking ties."""
-    m = profile.m
-    tally = pairwise_tally(profile)
-    n = profile.n
-    doubled = [0] * m  # 2 per win, 1 per pairwise tie, exact in ints
-    for a in range(m):
-        for b in range(a + 1, m):
-            if 2 * tally[a][b] > n:
-                doubled[a] += 2
-            elif 2 * tally[a][b] < n:
-                doubled[b] += 2
-            else:
-                doubled[a] += 1
-                doubled[b] += 1
-    return max(order, key=doubled.__getitem__)
-
-
-def _stv(profile: Profile, order) -> int:
-    """Iteratively drop the outcome with fewest first places among survivors.
-
-    Elimination ties drop the lowest-priority outcome; the last survivor wins.
-    """
+def _stv(ballots, order) -> int:
+    """Drop the outcome with fewest first places among survivors, the lowest priority among ties; the last wins."""
     remaining = list(reversed(order))  # lowest priority first, so min drops it among ties
     while len(remaining) > 1:
         firsts = dict.fromkeys(remaining, 0)
-        for ballot in profile.ballots:
+        for ballot in ballots:
             for o in ballot:
                 if o in firsts:
                     firsts[o] += 1
@@ -274,32 +255,73 @@ def _stv(profile: Profile, order) -> int:
     return remaining[0]
 
 
-def _runoff(profile: Profile, order) -> int:
-    """Top two plurality scorers meet in a pairwise majority runoff."""
-    m = check_int(profile.m, "runoff's m", 2)
-    firsts = [0] * m
-    for ballot in profile.ballots:
-        firsts[ballot[0]] += 1
-    a, b = sorted(order, key=lambda o: -firsts[o])[:2]
-    a_wins = sum(1 for ballot in profile.ballots if ballot.index(a) < ballot.index(b))
-    if 2 * a_wins > profile.n:
-        return a
-    if 2 * a_wins < profile.n:
-        return b
-    return min(a, b, key=order.index)  # a tied runoff goes to the higher priority
+class _Ballots(tuple):  # STV's tally: its ballots, sorted, so that the sum of two tallies is their multiset union
+    def __add__(self, other):
+        return _Ballots(sorted(tuple.__add__(self, other)))
 
 
-_KERNELS = {"stv": _stv, "runoff": _runoff, "copeland": _copeland}
+@lru_cache(maxsize=512)
+def _layout(rule: RuleSpec, m: int, n: int) -> tuple:
+    # (weights, count, size, code): a tally is one int of count native-order fields of size bytes, wide enough for
+    # n ballots (array and memoryview code, up to 8 bytes).  Field o totals outcome o's non-zero place weights,
+    # first places for runoff and Copeland, which add field m + a*m + b: the ballots ranking a above b
+    if rule.name not in RULE_NAMES:
+        raise UnsupportedRuleError(f"unknown rule {rule.name!r}")
+    ws = tuple(w for w in _canonical_weights(rule, m, n) if w) if rule.is_scoring else (1,)
+    count, size = (m if rule.is_scoring else m + m * m), 1 << (((n * ws[0]).bit_length() + 7) // 8 - 1).bit_length()
+    return ws, count, size, "BHIQ"[size.bit_length() - 1] if size <= 8 else None
+
+
+def _tally(rule: RuleSpec, m: int, n: int, ballots) -> int | _Ballots:
+    """What *rule* reads of at most n ballots over m outcomes, additive: the tally of two sets of ballots is the sum.
+
+    Scoring totals, Copeland's pairwise tally, runoff's first places and pairwise tally, one int each; STV: _Ballots.
+    """
+    if rule.name == "stv":
+        return _Ballots(sorted(ballots))
+    ws, count, size, code = _layout(rule, m, n)
+    fields = _totals(ws, m, ballots)
+    if count > m:
+        fields += [c for row in pairwise_tally(Profile(tuple(ballots), m)) for c in row]
+    raw = array(code, fields).tobytes() if code else b"".join(v.to_bytes(size, byteorder) for v in fields)
+    return int.from_bytes(raw, byteorder)
+
+
+@lru_cache(maxsize=512)
+def _decider(rule: RuleSpec, m: int, n: int):
+    # decide(tally, order), the winner of a _tally of at most n ballots under a priority order: each walks the
+    # order, and max, min and the stable sorted keep the first best outcome they meet, so ties go to priority
+    if rule.name == "stv":
+        return _stv
+    _, count, size, code = _layout(rule, m, n)
+
+    def fields(tally):
+        b = tally.to_bytes(count * size, byteorder)
+        return memoryview(b).cast(code).tolist() if code else [int.from_bytes(b[i:i + size], byteorder)
+                                                               for i in range(0, len(b), size)]
+
+    if rule.is_scoring:
+        return lambda tally, order: max(order, key=fields(tally).__getitem__)
+    if rule.name == "copeland":  # pairwise wins less losses, which orders as 2 per win and 1 per tie
+        cells = [[(m + a * m + b, m + b * m + a) for b in range(m)] for a in range(m)]
+
+        def copeland(tally, order):
+            f = fields(tally)
+            return max(order, key=lambda a: sum((f[ab] > f[ba]) - (f[ab] < f[ba]) for ab, ba in cells[a]))
+        return copeland
+    check_int(m, "runoff's m", 2)
+
+    def runoff(tally, order):  # the top two by first places meet in a pairwise majority runoff
+        f = fields(tally)
+        a, b = sorted(order, key=lambda o: -f[o])[:2]
+        ab, ba = f[m + a * m + b], f[m + b * m + a]
+        return a if ab > ba else b if ab < ba else min(a, b, key=order.index)  # a tie to the higher priority
+    return runoff
 
 
 def _elect(rule: RuleSpec, profile: Profile, order) -> int:
-    # winner under a tie-break checked once per search: each kernel walks the priority order itself, and
-    # max, min and the stable sorted keep the first best outcome they meet, so a tie goes to the higher priority
-    if rule.is_scoring:  # canonical weights are ints, summed as they are
-        return max(order, key=_totals(_canonical_weights(rule, profile.m, profile.n), profile).__getitem__)
-    if rule.name not in _KERNELS:
-        raise UnsupportedRuleError(f"unknown rule {rule.name!r}")
-    return _KERNELS[rule.name](profile, order)
+    # winner under a tie-break checked once per search: the decision on the profile's tally
+    return _decider(rule, profile.m, profile.n)(_tally(rule, profile.m, profile.n, profile.ballots), order)
 
 
 def winner(rule: RuleSpec, profile: Profile, tiebreak) -> int:

@@ -3,10 +3,12 @@
 Each test prints one PASS/FAIL line (run with -s to see them on success).
 The Monte Carlo criteria use 10^5 samples and seed 42; tolerances are
 fixed at +-0.02 around the published rates, with immune cells required
-to be exactly zero.
+to be exactly zero, and each sampled rate must also lie within 5 sigma
+of its exact value, sigma = sqrt(p(1-p)/samples).
 """
 
 import itertools
+import math
 
 import pytest
 
@@ -36,11 +38,12 @@ from omvote import (
     vetofamily,
 )
 from omvote.core import ranking_positions
-from omvote.experiments import _classify_saturated
+from omvote.experiments import _classify_saturated, exact_rates
 
 SAMPLES = 100_000
 SEED = 42
 TOLERANCE = 0.02
+SIGMAS = 5
 
 pytestmark = pytest.mark.acceptance
 
@@ -48,6 +51,15 @@ pytestmark = pytest.mark.acceptance
 def _report(criterion: str, ok: bool, detail: str):
     print(f"{'PASS' if ok else 'FAIL'} criterion {criterion}: {detail}")
     assert ok, f"criterion {criterion}: {detail}"
+
+
+def _largest_deviation(rows) -> tuple:
+    # (sigmas, rate) of the sampled rate farthest from exact_rates, in binomial standard deviations
+    return max(
+        (abs(got - exact) / math.sqrt(exact * (1 - exact) / row.samples), f"{name}{(row.n, row.m, row.k)}")
+        for row in rows if row.sampled
+        for name, got, exact in zip(("p_wom", "p_bom"), (row.p_wom, row.p_bom), exact_rates(row.n, row.m, row.k))
+    )
 
 
 @pytest.fixture(scope="module")
@@ -69,8 +81,11 @@ def test_criterion_1_fig1_reproduction(fig1_rows):
     ]
     ok = all(abs(got - want) <= TOLERANCE for _, got, want in checks)
     ok = ok and by_n[14].p_wom == 0.0 and by_n[14].p_bom == 0.0 and not by_n[14].sampled
+    sigmas, rate = _largest_deviation(fig1_rows)
+    ok = ok and sigmas <= SIGMAS
     detail = ", ".join(f"{name}={got:.4f} (target {want}+-0.02)" for name, got, want in checks)
-    _report("1 (voter-count sweep)", ok, detail + f", n=14 exact zero={by_n[14].p_wom == 0.0}")
+    _report("1 (voter-count sweep)", ok, detail + f", n=14 exact zero={by_n[14].p_wom == 0.0}"
+            f", largest deviation from the exact rates {sigmas:.2f} sigma at {rate}")
 
 
 def test_criterion_2_fig2_spot_cells(fig2_rows):
@@ -83,9 +98,12 @@ def test_criterion_2_fig2_spot_cells(fig2_rows):
     ok = all(abs(cells[cell].p_om - want) <= TOLERANCE for cell, want in checks)
     zero = cells[(21, 7)]
     ok = ok and zero.p_om == 0.0 and not zero.sampled
+    sigmas, rate = _largest_deviation(fig2_rows)
+    ok = ok and sigmas <= SIGMAS
     detail = ", ".join(f"m={m},m-k={mk}: {cells[(m, mk)].p_om:.4f} (target {want}+-0.02)"
                        for (m, mk), want in checks)
-    _report("2 (outcome-grid spot cells)", ok, detail + ", (21,7) exact zero")
+    _report("2 (outcome-grid spot cells)", ok, detail + ", (21,7) exact zero"
+            f", largest deviation from the exact rates {sigmas:.2f} sigma at {rate}")
 
 
 def _grid_cells():

@@ -1,6 +1,7 @@
 """Coalition manipulation solvers: greedy k-approval vs exhaustive search."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -14,10 +15,15 @@ from omvote import (
     Profile,
     WrongLengthError,
     borda,
+    bruteforce_feasible,
     ccum_bruteforce,
     ccum_greedy_kapproval,
+    enumerate_profiles,
     enumerate_rankings,
+    has_veto_power,
+    is_almost_unanimous,
     kapproval,
+    make_profile,
     parse_rule,
     plurality,
     possible_outcomes,
@@ -25,7 +31,7 @@ from omvote import (
     solve_ccum,
     winner,
 )
-from omvote import ccum, manipulability
+from omvote import ccum, manipulability, rules
 
 
 class TestGreedy:
@@ -394,3 +400,93 @@ class TestNeutrality:
     def test_bad_query_rejected_before_relabeling(self, rule, n, fixed, tiebreak, error):
         with pytest.raises(error):
             possible_outcomes(rule, n, fixed, tiebreak)
+
+
+# vetofamily(30, 1) keeps omega > m*eps*(n-1) for every m <= 5 and n <= 6 drawn below
+SUMMED_RULES = ("borda", "plurality", "antiplurality", "dowdall", "paperfamily", "kapproval", "scoring",
+                "vetofamily:omega=30,eps=1", "stv", "runoff", "copeland")
+
+
+def _draw_rule(data, m):
+    name = data.draw(st.sampled_from(SUMMED_RULES), label="rule")
+    if name == "kapproval":
+        return kapproval(data.draw(st.integers(1, m - 1), label="k"))
+    if name == "scoring":  # small weights, or huge ones whose tallies need fields wider than 8 bytes
+        entry = st.one_of(st.integers(0, 6), st.integers(0, 2**70), st.fractions(0, 3, max_denominator=4))
+        ws = sorted(data.draw(st.lists(entry, min_size=m, max_size=m), label="weights"), reverse=True)
+        return rules.scoring([ws[0] + 1, *ws[1:]] if ws[0] == ws[-1] else ws)
+    return parse_rule(name)
+
+
+def _enumerated(rule, n, fixed, tiebreak):
+    # the winners of every completion by ballot tuples, stopping once every outcome is found
+    m, fixed_ballots, found = len(tiebreak), () if fixed is None else (fixed,), set()
+    for profile in enumerate_profiles(m, n - len(fixed_ballots), fixed=fixed_ballots):
+        found.add(winner(rule, profile, tiebreak))
+        if len(found) == m:
+            break
+    return found
+
+
+class TestSummedTallies:
+    """Reachable sets summed from ballot tallies equal the winners over enumerated ballot tuples."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_matches_enumeration(self, data):
+        m = data.draw(st.integers(2, 4), label="m")
+        n = data.draw(st.integers(1, 3), label="n")
+        rule = _draw_rule(data, m)
+        tiebreak = tuple(data.draw(st.permutations(range(m)), label="tiebreak"))
+        fixed = data.draw(st.none() | st.permutations(range(m)).map(tuple), label="fixed")
+        expected = _enumerated(rule, n, fixed, tiebreak)
+        assert possible_outcomes(rule, n, fixed, tiebreak) == expected
+        assert ccum._possible_outcomes(rule, n, fixed, tiebreak, None) == expected  # summed, k-approval too
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_tally_is_additive(self, data):
+        m = data.draw(st.integers(2, 5), label="m")
+        rule = _draw_rule(data, m)
+        ballots = data.draw(st.lists(st.permutations(range(m)).map(tuple), max_size=4), label="ballots")
+        cut = data.draw(st.integers(0, len(ballots)), label="cut")
+        n = max(len(ballots), 1) + data.draw(st.integers(0, 2), label="spare voters")
+
+        def tally(bs):
+            return rules._tally(rule, m, n, bs)
+
+        whole = tally(ballots)
+        assert whole == tally(ballots[:cut]) + tally(ballots[cut:]) == tally(ballots[cut:]) + tally(ballots[:cut])
+        assert tally(()) + whole == whole
+        if ballots:  # decided at room for n ballots, it is the winner of the profile itself
+            order = tuple(data.draw(st.permutations(range(m)), label="order"))
+            assert rules._decider(rule, m, n)(tally(ballots), order) == winner(rule, make_profile(ballots), order)
+
+    def test_fields_wider_than_eight_bytes(self):
+        # 3 * 2^70 needs 9 bytes a field, past the widths an array packs, so fields are packed one by one
+        rule, identity = rules.scoring((2**70, 2**70 - 1, 0)), (0, 1, 2)
+        assert rules._layout(rule, 3, 3)[3] is None
+        for fixed in (None, (2, 1, 0), (1, 0, 2)):
+            assert ccum._possible_outcomes(rule, 3, fixed, identity, None) == _enumerated(rule, 3, fixed, identity)
+
+    @pytest.mark.parametrize("label", ["borda", "dowdall", "paperfamily", "kapproval:k=2",
+                                       "vetofamily:omega=30,eps=1", "stv", "runoff", "copeland"])
+    def test_sampled_rows_at_m5(self, label):
+        rng = random.Random(label)
+        rule = parse_rule(label)
+        for _ in range(2):
+            fixed, tiebreak = tuple(rng.sample(range(5), 5)), tuple(rng.sample(range(5), 5))
+            assert ccum._possible_outcomes(rule, 3, fixed, tiebreak, None) == _enumerated(rule, 3, fixed, tiebreak)
+
+    @pytest.mark.parametrize("label, unanimous", [("borda", False), ("dowdall", True), ("runoff", True)])
+    def test_m5_n4_searches_run_under_the_default_budget(self, label, unanimous):
+        # as ballot tuples the table and the all-free query would weigh (5!)^4 = 2.07 * 10^8, over the budget
+        rule, identity = parse_rule(label), tuple(range(5))
+        rows = {r: bruteforce_feasible(rule, 4, r, identity) for r in enumerate_rankings(5)}
+        possible = possible_outcomes(rule, 4, None, identity)
+        assert possible == frozenset().union(*rows.values())
+        assert has_veto_power(rule, 4, 5) == any(row != possible for row in rows.values())
+        # three of four backers of t: Borda gives 12 to t and 3*3 + 4 = 13 to an outcome the backers rank
+        # second and the dissenter first; Dowdall's canonical (48, 18, 8, 3, 0) gives t 144 and any other at
+        # most 3*18 + 48 = 102; runoff sees t in the final with a majority of first places and of every contest
+        assert is_almost_unanimous(rule, 4, 5) == unanimous

@@ -191,7 +191,8 @@ class TestCharacterize:
         assert verdicts["weakly_diminishing"]["implied_classification"] == implied
 
     def test_exhaustive_budget_boundary(self, capsys):
-        # n=2, m=3: has_veto_power weighs (3!)^2 = 36 tuples, and so does almost-unanimity
+        # n=2, m=3: almost-unanimity weighs m * d * C(d_t, 1) = 3 * 6 * 2 = 36 multisets of Copeland's d = 6
+        # pairwise tallies, d_t = 2 of them ranking t first; has_veto_power weighs C(d+1, 2) = 21
         args = ["characterize", "--rule", "copeland", "--n", "2", "--m", "3", "--exhaustive"]
         assert main(args + ["--budget", "35"]) == 3
         assert main(args + ["--budget", "36"]) == 0
@@ -388,6 +389,23 @@ class TestExitCodes:
 
     def test_bad_flags(self, capsys):
         assert main(["analyze", "--rule", "borda"]) == 2
+
+    @pytest.mark.parametrize("bad", [
+        ["--seed", "7", "--bogus"], ["--seed", "x"], ["--samples", "10", "--format", "xml"],
+    ], ids=["unknown-flag", "bad-seed", "bad-choice"])
+    def test_failed_call_leaves_the_parser_as_it_was(self, bad, capsys):
+        # the parser is built once per process, so a call that exits 2 must not change what the next one reads
+        valid = ["experiment", "fig1", "--m", "15", "--k", "14", "--n", "3", "--samples", "10"]
+        assert main(valid) == 0
+        expected = capsys.readouterr().out
+        assert main(["experiment", "--seed", "7", *valid[1:]]) == 2  # --seed before the figure
+        assert main(valid + bad) == 2
+        capsys.readouterr()
+        assert main(valid) == 0
+        out = capsys.readouterr().out
+        assert out == expected
+        header, *rows = out.splitlines()
+        assert {row.split(",")[header.split(",").index("seed")] for row in rows} == {"0"}
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

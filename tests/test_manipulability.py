@@ -238,8 +238,8 @@ class TestBruteforceFeasible:
     @pytest.mark.parametrize("budget", [None, 10**30])
     def test_large_kapproval_refused_before_any_approval_set(self, budget, monkeypatch):
         # m=22, k=11: C(22, 11) = 705,432 approval sets and 22! rankings; refused before either is
-        # built, by the m <= 8 cap whatever the budget, so no approval set may be made at all
-        monkeypatch.setattr(manipulability.itertools, "combinations", lambda *args: pytest.fail("sets built"))
+        # built, by the m <= 8 cap whatever the budget, so no sum of approval sets may be made at all
+        monkeypatch.setattr(ccum, "_sums", lambda *args: pytest.fail("sums built"))
         tracemalloc.start()
         try:
             with pytest.raises(TooLargeError):
@@ -252,9 +252,9 @@ class TestBruteforceFeasible:
         assert peak < 2**18  # a list of 10^5 frozensets would take more than 2 MiB of pointers alone
 
     def test_approval_set_budget_weighed_before_the_sets(self, monkeypatch):
-        # m=8, k=4: 70 sets times C(70+1, 2) multisets, one row over the budget, refused before any set is made
+        # m=8, k=4: 70 sets times C(70+1, 2) multisets, one row over the budget, refused before any sum is made
         count = math.comb(71, 2) * 70
-        monkeypatch.setattr(manipulability.itertools, "combinations", lambda *args: pytest.fail("sets built"))
+        monkeypatch.setattr(ccum, "_sums", lambda *args: pytest.fail("sums built"))
         with pytest.raises(TooLargeError):
             bruteforce_feasible(kapproval(4), 3, tuple(range(8)), tuple(range(8)), count - 1)
 
@@ -326,15 +326,17 @@ class TestRandomizedTiebreak:
 
 
 class TestBudgetBoundaries:
-    # m=3, n=3: every exhaustive search raises one tuple below its exact
-    # count and runs at it
+    # m=3, n=3: every exhaustive search raises one unit below its exact
+    # count and runs at it.  ccum_bruteforce counts (3!)^2 ballot tuples; the
+    # others count multisets of Borda's d = 6 one-ballot tallies: C(d+1, 2)
+    # for two free voters, C(d+2, 3) for three, d * C(d+1, 2) for a table
     CASES = {
         "ccum_bruteforce": (36, lambda b: ccum_bruteforce(
             CcumInstance(borda(), ((0, 1, 2),), 2, 2, IDENTITY3), budget=b)),
-        "possible_outcomes_fixed": (36, lambda b: possible_outcomes(borda(), 3, (0, 1, 2), IDENTITY3, b)),
-        "possible_outcomes_free": (216, lambda b: possible_outcomes(borda(), 3, None, IDENTITY3, b)),
-        "bruteforce_feasible": (216, lambda b: bruteforce_feasible(borda(), 3, (0, 1, 2), IDENTITY3, b)),
-        "randomized_tiebreak": (216, lambda b: classify_randomized_tiebreak((0, 1, 2), (2, 1, 0), 3, b)),
+        "possible_outcomes_fixed": (21, lambda b: possible_outcomes(borda(), 3, (0, 1, 2), IDENTITY3, b)),
+        "possible_outcomes_free": (56, lambda b: possible_outcomes(borda(), 3, None, IDENTITY3, b)),
+        "bruteforce_feasible": (126, lambda b: bruteforce_feasible(borda(), 3, (0, 1, 2), IDENTITY3, b)),
+        "randomized_tiebreak": (126, lambda b: classify_randomized_tiebreak((0, 1, 2), (2, 1, 0), 3, b)),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
