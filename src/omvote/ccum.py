@@ -151,9 +151,8 @@ def possible_outcomes(rule: rules.RuleSpec, n: int, fixed, tiebreak, budget: int
 
     With *fixed* set to one voter's ranking the other n-1 voters are free;
     with fixed=None all n are.  k-approval rules are decided in closed form
-    from the fixed ballot's approved set (_kapproval_reachable), with no
-    ballots built and no cache; everything else sums ballot tallies (_row),
-    weighing C(d+f-1, f) multisets of f free voters' d one-ballot tallies.
+    from the fixed ballot's approved set (_kapproval_reachable), with no ballots
+    built and no cache; everything else sums ballot tallies (_row, _weigh).
 
     Every supported rule is neutral: scoring, STV, runoff and Copeland read
     the tie-break only as an order to walk, so relabeling each outcome by
@@ -195,7 +194,7 @@ def _possible_outcomes(rule, n, fixed, tiebreak, budget) -> frozenset:
         place = ranking_positions(tiebreak)
         relabeled = None if fixed is None else tuple(place[o] for o in fixed)
         return frozenset(tiebreak[o] for o in _possible_outcomes(rule, n, relabeled, identity, budget))
-    _weigh(rule, m, n, n - (fixed is not None), budget)
+    _weigh(rule, m, n, budget, table=fixed is None)
     if fixed is None:  # the first ballot is free too: the rows of all its tallies
         return frozenset().union(*(_row(rule, m, n, u) for u in _units(rule, m, n)))
     return _row(rule, m, n, rules._tally(rule, m, n, (fixed,)))
@@ -207,27 +206,38 @@ def _units(rule, m: int, n: int, top=None) -> tuple:
     return tuple(dict.fromkeys(rules._tally(rule, m, n, (r,)) for r in enumerate_rankings(m) if top in (None, r[0])))
 
 
-def _weigh(rule, m: int, n: int, free: int, budget, rows: int = 1, top=None) -> None:
-    # rows searches, each over the C(d+free-1, free) multisets of free ballots' d one-ballot tallies (_units(top)),
-    # which bound their distinct sums: the weight of every summed search, checked before any sum is built
-    check_budget(rows * math.comb(len(_units(rule, m, n, top)) + free - 1, free), budget, "ballot multisets")
+def _distinct(rule, m: int, n: int, top=None) -> int:
+    # len(_units(rule, m, n, top)), none built: a scoring rule's one-ballot tally is where its canonical weights
+    # land, m!/prod(c!) ways for the counts c of equal weights (top takes a first); any other's gives the ranking
+    ws = list(rules._canonical_weights(rule, m, n) if rule.is_scoring else range(m))[top is not None:]
+    return math.factorial(len(ws)) // math.prod(math.factorial(ws.count(w)) for w in set(ws))
 
 
-@lru_cache(maxsize=64)
-def _sums(rule, m: int, n: int, top=None) -> tuple:
-    # the distinct tallies of n-1 free ballots (of _units(top)), kept as every row of a table reads them: from the
-    # empty tally, add each one-ballot tally n-1 times, dropping duplicates at each step
-    units, sums = _units(rule, m, n, top), {rules._tally(rule, m, n, ())}
+def _weigh(rule, m: int, n: int, budget, table: bool = False, backed: bool = False) -> None:
+    # A summed search forms f*C(d+f-1, f) tallies to build the distinct sums of f = n-1 free ballots' d one-ballot
+    # tallies (f steps, each adding every one-ballot tally to every sum of one ballot fewer), then one per sum and
+    # row: one row for a query, d for a table or the all-free query, m tables of backers ranking each top first
+    # when backed.  Weighed before any is built as its larger phase, max(f, rows)*C(d+f-1, f) summed tallies
+    f, rows = n - 1, _distinct(rule, m, n) if table else 1
+    weight = max(f, rows) * math.comb(_distinct(rule, m, n, 0 if backed else None) + f - 1, f)
+    check_budget(m * weight if backed else weight, budget, "summed tallies")
+
+
+@lru_cache(maxsize=1)
+def _sums(rule, m: int, n: int, top=None) -> frozenset:
+    # the distinct tallies of n-1 free ballots (of _units(top)), one set kept, as every row of a table reads it:
+    # from the empty tally, add each one-ballot tally n-1 times, dropping duplicates at each step
+    units, sums = _units(rule, m, n, top), frozenset((rules._tally(rule, m, n, ()),))
     for _ in range(n - 1):
-        sums = {s + u for s in sums for u in units}
-    return tuple(sums)
+        sums = frozenset(s + u for s in sums for u in units)
+    return sums
 
 
 @lru_cache(maxsize=2048)
-def _row(rule, m: int, n: int, tally, top=None) -> frozenset:
-    # the winners under the identity of one ballot's tally plus each sum of _sums(top); rankings of one tally share it
+def _row(rule, m: int, n: int, tally) -> frozenset:
+    # the winners under the identity of one ballot's tally plus each sum, cut short once all m are found
     decide, identity, found = rules._decider(rule, m, n), tuple(range(m)), set()
-    for s in _sums(rule, m, n, top):
+    for s in _sums(rule, m, n):
         found.add(decide(tally + s, identity))
         if len(found) == m:
             break

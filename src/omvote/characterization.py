@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import rules
-from .ccum import _row, _units, _weigh, possible_outcomes
+from .ccum import _sums, _units, _weigh, possible_outcomes
 from .core import check_enumerable, check_int, enumerate_rankings, identity_tiebreak, make_tiebreak
 
 OM = "OM"
@@ -108,7 +108,8 @@ def has_veto_power(rule: rules.RuleSpec, n: int, m: int, tiebreak=None, budget=N
     """True iff some single report makes some otherwise-possible outcome unreachable.
 
     Every rule is neutral, so relabeling by priority position gives every tie-break the identity's verdict.
-    Its first, all-free query weighs the most, C(d+n-1, n) multisets of the d distinct one-ballot tallies.
+    Its first, all-free query weighs the most, one row per distinct one-ballot tally: max(n-1, d) * C(d+n-2, n-1)
+    summed tallies for d of them.
     """
     check_enumerable(m)  # before anything of size m is built
     tiebreak = identity_tiebreak(m) if tiebreak is None else make_tiebreak(tiebreak, m)
@@ -126,14 +127,15 @@ def is_almost_unanimous(rule: rules.RuleSpec, n: int, m: int, tiebreak=None, bud
     n-1 voters rank t first, and their winners, onto those under the identity, which decides for every
     order.  Every rule is also anonymous: the verdict holds iff the ccum row of every dissenting ballot,
     its n-1 free backers ranking t first, is {t}.  Raises TooLargeError beyond *budget* (default 10^8)
-    ballot multisets; the search has m * d * C(d_t+n-2, n-1), d the distinct one-ballot tallies and d_t
-    those of the ballots ranking t first.
+    summed tallies; the search weighs m * max(n-1, d) * C(d_t+n-2, n-1), d the distinct one-ballot tallies
+    and d_t those of the ballots ranking t first, and stops at the first winner other than t.
     """
     check_enumerable(m)  # before anything of size m is built
     rules.check_rule(rule)
     check_int(n, "almost-unanimity's n", 2)
     if tiebreak is not None:
         make_tiebreak(tiebreak, m)
-    units = _units(rule, m, n)
-    _weigh(rule, m, n, n - 1, budget, m * len(units), 0)
-    return all(_row(rule, m, n, u, top) == {top} for top in range(m) for u in units)
+    _weigh(rule, m, n, budget, table=True, backed=True)
+    decide, identity = rules._decider(rule, m, n), tuple(range(m))
+    return all(decide(u + s, identity) == top
+               for top in range(m) for u in _units(rule, m, n) for s in _sums(rule, m, n, top))

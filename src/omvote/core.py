@@ -29,7 +29,7 @@ TieBreak = tuple  # permutation of range(m), highest priority first
 #: Hard cap on enumerate_rankings (8! = 40320 rankings).
 MAX_ENUMERATED_OUTCOMES = 8
 
-#: Default cap on the size of an exhaustive search: ballot tuples, or multisets of one-ballot tallies.
+#: Default cap on the size of an exhaustive search: ballot tuples, or summed tallies.
 DEFAULT_BUDGET = 10**8
 
 
@@ -139,8 +139,8 @@ def enumerate_rankings(m: int) -> Iterator:
 def check_budget(count: int, budget: int | None, what: str = "ballot tuples") -> None:
     """Raise TooLargeError when a search over *count* *what* exceeds *budget* (default 10^8).
 
-    The one budget gate: every exhaustive search is weighed here once, up front, in ballot tuples or ballot
-    multisets, and an entry point that may weigh nothing checks its budget, an int >= 0 or None, by weighing 0.
+    The one budget gate: every exhaustive search is weighed here once, up front, in ballot tuples or summed
+    tallies, and an entry point that may weigh nothing checks its budget, an int >= 0 or None, by weighing 0.
     """
     if count > (DEFAULT_BUDGET if budget is None else check_int(budget, "budget", 0)):
         raise TooLargeError(f"{count} {what} exceed the enumeration budget")

@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import rules
-from .ccum import CcumInstance, _possible_outcomes, _reachable, _units, _weigh, solve_ccum
+from .ccum import CcumInstance, _possible_outcomes, _reachable, _weigh, solve_ccum
 from .core import (check_budget, check_enumerable, check_int, enumerate_rankings, make_ranking, make_tiebreak,
                    ranking_positions)
 from .errors import InvalidParametersError, UnsupportedRuleError, VerificationError
@@ -163,14 +163,14 @@ def _label(has_bom: bool, has_wom: bool) -> str:
 #
 # Each report's row is ccum's summed search, k-approval included (its one-ballot tallies are its approval
 # sets), so the table never reads the closed form.  A table of d distinct one-ballot tallies weighs
-# d * C(d+n-2, n-1) ballot multisets, for k-approval the approval-set count.
+# max(n-1, d) * C(d+n-2, n-1) summed tallies, for k-approval with d >= n-1 the approval-set count.
 
 
 @lru_cache(maxsize=64, typed=True)  # typed, as ccum._possible_outcomes
 def _bruteforce_feasible_map(rule: rules.RuleSpec, n: int, tiebreak, budget=None) -> dict:
     # keyed by all m! rankings in enumerate_rankings order, which _first_wom's scan relies on
     m = check_enumerable(len(tiebreak))
-    _weigh(rule, m, n, n - 1, budget, len(_units(rule, m, n)))
+    _weigh(rule, m, n, budget, table=True)
     return {r: _possible_outcomes(rule, n, r, tiebreak, budget) for r in enumerate_rankings(m)}
 
 
@@ -200,7 +200,7 @@ def _priority_first(o: int, m: int) -> tuple:
 def _cowinner_feasible_map(weights: tuple, n: int, m: int, budget=None) -> dict:
     rule = rules.scoring(weights)
     rules.score_vector(rule, m)  # one weight per outcome
-    _weigh(rule, m, n, n - 1, budget, len(_units(rule, m, n)))
+    _weigh(rule, m, n, budget, table=True)
     k = rules._kapproval_k(rule, m)
     return {
         report: frozenset(o for o in range(m)

@@ -8,11 +8,10 @@ priority order.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from sys import byteorder
+from operator import lshift
 from typing import Sequence
 
 from .core import Profile, check_int, make_tiebreak
@@ -262,29 +261,26 @@ class _Ballots(tuple):  # STV's tally: its ballots, sorted, so that the sum of t
 
 @lru_cache(maxsize=512)
 def _layout(rule: RuleSpec, m: int, n: int) -> tuple:
-    # (weights, count, size, code): a tally is one int of count native-order fields of size bytes, wide enough for
-    # n ballots (array and memoryview code, up to 8 bytes).  Field o totals outcome o's non-zero place weights,
-    # first places for runoff and Copeland, which add field m + a*m + b: the ballots ranking a above b
+    # (weights, shifts, mask): a tally is one int whose field i sits at bit shifts[i], mask wide, room for n
+    # ballots.  Field o totals outcome o's non-zero place weights, first places for runoff and Copeland, which add
+    # field m + a*m + b: the ballots ranking a above b
     if rule.name not in RULE_NAMES:
         raise UnsupportedRuleError(f"unknown rule {rule.name!r}")
     ws = tuple(w for w in _canonical_weights(rule, m, n) if w) if rule.is_scoring else (1,)
-    count, size = (m if rule.is_scoring else m + m * m), 1 << (((n * ws[0]).bit_length() + 7) // 8 - 1).bit_length()
-    return ws, count, size, "BHIQ"[size.bit_length() - 1] if size <= 8 else None
+    bits = (n * ws[0]).bit_length()
+    return ws, range(0, (m if rule.is_scoring else m + m * m) * bits, bits), (1 << bits) - 1
 
 
 def _tally(rule: RuleSpec, m: int, n: int, ballots) -> int | _Ballots:
-    """What *rule* reads of at most n ballots over m outcomes, additive: the tally of two sets of ballots is the sum.
-
-    Scoring totals, Copeland's pairwise tally, runoff's first places and pairwise tally, one int each; STV: _Ballots.
-    """
+    # what *rule* reads of at most n ballots over m outcomes, additive: the tally of two sets of ballots is the sum.
+    # Scoring totals, Copeland's pairwise tally, runoff's first places and pairwise tally, one int each; STV: _Ballots
     if rule.name == "stv":
         return _Ballots(sorted(ballots))
-    ws, count, size, code = _layout(rule, m, n)
+    ws, shifts, _ = _layout(rule, m, n)
     fields = _totals(ws, m, ballots)
-    if count > m:
+    if len(shifts) > m:
         fields += [c for row in pairwise_tally(Profile(tuple(ballots), m)) for c in row]
-    raw = array(code, fields).tobytes() if code else b"".join(v.to_bytes(size, byteorder) for v in fields)
-    return int.from_bytes(raw, byteorder)
+    return sum(map(lshift, fields, shifts))
 
 
 @lru_cache(maxsize=512)
@@ -293,30 +289,21 @@ def _decider(rule: RuleSpec, m: int, n: int):
     # order, and max, min and the stable sorted keep the first best outcome they meet, so ties go to priority
     if rule.name == "stv":
         return _stv
-    _, count, size, code = _layout(rule, m, n)
+    kind, (_, shifts, mask) = rule.name, _layout(rule, m, n)
+    if kind == "runoff":
+        check_int(m, "runoff's m", 2)
+    cells = [[(m + a * m + b, m + b * m + a) for b in range(m)] for a in range(m)] if kind == "copeland" else None
 
-    def fields(tally):
-        b = tally.to_bytes(count * size, byteorder)
-        return memoryview(b).cast(code).tolist() if code else [int.from_bytes(b[i:i + size], byteorder)
-                                                               for i in range(0, len(b), size)]
-
-    if rule.is_scoring:
-        return lambda tally, order: max(order, key=fields(tally).__getitem__)
-    if rule.name == "copeland":  # pairwise wins less losses, which orders as 2 per win and 1 per tie
-        cells = [[(m + a * m + b, m + b * m + a) for b in range(m)] for a in range(m)]
-
-        def copeland(tally, order):
-            f = fields(tally)
+    def decide(tally, order):
+        f = [tally >> s & mask for s in shifts]
+        if kind == "copeland":  # pairwise wins less losses, which orders as 2 per win and 1 per tie
             return max(order, key=lambda a: sum((f[ab] > f[ba]) - (f[ab] < f[ba]) for ab, ba in cells[a]))
-        return copeland
-    check_int(m, "runoff's m", 2)
-
-    def runoff(tally, order):  # the top two by first places meet in a pairwise majority runoff
-        f = fields(tally)
-        a, b = sorted(order, key=lambda o: -f[o])[:2]
+        if kind != "runoff":
+            return max(order, key=f.__getitem__)
+        a, b = sorted(order, key=lambda o: -f[o])[:2]  # the top two by first places meet in a pairwise majority
         ab, ba = f[m + a * m + b], f[m + b * m + a]
         return a if ab > ba else b if ab < ba else min(a, b, key=order.index)  # a tie to the higher priority
-    return runoff
+    return decide
 
 
 def _elect(rule: RuleSpec, profile: Profile, order) -> int:

@@ -13,11 +13,13 @@ from omvote import (
     InvalidParametersError,
     OutOfRangeIndexError,
     Profile,
+    TooLargeError,
     WrongLengthError,
     borda,
     bruteforce_feasible,
     ccum_bruteforce,
     ccum_greedy_kapproval,
+    copeland,
     enumerate_profiles,
     enumerate_rankings,
     has_veto_power,
@@ -27,8 +29,10 @@ from omvote import (
     parse_rule,
     plurality,
     possible_outcomes,
+    runoff,
     scoring_scores,
     solve_ccum,
+    stv,
     winner,
 )
 from omvote import ccum, manipulability, rules
@@ -463,9 +467,9 @@ class TestSummedTallies:
             assert rules._decider(rule, m, n)(tally(ballots), order) == winner(rule, make_profile(ballots), order)
 
     def test_fields_wider_than_eight_bytes(self):
-        # 3 * 2^70 needs 9 bytes a field, past the widths an array packs, so fields are packed one by one
+        # 3 * 2^70 needs 72-bit fields, wider than a machine word
         rule, identity = rules.scoring((2**70, 2**70 - 1, 0)), (0, 1, 2)
-        assert rules._layout(rule, 3, 3)[3] is None
+        assert rules._layout(rule, 3, 3)[1].step == 72
         for fixed in (None, (2, 1, 0), (1, 0, 2)):
             assert ccum._possible_outcomes(rule, 3, fixed, identity, None) == _enumerated(rule, 3, fixed, identity)
 
@@ -490,3 +494,25 @@ class TestSummedTallies:
         # second and the dissenter first; Dowdall's canonical (48, 18, 8, 3, 0) gives t 144 and any other at
         # most 3*18 + 48 = 102; runoff sees t in the final with a majority of first places and of every contest
         assert is_almost_unanimous(rule, 4, 5) == unanimous
+
+    @pytest.mark.parametrize("label", [*(r for r in SUMMED_RULES if r not in ("kapproval", "scoring")),
+                                       "scoring:w=3,3,1,0", "scoring:w=5,2,2,2", "kapproval:k=2"])
+    def test_distinct_tallies_counted_without_building_them(self, label):
+        rule = parse_rule(label)
+        for m in (4,) if rule.name in ("scoring", "kapproval") else (2, 3, 4, 5):
+            for top in (None, 0, m - 1):
+                assert ccum._distinct(rule, m, 3, top) == len(ccum._units(rule, m, 3, top))
+
+    @pytest.mark.parametrize("search", [
+        lambda: possible_outcomes(borda(), 3, tuple(range(8)), tuple(range(8))),
+        lambda: possible_outcomes(stv(), 2, None, tuple(range(8))),
+        lambda: bruteforce_feasible(copeland(), 2, tuple(range(8)), tuple(range(8))),
+        lambda: has_veto_power(runoff(), 2, 8),
+        lambda: is_almost_unanimous(stv(), 2, 8),
+        lambda: manipulability.classify_randomized_tiebreak(tuple(range(8)), tuple(range(8, 0, -1)), 2),
+    ], ids=["fixed", "free", "table", "veto", "unanimous", "randomized"])
+    def test_refused_before_any_tally(self, search, monkeypatch):
+        # m=8: every one of these weighs over 10^8 summed tallies and is refused before one tally is built
+        monkeypatch.setattr(rules, "_tally", lambda *args: pytest.fail("tally built"))
+        with pytest.raises(TooLargeError, match="summed tallies"):
+            search()

@@ -175,12 +175,13 @@ class TestAlmostUnanimous:
         assert is_almost_unanimous(plurality(), 3, 3)
 
     @pytest.mark.parametrize("rule, n, m, count", [
-        (stv(), 3, 3, 54),  # m * d * C(d_t+n-2, n-1): d = 6 ballots, d_t = 2 of them rank t first, C(3, 2) = 3
+        # m * max(n-1, d) * C(d_t+n-2, n-1): d = 6 ballots, d_t = 2 of them rank t first, C(3, 2) = 3
+        (stv(), 3, 3, 54),
         (copeland(), 2, 3, 36),  # d = 6 pairwise tallies, d_t = 2, C(2, 1) = 2
         (plurality(), 3, 4, 16),  # d = 4 first places, d_t = 1, C(2, 2) = 1
     ])
     def test_exact_tuple_count(self, rule, n, m, count):
-        with pytest.raises(TooLargeError, match=f"{count} ballot multisets"):
+        with pytest.raises(TooLargeError, match=f"{count} summed tallies"):
             is_almost_unanimous(rule, n, m, None, budget=count - 1)
         assert is_almost_unanimous(rule, n, m, None, budget=count) is not None
 

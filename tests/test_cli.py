@@ -191,8 +191,8 @@ class TestCharacterize:
         assert verdicts["weakly_diminishing"]["implied_classification"] == implied
 
     def test_exhaustive_budget_boundary(self, capsys):
-        # n=2, m=3: almost-unanimity weighs m * d * C(d_t, 1) = 3 * 6 * 2 = 36 multisets of Copeland's d = 6
-        # pairwise tallies, d_t = 2 of them ranking t first; has_veto_power weighs C(d+1, 2) = 21
+        # n=2, m=3: almost-unanimity weighs m * d * C(d_t, 1) = 3 * 6 * 2 = 36 summed tallies of Copeland's d = 6
+        # pairwise tallies, d_t = 2 of them ranking t first; has_veto_power's all-free query d * C(d, 1) = 36
         args = ["characterize", "--rule", "copeland", "--n", "2", "--m", "3", "--exhaustive"]
         assert main(args + ["--budget", "35"]) == 3
         assert main(args + ["--budget", "36"]) == 0

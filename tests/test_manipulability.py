@@ -239,6 +239,7 @@ class TestBruteforceFeasible:
     def test_large_kapproval_refused_before_any_approval_set(self, budget, monkeypatch):
         # m=22, k=11: C(22, 11) = 705,432 approval sets and 22! rankings; refused before either is
         # built, by the m <= 8 cap whatever the budget, so no sum of approval sets may be made at all
+        monkeypatch.setattr(ccum, "_units", lambda *args: pytest.fail("tallies built"))
         monkeypatch.setattr(ccum, "_sums", lambda *args: pytest.fail("sums built"))
         tracemalloc.start()
         try:
@@ -252,8 +253,9 @@ class TestBruteforceFeasible:
         assert peak < 2**18  # a list of 10^5 frozensets would take more than 2 MiB of pointers alone
 
     def test_approval_set_budget_weighed_before_the_sets(self, monkeypatch):
-        # m=8, k=4: 70 sets times C(70+1, 2) multisets, one row over the budget, refused before any sum is made
+        # m=8, k=4: 70 sets times C(70+1, 2) multisets, one row over the budget, refused before any tally is made
         count = math.comb(71, 2) * 70
+        monkeypatch.setattr(ccum, "_units", lambda *args: pytest.fail("tallies built"))
         monkeypatch.setattr(ccum, "_sums", lambda *args: pytest.fail("sums built"))
         with pytest.raises(TooLargeError):
             bruteforce_feasible(kapproval(4), 3, tuple(range(8)), tuple(range(8)), count - 1)
@@ -328,13 +330,14 @@ class TestRandomizedTiebreak:
 class TestBudgetBoundaries:
     # m=3, n=3: every exhaustive search raises one unit below its exact
     # count and runs at it.  ccum_bruteforce counts (3!)^2 ballot tuples; the
-    # others count multisets of Borda's d = 6 one-ballot tallies: C(d+1, 2)
-    # for two free voters, C(d+2, 3) for three, d * C(d+1, 2) for a table
+    # others count summed tallies over the C(d+1, 2) = 21 multisets of two
+    # free voters' Borda tallies, d = 6: two build steps for one query, and
+    # d rows for a table or the all-free query
     CASES = {
         "ccum_bruteforce": (36, lambda b: ccum_bruteforce(
             CcumInstance(borda(), ((0, 1, 2),), 2, 2, IDENTITY3), budget=b)),
-        "possible_outcomes_fixed": (21, lambda b: possible_outcomes(borda(), 3, (0, 1, 2), IDENTITY3, b)),
-        "possible_outcomes_free": (56, lambda b: possible_outcomes(borda(), 3, None, IDENTITY3, b)),
+        "possible_outcomes_fixed": (42, lambda b: possible_outcomes(borda(), 3, (0, 1, 2), IDENTITY3, b)),
+        "possible_outcomes_free": (126, lambda b: possible_outcomes(borda(), 3, None, IDENTITY3, b)),
         "bruteforce_feasible": (126, lambda b: bruteforce_feasible(borda(), 3, (0, 1, 2), IDENTITY3, b)),
         "randomized_tiebreak": (126, lambda b: classify_randomized_tiebreak((0, 1, 2), (2, 1, 0), 3, b)),
     }
