@@ -271,31 +271,38 @@ def _layout(rule: RuleSpec, m: int, n: int) -> tuple:
     return ws, range(0, (m if rule.is_scoring else m + m * m) * bits, bits), (1 << bits) - 1
 
 
-def _tally(rule: RuleSpec, m: int, n: int, ballots) -> int | _Ballots:
-    # what *rule* reads of at most n ballots over m outcomes, additive: the tally of two sets of ballots is the sum.
-    # Scoring totals, Copeland's pairwise tally, runoff's first places and pairwise tally, one int each; STV: _Ballots
+def _fields(rule: RuleSpec, m: int, n: int, ballots) -> list:
+    # what *rule* reads of at most n ballots over m outcomes, field by field as _layout numbers them: scoring totals,
+    # Copeland's pairwise tally, runoff's first places and pairwise tally.  STV reads its ballots
     if rule.name == "stv":
-        return _Ballots(sorted(ballots))
+        return ballots
     ws, shifts, _ = _layout(rule, m, n)
     fields = _totals(ws, m, ballots)
     if len(shifts) > m:
         fields += [c for row in pairwise_tally(Profile(tuple(ballots), m)) for c in row]
-    return sum(map(lshift, fields, shifts))
+    return fields
+
+
+def _tally(rule: RuleSpec, m: int, n: int, ballots) -> int | _Ballots:
+    # _fields packed for a summed search, additive: the tally of two sets of ballots is the sum.  One int by
+    # _layout's shifts; STV: _Ballots
+    if rule.name == "stv":
+        return _Ballots(sorted(ballots))
+    return sum(map(lshift, _fields(rule, m, n, ballots), _layout(rule, m, n)[1]))
 
 
 @lru_cache(maxsize=512)
-def _decider(rule: RuleSpec, m: int, n: int):
-    # decide(tally, order), the winner of a _tally of at most n ballots under a priority order: each walks the
-    # order, and max, min and the stable sorted keep the first best outcome they meet, so ties go to priority
+def _chooser(rule: RuleSpec, m: int):
+    # choose(fields, order), the winner of a rule's _fields under a priority order: each walks the order, and max,
+    # min and the stable sorted keep the first best outcome they meet, so ties go to priority
     if rule.name == "stv":
         return _stv
-    kind, (_, shifts, mask) = rule.name, _layout(rule, m, n)
+    kind = rule.name
     if kind == "runoff":
         check_int(m, "runoff's m", 2)
     cells = [[(m + a * m + b, m + b * m + a) for b in range(m)] for a in range(m)] if kind == "copeland" else None
 
-    def decide(tally, order):
-        f = [tally >> s & mask for s in shifts]
+    def choose(f, order):
         if kind == "copeland":  # pairwise wins less losses, which orders as 2 per win and 1 per tie
             return max(order, key=lambda a: sum((f[ab] > f[ba]) - (f[ab] < f[ba]) for ab, ba in cells[a]))
         if kind != "runoff":
@@ -303,12 +310,24 @@ def _decider(rule: RuleSpec, m: int, n: int):
         a, b = sorted(order, key=lambda o: -f[o])[:2]  # the top two by first places meet in a pairwise majority
         ab, ba = f[m + a * m + b], f[m + b * m + a]
         return a if ab > ba else b if ab < ba else min(a, b, key=order.index)  # a tie to the higher priority
-    return decide
+    return choose
+
+
+@lru_cache(maxsize=512)
+def _decider(rule: RuleSpec, m: int, n: int):
+    # decide(tally, order), the winner of a _tally of at most n ballots: _chooser on its unpacked fields
+    if rule.name == "stv":
+        return _stv
+    _, shifts, mask = _layout(rule, m, n)
+    choose = _chooser(rule, m)
+    return lambda tally, order: choose([tally >> s & mask for s in shifts], order)
 
 
 def _elect(rule: RuleSpec, profile: Profile, order) -> int:
-    # winner under a tie-break checked once per search: the decision on the profile's tally
-    return _decider(rule, profile.m, profile.n)(_tally(rule, profile.m, profile.n, profile.ballots), order)
+    # winner under a tie-break checked once per search: _chooser on the profile's fields, never packed
+    m, n = profile.m, profile.n
+    fields = _fields(rule, m, n, profile.ballots)  # _layout names an unknown rule first
+    return _chooser(rule, m)(fields, order)
 
 
 def winner(rule: RuleSpec, profile: Profile, tiebreak) -> int:

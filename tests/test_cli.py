@@ -379,6 +379,17 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and "m must be at most 256" in captured.err
 
+    @pytest.mark.parametrize("argv, named", [
+        (["fig2", "--n", "3", "--m", "21:22", "--mk", "0:2"], "m-k at m=21 must be an integer >= 1 and <= 20, got 0"),
+        (["fig2", "--n", "3", "--m", "21:22", "--mk", "21"], "m-k at m=21 must be an integer >= 1 and <= 20, got 21"),
+        (["fig1", "--m", "15", "--k", "15", "--n", "3"], "k must be an integer >= 1 and <= 14, got 15"),
+    ], ids=["fig2-mk-0", "fig2-mk-m", "fig1-k-m"])
+    def test_out_of_range_k_names_what_was_typed(self, argv, named, capsys):
+        # fig2 takes m-k and fig1 takes k; the error names that value, not the k derived from it
+        assert main(["experiment", *argv, "--samples", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"error: {named}" in captured.err
+
     def test_budget_exceeded(self, capsys):
         rc = main(["analyze", "--rule", "borda", "--n", "3", "--truth", "0,1,2",
                    "--budget", "10"])

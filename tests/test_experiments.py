@@ -153,6 +153,56 @@ class TestNaiveClassifierAgreement:
         assert [c[:2] for c in counts] == [naive_flags(pos, n, k) for n, _, k in cells]
 
 
+def truths_with_approved_prefix(m, k, prefixes):
+    # one truth's places per prefix j, its first j places approved: pos[:j] holds the first j approved places of a
+    # random truth, in their order, and the other places follow in theirs
+    truths = []
+    for perm, j in prefixes:
+        head = [p for p in perm if p < k][:j]
+        truths.append(bytes(head + [p for p in perm if p not in head]))
+    return truths
+
+
+class TestGroupedCells:
+    """Cells that share k go through one pass per truth, which equals a test per cell and the naive classifier."""
+
+    @staticmethod
+    def draw(data):
+        m = data.draw(st.integers(5, 60), label="m")
+        mk = data.draw(st.integers(1, (m - 2) // 3), label="m-k")
+        k = m - mk
+        ns = data.draw(st.lists(st.integers(3, (m - 2) // mk), min_size=2, max_size=12), label="n sharing k")
+        others = [j for j in range(1, (m - 2) // 3 + 1) if j != mk]
+        lone = data.draw(st.lists(st.sampled_from(others), unique=True, max_size=3), label="lone m-k") if others else []
+        cells = [(n, m, k) for n in ns] + [(data.draw(st.integers(3, (m - 2) // j)), m, m - j) for j in lone]
+        cells = data.draw(st.permutations(cells), label="cells")
+        ends = sorted({n * mk + 1 for n in ns if n * mk + 1 <= k})
+        prefix = st.one_of(st.sampled_from(ends), st.integers(0, k)) if ends else st.integers(0, k)
+        prefixes = data.draw(st.lists(st.tuples(st.permutations(range(m)), prefix), min_size=1, max_size=6),
+                             label="truths")
+        return m, k, cells, truths_with_approved_prefix(m, k, prefixes)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_one_call_equals_a_call_per_cell_and_the_naive_flags(self, data):
+        m, k, cells, positions = self.draw(data)
+        counts = _classify_saturated(positions, consts(cells))
+        assert counts == [_classify_saturated(positions, consts([cell]))[0] for cell in cells]
+        for cell, (wom, bom, first) in zip(cells, counts):
+            flagged = [naive_flags(pos, cell[0], cell[2]) for pos in positions]
+            assert (wom, bom, first) == (sum(w for w, _ in flagged), sum(b for _, b in flagged), None), cell
+        bounds = sorted({(need, L) for kk, need, L in consts(cells) if kk == k})  # the pass, whichever route won
+        assert experiments._scan(positions, k, bounds) == [experiments._test(positions, k, *b) for b in bounds]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_permuted_cells_permute_the_counts(self, data):
+        m, k, cells, positions = self.draw(data)
+        order = data.draw(st.permutations(range(len(cells))), label="order")
+        counts = _classify_saturated(positions, consts(cells))
+        assert _classify_saturated(positions, consts([cells[i] for i in order])) == [counts[i] for i in order]
+
+
 def reference_rows(n_values, m_values, mk_values, samples, seed):
     # the grid one cell and one draw at a time: sample_ranking and the classifier, immune cells zero
     rows = []
@@ -191,6 +241,11 @@ class TestChunkedDraws:
         grid = ((3, 4), (15, 21), (1, 2, 7))  # (3, 15, 8) is the first immune cell, audited among sampled cells
         assert run_experiment(*grid, samples, 9) == reference_rows(*grid, samples, 9)
         assert audited == [sample_ranking(15, 9, i) for i in range(min(experiments.AUDIT_SAMPLES, samples))]
+
+    @pytest.mark.parametrize("samples", [experiments.CHUNK - 1, experiments.CHUNK, experiments.CHUNK + 1])
+    def test_fig1_sweep_equals_the_per_draw_loop(self, samples):
+        # fig1's eleven sampled cells share k=14 and take one pass per truth; the per-draw loop tests each alone
+        assert sweep_n(15, 14, range(3, 14), samples, 9) == reference_rows(range(3, 14), (15,), (1,), samples, 9)
 
     def test_audit_across_a_chunk_boundary(self, monkeypatch, audited):
         # an audit-only m whose audit reads more truths than one chunk holds
