@@ -199,9 +199,11 @@ def run_experiment(n_values, m_values, mk_values, samples: int = DEFAULT_SAMPLES
     core._fisher_yates_many from the seed's key and the m's steps made once.
     Each chunk's places become bytes, by one bytes.maketrans per truth, and
     one _classify_saturated call counts the chunk's WOM and BOM truths in
-    every sampled cell of that m; a truth that is BOM but not WOM raises
-    VerificationError.  Places are bytes, so every m is at most MAX_M,
-    checked before anything is drawn.  The first immune cell is audited: its
+    every sampled cell of that m, in one pass per truth for cells that share
+    k (fig1's n-sweep); a truth that is BOM but not WOM raises
+    VerificationError.  Places are bytes, so every m is at most MAX_M, and
+    every m-k lies in 1..m-1 and is named if not, both checked before
+    anything is drawn.  The first immune cell is audited: its
     first min(AUDIT_SAMPLES, samples) truths, the same draws, must each come
     out NOM through the reduction.
     """

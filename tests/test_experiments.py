@@ -153,7 +153,7 @@ class TestNaiveClassifierAgreement:
         assert [c[:2] for c in counts] == [naive_flags(pos, n, k) for n, _, k in cells]
 
 
-def truths_with_approved_prefix(m, k, prefixes):
+def truths_with_approved_prefix(k, prefixes):
     # one truth's places per prefix j, its first j places approved: pos[:j] holds the first j approved places of a
     # random truth, in their order, and the other places follow in theirs
     truths = []
@@ -180,12 +180,12 @@ class TestGroupedCells:
         prefix = st.one_of(st.sampled_from(ends), st.integers(0, k)) if ends else st.integers(0, k)
         prefixes = data.draw(st.lists(st.tuples(st.permutations(range(m)), prefix), min_size=1, max_size=6),
                              label="truths")
-        return m, k, cells, truths_with_approved_prefix(m, k, prefixes)
+        return k, cells, truths_with_approved_prefix(k, prefixes)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_one_call_equals_a_call_per_cell_and_the_naive_flags(self, data):
-        m, k, cells, positions = self.draw(data)
+        k, cells, positions = self.draw(data)
         counts = _classify_saturated(positions, consts(cells))
         assert counts == [_classify_saturated(positions, consts([cell]))[0] for cell in cells]
         for cell, (wom, bom, first) in zip(cells, counts):
@@ -197,7 +197,7 @@ class TestGroupedCells:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_permuted_cells_permute_the_counts(self, data):
-        m, k, cells, positions = self.draw(data)
+        k, cells, positions = self.draw(data)
         order = data.draw(st.permutations(range(len(cells))), label="order")
         counts = _classify_saturated(positions, consts(cells))
         assert _classify_saturated(positions, consts([cells[i] for i in order])) == [counts[i] for i in order]
