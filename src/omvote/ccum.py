@@ -8,7 +8,9 @@ polynomial time.
 The brute-force solver enumerates manipulator ballot tuples for any rule
 and doubles as the correctness oracle for both.  Each solver decides
 achievable by electing the profile it returns, so a certificate needs no
-second check.  Every other exhaustive reachable set sums ballot tallies.
+second check.  Every other exhaustive reachable set sums ballot tallies,
+here alone: this module weighs and holds them, the brute-force tables and
+the almost-unanimity search included.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import rules
-from .core import (Profile, _ballots, check_budget, check_int, enumerate_profiles, enumerate_rankings, make_ranking,
-                   make_tiebreak, ranking_positions)
+from .core import (Profile, _ballots, check_budget, check_enumerable, check_int, enumerate_profiles, enumerate_rankings,
+                   make_ranking, make_tiebreak, ranking_positions)
 from .errors import InvalidParametersError
 
 
@@ -164,11 +166,14 @@ def possible_outcomes(rule: rules.RuleSpec, n: int, fixed, tiebreak, budget: int
 
     Only summed rules are cached: the 2048 most recently used queries,
     under the key they were asked with, and the m! tie-breaks of a rule
-    share each identity entry: room for the rows of the 64 brute-force
-    tables that manipulability keeps at m=4 and their identity entries,
-    while memory stays bounded and an evicted table is recomputed, not read
-    back from rows that outlived it.  A query is checked here, before any
-    lookup, so the cache holds checked queries only.
+    share each identity entry.  The entries are filled by the brute-force
+    tables, m! rows each under the table's tie-break (a co-winner table
+    reads the identity table of its scoring rule), and by has_veto_power's
+    m!+1 identity queries: room for the rows of the 64 brute-force tables
+    kept at m=4 and their identity entries, while memory stays bounded and
+    an evicted table is recomputed, not read back from rows that outlived
+    it.  A query is checked here, before any lookup, so the cache holds
+    checked queries only.
     """
     rules.check_rule(rule)
     tiebreak = make_tiebreak(tiebreak)
@@ -242,6 +247,28 @@ def _row(rule, m: int, n: int, tally) -> frozenset:
         if len(found) == m:
             break
     return frozenset(found)
+
+
+# Each report's row of a brute-force table is the summed search, k-approval included (its one-ballot tallies are
+# its approval sets), so the table never reads the closed form.  A table of d distinct one-ballot tallies weighs
+# max(n-1, d) * C(d+n-2, n-1) summed tallies, for k-approval with d >= n-1 the approval-set count.
+
+
+@lru_cache(maxsize=64, typed=True)  # typed, as _possible_outcomes
+def _bruteforce_feasible_map(rule: rules.RuleSpec, n: int, tiebreak, budget=None) -> dict:
+    # keyed by all m! rankings in enumerate_rankings order, which manipulability._first_wom's scan relies on
+    m = check_enumerable(len(tiebreak))
+    _weigh(rule, m, n, budget, table=True)
+    return {r: _possible_outcomes(rule, n, r, tiebreak, budget) for r in enumerate_rankings(m)}
+
+
+def _almost_unanimous(rule, m: int, n: int, budget) -> bool:
+    # whether, under the identity, each dissenting ballot's tally plus each sum of n-1 backers ranking t first
+    # elects t, for every t; weighed as m tables over the backers' tallies, stopping at the first other winner
+    _weigh(rule, m, n, budget, table=True, backed=True)
+    decide, identity = rules._decider(rule, m, n), tuple(range(m))
+    return all(decide(u + s, identity) == top
+               for top in range(m) for u in _units(rule, m, n) for s in _sums(rule, m, n, top))
 
 
 possible_outcomes.cache_info = _possible_outcomes.cache_info

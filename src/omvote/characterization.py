@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import rules
-from .ccum import _sums, _units, _weigh, possible_outcomes
+from .ccum import _almost_unanimous, possible_outcomes
 from .core import check_enumerable, check_int, enumerate_rankings, identity_tiebreak, make_tiebreak
 
 OM = "OM"
@@ -107,17 +107,16 @@ def weakly_diminishing(n: int, weights) -> TheoremVerdict:
 def has_veto_power(rule: rules.RuleSpec, n: int, m: int, tiebreak=None, budget=None) -> bool:
     """True iff some single report makes some otherwise-possible outcome unreachable.
 
-    Every rule is neutral, so relabeling by priority position gives every tie-break the identity's verdict.
-    Its first, all-free query weighs the most, one row per distinct one-ballot tally: max(n-1, d) * C(d+n-2, n-1)
-    summed tallies for d of them.
+    Every rule is neutral, so relabeling by priority position gives every tie-break the identity's verdict: a given
+    *tiebreak* is checked, and the search runs under the identity.  Its first, all-free query weighs the most, one
+    row per distinct one-ballot tally: max(n-1, d) * C(d+n-2, n-1) summed tallies for d of them.
     """
     check_enumerable(m)  # before anything of size m is built
-    tiebreak = identity_tiebreak(m) if tiebreak is None else make_tiebreak(tiebreak, m)
-    possible = possible_outcomes(rule, n, None, tiebreak, budget)
-    for report in enumerate_rankings(m):
-        if possible - possible_outcomes(rule, n, report, tiebreak, budget):
-            return True
-    return False
+    if tiebreak is not None:
+        make_tiebreak(tiebreak, m)
+    identity = identity_tiebreak(m)
+    possible = possible_outcomes(rule, n, None, identity, budget)
+    return any(possible - possible_outcomes(rule, n, report, identity, budget) for report in enumerate_rankings(m))
 
 
 def is_almost_unanimous(rule: rules.RuleSpec, n: int, m: int, tiebreak=None, budget=None) -> bool:
@@ -135,7 +134,4 @@ def is_almost_unanimous(rule: rules.RuleSpec, n: int, m: int, tiebreak=None, bud
     check_int(n, "almost-unanimity's n", 2)
     if tiebreak is not None:
         make_tiebreak(tiebreak, m)
-    _weigh(rule, m, n, budget, table=True, backed=True)
-    decide, identity = rules._decider(rule, m, n), tuple(range(m))
-    return all(decide(u + s, identity) == top
-               for top in range(m) for u in _units(rule, m, n) for s in _sums(rule, m, n, top))
+    return _almost_unanimous(rule, m, n, budget)

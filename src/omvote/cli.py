@@ -205,8 +205,12 @@ class _BeforeFigure(argparse.Action):
 
 @lru_cache(maxsize=None)  # built once per process: parsing leaves a parser as it was
 def build_parser() -> argparse.ArgumentParser:
-    seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
+    figure = argparse.ArgumentParser(add_help=False)  # what fig1 and fig2 share
+    figure.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
+    figure.add_argument("--samples", type=int, default=experiments.DEFAULT_SAMPLES)
+    figure.add_argument("--out", help="CSV output path (default: stdout)")
+    figure.add_argument("--format", choices=["csv", "json"], default="csv")
+    figure.set_defaults(func=_cmd_experiment)
     budgeted = argparse.ArgumentParser(add_help=False)
     budgeted.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                           help=f"enumeration budget override (default {DEFAULT_BUDGET})")
@@ -254,22 +258,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="Monte Carlo manipulation-rate tables")
     p.add_argument("--seed", "--budget", action=_BeforeFigure, nargs="?", help=argparse.SUPPRESS)
     fig = p.add_subparsers(dest="figure", required=True)
-    f1 = fig.add_parser("fig1", parents=[seeded], help="rates vs number of voters")
+    f1 = fig.add_parser("fig1", parents=[figure], help="rates vs number of voters")
     f1.add_argument("--m", type=int, required=True)
     f1.add_argument("--k", type=int, required=True)
     f1.add_argument("--n", required=True, help="voter range, e.g. 3:14")
-    f1.add_argument("--samples", type=int, default=experiments.DEFAULT_SAMPLES)
-    f1.add_argument("--out", help="CSV output path (default: stdout)")
-    f1.add_argument("--format", choices=["csv", "json"], default="csv")
-    f1.set_defaults(func=_cmd_experiment)
-    f2 = fig.add_parser("fig2", parents=[seeded], help="rates over an m x disapprovals grid")
+    f2 = fig.add_parser("fig2", parents=[figure], help="rates over an m x disapprovals grid")
     f2.add_argument("--n", type=int, required=True)
     f2.add_argument("--m", required=True, help="outcome range, e.g. 21:30")
     f2.add_argument("--mk", default="1:9", help="disapproval range m-k (default 1:9)")
-    f2.add_argument("--samples", type=int, default=experiments.DEFAULT_SAMPLES)
-    f2.add_argument("--out")
-    f2.add_argument("--format", choices=["csv", "json"], default="csv")
-    f2.set_defaults(func=_cmd_experiment)
 
     return parser
 

@@ -212,16 +212,14 @@ def _fisher_yates_steps(m: int) -> tuple:
 
 
 def _fisher_yates(m: int, key: int, index: int, steps: tuple) -> Ranking:
-    # shuffle range(m) by the stream of (key, index), taking the steps of _fisher_yates_steps(m); _mix64 inlined
-    mask, golden = _MASK64, _GOLDEN  # locals: about 10% of a draw goes to global lookups
-    state = _mix64(key ^ (index & mask))
+    # shuffle range(m) by the stream of (key, index), taking the steps of _fisher_yates_steps(m)
+    mask, golden, mix = _MASK64, _GOLDEN, _mix64  # locals: about 10% of a draw goes to global lookups
+    state = mix(key ^ (index & mask))
     arr = list(range(m))
     for j, bound, limit in steps:
         while True:
             state = (state + golden) & mask
-            r = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
-            r = ((r ^ (r >> 27)) * 0x94D049BB133111EB) & mask
-            r ^= r >> 31
+            r = mix(state)
             if r < limit:
                 break
         i = r % bound

@@ -24,9 +24,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import rules
-from .ccum import CcumInstance, _possible_outcomes, _reachable, _weigh, solve_ccum
-from .core import (check_budget, check_enumerable, check_int, enumerate_rankings, make_ranking, make_tiebreak,
-                   ranking_positions)
+from .ccum import CcumInstance, _bruteforce_feasible_map, _reachable, solve_ccum
+from .core import check_budget, check_int, identity_tiebreak, make_ranking, make_tiebreak, ranking_positions
 from .errors import InvalidParametersError, UnsupportedRuleError, VerificationError
 
 NOM = "NOM"
@@ -158,22 +157,6 @@ def _label(has_bom: bool, has_wom: bool) -> str:
     return NOM
 
 
-# ---------------------------------------------------------------------------
-# Exhaustive feasible sets (the oracle side).
-#
-# Each report's row is ccum's summed search, k-approval included (its one-ballot tallies are its approval
-# sets), so the table never reads the closed form.  A table of d distinct one-ballot tallies weighs
-# max(n-1, d) * C(d+n-2, n-1) summed tallies, for k-approval with d >= n-1 the approval-set count.
-
-
-@lru_cache(maxsize=64, typed=True)  # typed, as ccum._possible_outcomes
-def _bruteforce_feasible_map(rule: rules.RuleSpec, n: int, tiebreak, budget=None) -> dict:
-    # keyed by all m! rankings in enumerate_rankings order, which _first_wom's scan relies on
-    m = check_enumerable(len(tiebreak))
-    _weigh(rule, m, n, budget, table=True)
-    return {r: _possible_outcomes(rule, n, r, tiebreak, budget) for r in enumerate_rankings(m)}
-
-
 def bruteforce_feasible(rule: rules.RuleSpec, n: int, report, tiebreak, budget=None) -> frozenset:
     """Exhaustively computed reachable outcomes for one fixed report."""
     report, tiebreak, _, _ = _checked(report, rule, n, tiebreak, budget)
@@ -184,29 +167,23 @@ def bruteforce_feasible(rule: rules.RuleSpec, n: int, report, tiebreak, budget=N
 # Randomized tie-break semantics: every top-scoring outcome can win, so the
 # reachable set of a report is the union of the co-winner sets over all
 # ballots of the other voters.  o is a co-winner iff it wins under the priority
-# order that puts o first, so each row comes from possible_outcomes under the
-# orders that put its outcomes first, cached identity rows, weighed as one
-# table.  The table is keyed by the caller's weight vector as a tuple, so
-# vectors equal term by term ((3, 2, 1, 0), [3, 2, 1, 0], (3.0, 2.0, 1.0, 0.0)
-# or Fractions) share one entry; the rule is built from the weights and
-# checked for m only on a miss, so an invalid vector never gets an entry.
-
-
-def _priority_first(o: int, m: int) -> tuple:
-    return (o, *(p for p in range(m) if p != o))
+# order (o, then the rest ascending).  Relabeling each outcome by its place in
+# that order, x -> 0 if x == o else x + (x < o), makes it the identity and o
+# outcome 0, so o is in report r's row iff 0 is in the row of r relabeled in
+# the identity brute-force table of the scoring rule.  The table is keyed by
+# the caller's weight vector as a tuple, so vectors equal term by term
+# ((3, 2, 1, 0), [3, 2, 1, 0], (3.0, 2.0, 1.0, 0.0) or Fractions) share one
+# entry; the rule is built from the weights and checked for m only on a miss,
+# so an invalid vector never gets an entry.
 
 
 @lru_cache(maxsize=64, typed=True)  # typed, so a float budget never hits an int budget's entry
 def _cowinner_feasible_map(weights: tuple, n: int, m: int, budget=None) -> dict:
     rule = rules.scoring(weights)
     rules.score_vector(rule, m)  # one weight per outcome
-    _weigh(rule, m, n, budget, table=True)
-    k = rules._kapproval_k(rule, m)
-    return {
-        report: frozenset(o for o in range(m)
-                          if o in _reachable(rule, k, n, report, _priority_first(o, m), budget))
-        for report in enumerate_rankings(m)
-    }
+    table = _bruteforce_feasible_map(rule, n, identity_tiebreak(m), budget)
+    return {report: frozenset(o for o in range(m) if 0 in table[tuple(0 if x == o else x + (x < o) for x in report)])
+            for report in table}
 
 
 def classify_randomized_tiebreak(truth, weights, n: int, budget=None) -> ManipulationReport:
@@ -221,6 +198,7 @@ def classify_randomized_tiebreak(truth, weights, n: int, budget=None) -> Manipul
     truth = make_ranking(truth)
     m = len(truth)
     n = check_int(n, "n", 2)
+    check_budget(0, budget)  # before the cache lookup, which needs it hashable
     try:
         table = _cowinner_feasible_map(tuple(weights), n, m, budget)
     except TypeError:

@@ -260,17 +260,28 @@ def _by_search(weights, n):
     return some_bom, every_nom
 
 
-non_increasing = st.sampled_from([3, 4]).flatmap(
-    lambda m: st.lists(st.integers(0, 7), min_size=m, max_size=m)
-).map(lambda ws: tuple(sorted(ws, reverse=True))).filter(lambda ws: ws[0] != ws[-1])
+def _non_increasing(*ms):
+    return st.sampled_from(ms).flatmap(
+        lambda m: st.lists(st.integers(0, 7), min_size=m, max_size=m)
+    ).map(lambda ws: tuple(sorted(ws, reverse=True))).filter(lambda ws: ws[0] != ws[-1])
 
 
 class TestPredicatesAgainstSearch:
     """Every closed-form verdict against exhaustive search, on drawn score vectors."""
 
     @settings(deadline=None)
-    @given(weights=non_increasing, n=st.integers(2, 4))
+    @given(weights=_non_increasing(3, 4), n=st.integers(2, 4))
     def test_scoring_verdicts(self, weights, n):
+        self._check_verdicts(weights, n)
+
+    @pytest.mark.slow
+    @settings(max_examples=10, deadline=None)
+    @given(weights=_non_increasing(5))
+    def test_scoring_verdicts_at_m5(self, weights):
+        self._check_verdicts(weights, 3)
+
+    @staticmethod
+    def _check_verdicts(weights, n):
         some_bom, every_nom = _by_search(weights, n)
         assert bom_iff(n, weights).holds == some_bom
         for verdict in (scoring_nom_sufficient(n, weights), weakly_diminishing(n, weights)):

@@ -328,6 +328,15 @@ class TestOneIntegerCheck:
             call(1e9)
 
     @pytest.mark.parametrize("call", [
+        lambda budget: omvote.possible_outcomes(omvote.borda(), 3, None, (0, 1, 2), budget),
+        lambda budget: omvote.bruteforce_feasible(omvote.borda(), 3, (0, 1, 2), (0, 1, 2), budget),
+        lambda budget: omvote.classify_randomized_tiebreak((0, 1, 2), (2, 1, 0), 3, budget),
+    ], ids=["possible_outcomes", "bruteforce_feasible", "randomized"])
+    def test_unhashable_budget_rejected_before_the_cache(self, call):
+        with pytest.raises(InvalidParametersError, match="budget must be an integer >= 0"):
+            call([1])
+
+    @pytest.mark.parametrize("call", [
         lambda budget: omvote.classify((0, 1, 2, 3), omvote.kapproval(2), 3, (0, 1, 2, 3), budget=budget),
         lambda budget: omvote.possible_outcomes(omvote.kapproval(2), 3, None, (0, 1, 2, 3), budget),
         lambda budget: omvote.solve_ccum(omvote.CcumInstance(omvote.kapproval(2), (), 3, 1, (0, 1, 2, 3)),
@@ -450,6 +459,21 @@ class TestOneTiebreakCheckPerSearch:
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 names = {getattr(node, attr, None) for attr in ("id", "attr", "name")}
                 if "_kapproval_reachable" in names:
+                    namers.add(path.stem)
+        assert namers == {"ccum"}
+
+    @pytest.mark.parametrize("name", ["_weigh", "_sums", "_units", "_possible_outcomes", "rules._tally",
+                                      "rules._decider"])
+    def test_only_ccum_drives_summed_searches(self, name):
+        # ccum sums, weighs and holds every exhaustive reachable set: no other module names its internals,
+        # nor the packed tallies and their decider that rules defines for it
+        module, _, attr = name.rpartition(".")
+        namers = set()
+        for path in self.SOURCES:
+            if path.stem == module:
+                continue  # where it is defined
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if attr in {getattr(node, a, None) for a in ("id", "attr", "name", "arg")}:
                     namers.add(path.stem)
         assert namers == {"ccum"}
 

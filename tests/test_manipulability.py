@@ -288,6 +288,21 @@ class TestRandomizedTiebreak:
                 cert = ccum_bruteforce(CcumInstance(scoring(weights), (report,), n - 1, target, priority))
                 assert cert.manipulator_ballots == first.ballots[1:]
 
+    # non-increasing weights at m=4 with a drop, equal prefixes and 0/1 vectors among them
+    WEIGHTS4 = st.one_of(
+        st.sampled_from([(1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 0)]),
+        st.lists(st.integers(0, 5), min_size=4, max_size=4).map(lambda ws: tuple(sorted(ws, reverse=True)))
+        .filter(lambda ws: ws[0] != ws[-1]),
+    )
+
+    @settings(max_examples=20, deadline=None)
+    @given(weights=WEIGHTS4, n=st.sampled_from([2, 3]))
+    def test_rows_match_cowinner_union_at_m4(self, weights, n):
+        # the definition: a report's row is the union of the co-winner sets of all its completions
+        for report in enumerate_rankings(4):
+            union = set().union(*(scoring_cowinners(weights, p) for p in enumerate_profiles(4, n - 1, fixed=(report,))))
+            assert classify_randomized_tiebreak(report, weights, n).truthful_cases.feasible == union
+
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("weights", [(2, 1, 0), (1, 1, 0), (1, 0, 0), score_vector(dowdall(), 3)])
     def test_never_best_case_manipulable(self, weights, n):
@@ -348,6 +363,15 @@ class TestBudgetBoundaries:
         with pytest.raises(TooLargeError):
             run(count - 1)
         assert run(count) is not None
+
+
+    def test_cowinner_refusals(self):
+        # a 0/1 vector sums tallies like any other weights and is weighed as one table; m > 8 is refused by the
+        # table's enumeration cap, which it checks first
+        with pytest.raises(TooLargeError, match="^786867900 summed tallies"):
+            classify_randomized_tiebreak(range(7), (1, 1, 1, 0, 0, 0, 0), 8)
+        with pytest.raises(TooLargeError, match="refusing to enumerate 9! rankings"):
+            classify_randomized_tiebreak(range(9), (3, 2, 2, 1, 1, 1, 0, 0, 0), 3)
 
 
 class TestQueryChecks:
