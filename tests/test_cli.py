@@ -373,6 +373,17 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and "budget must be an integer >= 0" in captured.err
 
+    @pytest.mark.parametrize("budget, code, named", [
+        ([], 3, "refusing to enumerate 9! rankings"),
+        (["--budget", "-1"], 2, "budget must be an integer >= 0"),
+    ], ids=["too-many-rankings", "negative-budget"])
+    def test_cowinner_table_beyond_the_enumeration_cap(self, budget, code, named, capsys):
+        # the co-winner table checks the m <= 8 cap before it weighs anything, and a bad budget before both
+        assert main(["analyze", "--rule", "borda", "--n", "3", "--truth", ",".join(map(str, range(9))),
+                     "--randomized-tiebreak", *budget]) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and named in captured.err
+
     def test_m_beyond_a_byte_is_invalid_input(self, capsys):
         # the grid holds each place in a byte, so m=257 is refused before a truth is drawn
         assert main(["experiment", "fig1", "--m", "257", "--k", "256", "--n", "3", "--samples", "1"]) == 2

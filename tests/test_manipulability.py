@@ -364,7 +364,6 @@ class TestBudgetBoundaries:
             run(count - 1)
         assert run(count) is not None
 
-
     def test_cowinner_refusals(self):
         # a 0/1 vector sums tallies like any other weights and is weighed as one table; m > 8 is refused by the
         # table's enumeration cap, which it checks first
