@@ -4,7 +4,10 @@ For k-approval style rules, with at most one fixed ballot, a closed form
 private to this module decides which targets the free voters can elect from
 that ballot's approved set and the tie-break, with no ballots built and
 nothing cached, and the greedy solver builds the ballots of a certificate in
-polynomial time.
+polynomial time.  The greedy reads the tie-break only as an order, so it
+builds them under the identity priority and relabels them, and a bounded
+cache keeps the identity's ballots; the election that decides achievable
+runs on every call and is never cached.
 The brute-force solver enumerates manipulator ballot tuples for any rule
 and doubles as the correctness oracle for both.  Each solver decides
 achievable by electing the profile it returns, so a certificate needs no
@@ -62,28 +65,52 @@ def ccum_greedy_kapproval(inst: CcumInstance) -> CcumCertificate:
     approvals on the outcomes with the currently lowest scores, preferring
     the lowest tie-break priority among score ties.  Disapproved outcomes
     are appended lowest priority first (their order cannot affect scores).
-    The completed profile is then elected afresh through rules._elect, the
-    kernel rules.winner calls, which decides achievable; the ballots are
-    returned even when the target still loses.
+    The greedy reads the tie-break only as an order, so the ballots are
+    built under the identity, with the fixed ballots and the target
+    relabeled by their places in the tie-break (as _possible_outcomes
+    relabels), and mapped back; the identity's ballots are kept for the 512
+    most recently used (k, relabeled fixed ballots, manipulators, target's
+    place, m), and cache_info and cache_clear read and empty that cache.
+    The completed profile is then elected afresh, on every call, through
+    rules._elect, the kernel rules.winner calls, under the instance's own
+    tie-break, which decides achievable; the ballots are returned even when
+    the target still loses.
     """
     m = inst.m
     k = rules._kapproval_k(inst.rule, m)
     if k is None:
         raise InvalidParametersError(f"greedy solver needs a k-approval rule, got {inst.rule.name}")
-    target = inst.target
-    others = [o for o in reversed(inst.tiebreak) if o != target]  # lowest priority first
-    scores = rules._totals((1,) * k, m, inst.fixed_ballots)
+    tiebreak = inst.tiebreak
+    if tiebreak == tuple(range(m)):
+        ballots = _greedy_ballots(k, inst.fixed_ballots, inst.num_manipulators, inst.target, m)
+    else:
+        ballots = tuple(tuple(map(tiebreak.__getitem__, b)) for b in _greedy_ballots(
+            k, _relabel(tiebreak, inst.fixed_ballots), inst.num_manipulators, tiebreak.index(inst.target), m))
+    elected = rules._elect(inst.rule, Profile(inst.fixed_ballots + ballots, m), tiebreak)
+    return CcumCertificate(elected == inst.target, ballots)
+
+
+@lru_cache(maxsize=512)
+def _greedy_ballots(k: int, fixed: tuple, manipulators: int, target: int, m: int) -> tuple:
+    # the greedy's ballots under the identity priority, for fixed ballots and a target already relabeled
+    others = [o for o in range(m - 1, -1, -1) if o != target]  # lowest priority first
+    scores = rules._totals((1,) * k, m, fixed)
     ballots = []
-    for _ in range(inst.num_manipulators):
+    for _ in range(manipulators):
         scores[target] += 1
         approved = sorted(others, key=scores.__getitem__)[: k - 1]  # stable: score ties go to the lowest priority
         for o in approved:
             scores[o] += 1
         skipped = set(approved)
         ballots.append((target, *approved, *(o for o in others if o not in skipped)))
-    ballots = tuple(ballots)
-    elected = rules._elect(inst.rule, Profile(inst.fixed_ballots + ballots, m), inst.tiebreak)
-    return CcumCertificate(elected == target, ballots)
+    return tuple(ballots)
+
+
+def _relabel(tiebreak: tuple, ballots) -> tuple:
+    # each ballot's outcomes relabeled by their places in the tie-break, which makes the tie-break the identity:
+    # the one use of a tie-break's positions, as every rule and the greedy read it only as an order
+    place = ranking_positions(tiebreak)
+    return tuple(tuple(map(place.__getitem__, b)) for b in ballots)
 
 
 def _kapproval_reachable(k: int, n: int, fixed, tiebreak: tuple) -> frozenset:
@@ -110,15 +137,12 @@ def _kapproval_reachable(k: int, n: int, fixed, tiebreak: tuple) -> frozenset:
     free = n - 1
     room = free * (m - k)
     approved = set(fixed[:k])
-    reachable = []
-    a = 0
-    for idx, t in enumerate(tiebreak):
-        if t in approved:
-            if a <= room:
-                reachable.append(t)
-            a += 1
-        elif idx <= room - k and (free > 1 or a == 0):
+    reachable = [t for t in tiebreak if t in approved][: room + 1]  # the approved t with a <= room
+    for t in tiebreak[: max(room - k + 1, 0)]:  # the unapproved t with idx <= room - k, and a = 0 if free = 1
+        if t not in approved:
             reachable.append(t)
+        elif free == 1:
+            break
     return frozenset(reachable)
 
 
@@ -196,8 +220,7 @@ def _possible_outcomes(rule, n, fixed, tiebreak, budget) -> frozenset:
     m = len(tiebreak)
     identity = tuple(range(m))
     if tiebreak != identity:  # relabel each outcome by its place in the tie-break, which makes it the identity
-        place = ranking_positions(tiebreak)
-        relabeled = None if fixed is None else tuple(place[o] for o in fixed)
+        relabeled = None if fixed is None else _relabel(tiebreak, (fixed,))[0]
         return frozenset(tiebreak[o] for o in _possible_outcomes(rule, n, relabeled, identity, budget))
     _weigh(rule, m, n, budget, table=fixed is None)
     if fixed is None:  # the first ballot is free too: the rows of all its tallies
@@ -273,3 +296,5 @@ def _almost_unanimous(rule, m: int, n: int, budget) -> bool:
 
 possible_outcomes.cache_info = _possible_outcomes.cache_info
 possible_outcomes.cache_clear = _possible_outcomes.cache_clear
+ccum_greedy_kapproval.cache_info = _greedy_ballots.cache_info
+ccum_greedy_kapproval.cache_clear = _greedy_ballots.cache_clear

@@ -9,12 +9,15 @@ instance admitting neither, for any misreport, is classified NOM.
 Two independent routes are provided: a reduction onto coalition
 manipulation (polynomial, k-approval rules only: a closed form in the
 report's approved set decides reachability, uncached, and the greedy solver
-builds certificates) and plain exhaustive search (any rule, small
-elections).  They are cross-checked against each other in the test suite.
-The reduction decides each witness once, through those reachable sets, as
-brute force does through its cached ones; a brute-force witness and every
-BOM witness are checked again against those sets, and a disagreement
-surfaces as a VerificationError rather than being silently trusted.
+builds certificates, their ballots under the identity priority in a bounded
+cache, relabeled by the tie-break and elected afresh on every call) and
+plain exhaustive search (any rule, small elections).  They are
+cross-checked against each other in the test suite.  The reduction decides
+each witness once, through those reachable sets, as brute force does
+through its cached ones, comparing outcomes by their places in the truth; a
+brute-force witness and every BOM witness are checked again against those
+sets, and a disagreement surfaces as a VerificationError rather than being
+silently trusted.
 """
 
 from __future__ import annotations
@@ -77,22 +80,25 @@ def _cases(report, rule, k, n, tiebreak, pos, budget) -> CaseOutcomes:
 
 
 def _extremes(feasible: frozenset, pos) -> CaseOutcomes:
-    return CaseOutcomes(min(feasible, key=pos.__getitem__), max(feasible, key=pos.__getitem__), feasible)
+    # decided on the truth's places, each mapped back to its outcome by pos.index
+    return CaseOutcomes(pos.index(min(map(pos.__getitem__, feasible))), pos.index(max(map(pos.__getitem__, feasible))),
+                        feasible)
 
 
 def _find_bom(rule, k, n, tiebreak, pos, truthful, budget):
     # With every voter free, the best outcome reachable under any report is
     # found; if it beats the truthful best, the first ballot of its coalition
     # certificate is the witness misreport.
-    reachable_any = _reachable(rule, k, n, None, tiebreak, budget)
-    o_star = min(reachable_any, key=lambda o: pos[o])
-    if pos[o_star] >= pos[truthful.best]:
+    best = pos[truthful.best]
+    place = min(map(pos.__getitem__, _reachable(rule, k, n, None, tiebreak, budget)))
+    if place >= best:
         return None
+    o_star = pos.index(place)
     cert = solve_ccum(CcumInstance(rule, (), n, o_star, tiebreak), budget=budget)
     if not cert.achievable:
         raise VerificationError(f"outcome {o_star} reachable but no certificate found")
     witness = BomWitness(cert.manipulator_ballots[0], cert.manipulator_ballots[1:])
-    if pos[_cases(witness.misreport, rule, k, n, tiebreak, pos, budget).best] >= pos[truthful.best]:
+    if min(map(pos.__getitem__, _reachable(rule, k, n, witness.misreport, tiebreak, budget))) >= best:
         raise VerificationError("best-case witness does not improve the best case")
     return witness
 
@@ -110,9 +116,10 @@ def _find_wom(rule, k, n, tiebreak, pos, truthful, reduce, budget):
     cut = pos[truthful.worst]
     if cut == 0:
         return None  # worst case is already the top choice
-    if reduce:  # the reduction's one candidate, decided by its own reachable set
-        candidate = (*(o for o in tiebreak if pos[o] < cut), *(o for o in reversed(tiebreak) if pos[o] >= cut))
-        return candidate if pos[_cases(candidate, rule, k, n, tiebreak, pos, budget).worst] < cut else None
+    if reduce:  # the reduction's one candidate, decided by its own reachable set through its largest place
+        candidate = tuple([o for o in tiebreak if pos[o] < cut] + [o for o in reversed(tiebreak) if pos[o] >= cut])
+        worst = max(map(pos.__getitem__, _reachable(rule, k, n, candidate, tiebreak, budget)))
+        return candidate if worst < cut else None
     witness = _first_wom(_bruteforce_feasible_map(rule, n, tiebreak, budget), pos, truthful.worst)
     if witness is not None and pos[_cases(witness, rule, k, n, tiebreak, pos, budget).worst] >= cut:
         raise VerificationError("worst-case witness does not improve the worst case")

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omvote import (
+    CcumCertificate,
     CcumInstance,
     DuplicateOutcomeError,
     InvalidParametersError,
@@ -17,6 +18,7 @@ from omvote import (
     WrongLengthError,
     borda,
     bruteforce_feasible,
+    classify,
     ccum_bruteforce,
     ccum_greedy_kapproval,
     copeland,
@@ -144,6 +146,70 @@ class TestGreedyAgainstBruteforce:
             3 * len(list(itertools.combinations_with_replacement(rankings, s)))
             for n in (1, 2, 3) for s in range(n + 1)
         )
+
+
+def reference_greedy(k, fixed, free, target, tiebreak):
+    # the greedy as a plain loop under the caller's own tie-break: every free ballot approves the target, then
+    # k-1 times the rival of lowest score, a tie going to the lowest priority, and lists the rest lowest priority
+    # first; the target wins iff no outcome outscores it and none of its score has higher priority
+    rivals = [o for o in reversed(tiebreak) if o != target]
+    scores = dict.fromkeys(tiebreak, 0)
+    for ballot in fixed:
+        for o in ballot[:k]:
+            scores[o] += 1
+    ballots = []
+    for _ in range(free):
+        scores[target] += 1
+        approved = []
+        for _ in range(k - 1):
+            pick = min((o for o in rivals if o not in approved), key=scores.get)  # the first minimum in the walk
+            scores[pick] += 1
+            approved.append(pick)
+        ballots.append((target, *approved, *(o for o in rivals if o not in approved)))
+    return max(tiebreak, key=scores.get) == target, tuple(ballots)
+
+
+class TestGreedyCache:
+    """The greedy's ballots are built under the identity and cached; the election runs on every call."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_cached_certificate_equals_the_plain_loop(self, data):
+        m = data.draw(st.integers(2, 10), label="m")
+        k = data.draw(st.integers(1, m - 1), label="k")
+        fixed = data.draw(st.lists(st.permutations(range(m)).map(tuple), max_size=2), label="fixed")
+        free = data.draw(st.integers(0 if fixed else 1, 6), label="free")
+        target = data.draw(st.integers(0, m - 1), label="target")
+        tiebreak = tuple(data.draw(st.permutations(range(m)), label="tiebreak"))
+        inst = CcumInstance(kapproval(k), tuple(fixed), free, target, tiebreak)
+        expected = CcumCertificate(*reference_greedy(k, fixed, free, target, tiebreak))
+        assert ccum_greedy_kapproval(inst) == expected
+        hits = ccum_greedy_kapproval.cache_info().hits
+        assert ccum_greedy_kapproval(inst) == expected
+        assert ccum_greedy_kapproval.cache_info().hits == hits + 1
+
+    def test_election_is_never_cached(self, monkeypatch):
+        inst = CcumInstance(kapproval(2), ((0, 1, 2, 3),), 2, 3, (2, 0, 3, 1))
+        first = ccum_greedy_kapproval(inst)
+        assert first.achievable
+        monkeypatch.setattr(rules, "_elect", lambda rule, profile, order: (inst.target + 1) % 4)
+        hits = ccum_greedy_kapproval.cache_info().hits
+        cert = ccum_greedy_kapproval(inst)
+        assert ccum_greedy_kapproval.cache_info().hits == hits + 1
+        assert cert == CcumCertificate(False, first.manipulator_ballots)
+
+    def test_bom_targets_sharing_a_priority_place_share_an_entry(self):
+        # 4-approval, m=5, n=3: each BOM target is the outcome in place 3 of its tie-break (3, then 1), so the
+        # second certificate relabels the first one's cached ballots
+        queries = [((3, 0, 1, 2, 4), (0, 1, 2, 3, 4)), ((1, 4, 3, 2, 0), (4, 3, 2, 1, 0))]
+        ccum_greedy_kapproval.cache_clear()
+        witnesses = [classify(truth, kapproval(4), 3, tiebreak).bom_witness for truth, tiebreak in queries]
+        info = ccum_greedy_kapproval.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        assert [w.misreport[0] for w in witnesses] == [3, 1]
+        for (truth, tiebreak), witness in zip(queries, witnesses):
+            ccum_greedy_kapproval.cache_clear()
+            assert classify(truth, kapproval(4), 3, tiebreak).bom_witness == witness
 
 
 @st.composite

@@ -435,13 +435,14 @@ class TestOneTiebreakCheckPerSearch:
         return sites
 
     def test_tiebreak_positions_only_to_relabel(self):
-        # kernels walk the tie-break itself: positions are taken of truths, and of a tie-break only by the relabel;
-        # the grid takes its truths' positions as bytes, by bytes.maketrans
+        # kernels walk the tie-break itself: positions are taken of truths, and of a tie-break only by the one
+        # relabel that _possible_outcomes and the greedy share; the grid takes its truths' positions as bytes,
+        # by bytes.maketrans
         calls = self._sites(lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == "ranking_positions")
-        assert calls == {("ccum", "_possible_outcomes"), ("manipulability", "_checked"),
+        assert calls == {("ccum", "_relabel"), ("manipulability", "_checked"),
                          ("manipulability", "classify_randomized_tiebreak")}
         named = self._sites(lambda node: "prank" in {getattr(node, a, None) for a in ("id", "arg", "attr", "name")})
-        assert named <= {("ccum", "_possible_outcomes")}
+        assert named <= {("ccum", "_relabel")}
 
     def test_only_single_profiles_call_winner(self):
         callers = []
