@@ -84,8 +84,10 @@ def ccum_greedy_kapproval(inst: CcumInstance) -> CcumCertificate:
     if tiebreak == tuple(range(m)):
         ballots = _greedy_ballots(k, inst.fixed_ballots, inst.num_manipulators, inst.target, m)
     else:
-        ballots = tuple(tuple(map(tiebreak.__getitem__, b)) for b in _greedy_ballots(
-            k, _relabel(tiebreak, inst.fixed_ballots), inst.num_manipulators, tiebreak.index(inst.target), m))
+        place = _relabel(tiebreak)
+        fixed = tuple(tuple(map(place, b)) for b in inst.fixed_ballots)
+        ballots = tuple(tuple(map(tiebreak.__getitem__, b))
+                        for b in _greedy_ballots(k, fixed, inst.num_manipulators, place(inst.target), m))
     elected = rules._elect(inst.rule, Profile(inst.fixed_ballots + ballots, m), tiebreak)
     return CcumCertificate(elected == inst.target, ballots)
 
@@ -106,11 +108,10 @@ def _greedy_ballots(k: int, fixed: tuple, manipulators: int, target: int, m: int
     return tuple(ballots)
 
 
-def _relabel(tiebreak: tuple, ballots) -> tuple:
-    # each ballot's outcomes relabeled by their places in the tie-break, which makes the tie-break the identity:
-    # the one use of a tie-break's positions, as every rule and the greedy read it only as an order
-    place = ranking_positions(tiebreak)
-    return tuple(tuple(map(place.__getitem__, b)) for b in ballots)
+def _relabel(tiebreak: tuple):
+    # each outcome to its place in the tie-break, the relabel that makes the tie-break the identity: the one use
+    # of a tie-break's positions, as every rule and the greedy read it only as an order
+    return ranking_positions(tiebreak).__getitem__
 
 
 def _kapproval_reachable(k: int, n: int, fixed, tiebreak: tuple) -> frozenset:
@@ -220,7 +221,7 @@ def _possible_outcomes(rule, n, fixed, tiebreak, budget) -> frozenset:
     m = len(tiebreak)
     identity = tuple(range(m))
     if tiebreak != identity:  # relabel each outcome by its place in the tie-break, which makes it the identity
-        relabeled = None if fixed is None else _relabel(tiebreak, (fixed,))[0]
+        relabeled = None if fixed is None else tuple(map(_relabel(tiebreak), fixed))
         return frozenset(tiebreak[o] for o in _possible_outcomes(rule, n, relabeled, identity, budget))
     _weigh(rule, m, n, budget, table=fixed is None)
     if fixed is None:  # the first ballot is free too: the rows of all its tallies
