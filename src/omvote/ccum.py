@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from . import rules
 from .core import (Profile, _ballots, check_budget, check_enumerable, check_int, enumerate_profiles, enumerate_rankings,
@@ -86,7 +87,7 @@ def ccum_greedy_kapproval(inst: CcumInstance) -> CcumCertificate:
     else:
         place = _relabel(tiebreak)
         fixed = tuple(tuple(map(place, b)) for b in inst.fixed_ballots)
-        ballots = tuple(tuple(map(tiebreak.__getitem__, b))
+        ballots = tuple(itemgetter(*b)(tiebreak)  # a tuple, as a tie-break other than the identity has m >= 2
                         for b in _greedy_ballots(k, fixed, inst.num_manipulators, place(inst.target), m))
     elected = rules._elect(inst.rule, Profile(inst.fixed_ballots + ballots, m), tiebreak)
     return CcumCertificate(elected == inst.target, ballots)
