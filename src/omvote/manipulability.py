@@ -80,7 +80,6 @@ def _cases(report, rule, k, n, tiebreak, pos, budget) -> CaseOutcomes:
 
 
 def _extremes(feasible: frozenset, pos) -> CaseOutcomes:
-    # decided on the truth's places, each mapped back to its outcome by pos.index
     return CaseOutcomes(pos.index(min(map(pos.__getitem__, feasible))), pos.index(max(map(pos.__getitem__, feasible))),
                         feasible)
 
@@ -116,7 +115,7 @@ def _find_wom(rule, k, n, tiebreak, pos, truthful, reduce, budget):
     cut = pos[truthful.worst]
     if cut == 0:
         return None  # worst case is already the top choice
-    if reduce:  # the reduction's one candidate, decided by its own reachable set through its largest place
+    if reduce:  # the reduction's one candidate, decided by its own reachable set
         candidate = tuple([o for o in tiebreak if pos[o] < cut] + [o for o in reversed(tiebreak) if pos[o] >= cut])
         worst = max(map(pos.__getitem__, _reachable(rule, k, n, candidate, tiebreak, budget)))
         return candidate if worst < cut else None
