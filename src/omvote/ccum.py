@@ -77,20 +77,30 @@ def ccum_greedy_kapproval(inst: CcumInstance) -> CcumCertificate:
     tie-break, which decides achievable; the ballots are returned even when
     the target still loses.
     """
-    m = inst.m
-    k = rules._kapproval_k(inst.rule, m)
-    if k is None:
+    rule, *fields = _query(inst)
+    if rule.k is None:
         raise InvalidParametersError(f"greedy solver needs a k-approval rule, got {inst.rule.name}")
-    tiebreak = inst.tiebreak
+    return _certificate(rule, *fields)
+
+
+def _query(inst: CcumInstance) -> tuple:  # a checked instance's fields in order, its rule resolved for its voters
+    n = len(inst.fixed_ballots) + inst.num_manipulators
+    return rules._resolve(inst.rule, inst.m, n), inst.fixed_ballots, inst.num_manipulators, inst.target, inst.tiebreak
+
+
+def _certificate(rule, fixed, manipulators, target, tiebreak, budget=None) -> CcumCertificate:
+    # solve_ccum on checked fields and a resolved rule, past an instance's checks: the greedy for k-approval
+    if rule.k is None:
+        return _bruteforce(rule, fixed, manipulators, target, tiebreak, budget)
+    m = len(tiebreak)
     if tiebreak == tuple(range(m)):
-        ballots = _greedy_ballots(k, inst.fixed_ballots, inst.num_manipulators, inst.target, m)
+        ballots = _greedy_ballots(rule.k, fixed, manipulators, target, m)
     else:
         place = _relabel(tiebreak)
-        fixed = tuple(tuple(map(place, b)) for b in inst.fixed_ballots)
+        relabeled = tuple(tuple(map(place, b)) for b in fixed)
         ballots = tuple(itemgetter(*b)(tiebreak)  # a tuple, as a tie-break other than the identity has m >= 2
-                        for b in _greedy_ballots(k, fixed, inst.num_manipulators, place(inst.target), m))
-    elected = rules._elect(inst.rule, Profile(inst.fixed_ballots + ballots, m), tiebreak)
-    return CcumCertificate(elected == inst.target, ballots)
+                        for b in _greedy_ballots(rule.k, relabeled, manipulators, place(target), m))
+    return CcumCertificate(rules._elect(rule, Profile(fixed + ballots, m), tiebreak) == target, ballots)
 
 
 @lru_cache(maxsize=512)
@@ -154,9 +164,13 @@ def ccum_bruteforce(inst: CcumInstance, budget: int | None = None) -> CcumCertif
     Returns the first tuple electing the target, or achievable=False after
     scanning all (m!)^num_manipulators of them.
     """
-    fixed = inst.fixed_ballots
-    for profile in enumerate_profiles(inst.m, inst.num_manipulators, budget, fixed):
-        if rules._elect(inst.rule, profile, inst.tiebreak) == inst.target:
+    return _bruteforce(*_query(inst), budget)
+
+
+def _bruteforce(rule, fixed, manipulators, target, tiebreak, budget) -> CcumCertificate:
+    # ccum_bruteforce on _query's fields
+    for profile in enumerate_profiles(len(tiebreak), manipulators, budget, fixed):
+        if rules._elect(rule, profile, tiebreak) == target:
             return CcumCertificate(True, profile.ballots[len(fixed):])
     return CcumCertificate(False, None)
 
@@ -169,9 +183,7 @@ def solve_ccum(inst: CcumInstance, budget: int | None = None) -> CcumCertificate
     an achievable certificate elects the target and is not elected again.
     """
     check_budget(0, budget)
-    if rules._kapproval_k(inst.rule, inst.m) is not None:
-        return ccum_greedy_kapproval(inst)
-    return ccum_bruteforce(inst, budget)
+    return _certificate(*_query(inst), budget)
 
 
 def possible_outcomes(rule: rules.RuleSpec, n: int, fixed, tiebreak, budget: int | None = None) -> frozenset:
@@ -190,30 +202,25 @@ def possible_outcomes(rule: rules.RuleSpec, n: int, fixed, tiebreak, budget: int
     ballot relabeled, and mapped back; the closed form walks the query's
     own tie-break and is never relabeled.
 
-    Only summed rules are cached: the 2048 most recently used queries,
-    under the key they were asked with, and the m! tie-breaks of a rule
-    share each identity entry.  The entries are filled by the brute-force
-    tables, m! rows each under the table's tie-break (a co-winner table
-    reads the identity table of its scoring rule), and by has_veto_power's
-    m!+1 identity queries: room for the rows of the 64 brute-force tables
-    kept at m=4 and their identity entries, while memory stays bounded and
-    an evicted table is recomputed, not read back from rows that outlived
-    it.  A query is checked here, before any lookup, so the cache holds
-    checked queries only.
+    Summed queries are cached, the 2048 most recent (room for the 64 tables
+    kept at m=4), under the resolved rule (rules._resolve) that every name of
+    one score vector shares; the m! tie-breaks of a rule share each identity
+    entry, filled by the brute-force tables, m! rows each (a co-winner table
+    reads the identity table that classify fills), and by has_veto_power.  A
+    query is checked and resolved here, so the cache holds checked ones only.
     """
     rules.check_rule(rule)
     tiebreak = make_tiebreak(tiebreak)
     if fixed is not None:
         fixed = make_ranking(fixed, len(tiebreak))
     check_budget(0, budget)
-    return _reachable(rule, rules._kapproval_k(rule, len(tiebreak)), check_int(n, "n", 1), fixed, tiebreak, budget)
+    return _reachable(rules._resolve(rule, len(tiebreak), check_int(n, "n", 1)), n, fixed, tiebreak, budget)
 
 
-def _reachable(rule, k, n: int, fixed, tiebreak: tuple, budget) -> frozenset:
-    # possible_outcomes on a checked query: a valid tie-break, a valid fixed
-    # ballot or None, an int n >= 1, and k = rules._kapproval_k(rule, m)
-    if k is not None:
-        return _kapproval_reachable(k, n, fixed, tiebreak)
+def _reachable(rule, n: int, fixed, tiebreak: tuple, budget) -> frozenset:
+    # possible_outcomes on a checked query (tie-break, fixed ballot or None, int n >= 1) and its resolved rule
+    if rule.k is not None:
+        return _kapproval_reachable(rule.k, n, fixed, tiebreak)
     return _possible_outcomes(rule, n, fixed, tiebreak, budget)
 
 
@@ -239,7 +246,7 @@ def _units(rule, m: int, n: int, top=None) -> tuple:
 def _distinct(rule, m: int, n: int, top=None) -> int:
     # len(_units(rule, m, n, top)), none built: a scoring rule's one-ballot tally is where its canonical weights
     # land, m!/prod(c!) ways for the counts c of equal weights (top takes a first); any other's gives the ranking
-    ws = list(rules._canonical_weights(rule, m, n) if rule.is_scoring else range(m))[top is not None:]
+    ws = list(rule.weights or range(m))[top is not None:]
     return math.factorial(len(ws)) // math.prod(math.factorial(ws.count(w)) for w in set(ws))
 
 

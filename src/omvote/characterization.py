@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import rules
-from .ccum import _almost_unanimous, possible_outcomes
-from .core import check_enumerable, check_int, enumerate_rankings, identity_tiebreak, make_tiebreak
+from .ccum import _almost_unanimous, _reachable
+from .core import check_budget, check_enumerable, check_int, enumerate_rankings, identity_tiebreak, make_tiebreak
 
 OM = "OM"
 NOM = "NOM"
@@ -114,9 +114,10 @@ def has_veto_power(rule: rules.RuleSpec, n: int, m: int, tiebreak=None, budget=N
     check_enumerable(m)  # before anything of size m is built
     if tiebreak is not None:
         make_tiebreak(tiebreak, m)
-    identity = identity_tiebreak(m)
-    possible = possible_outcomes(rule, n, None, identity, budget)
-    return any(possible - possible_outcomes(rule, n, report, identity, budget) for report in enumerate_rankings(m))
+    check_budget(0, budget)  # a counting route never weighs it, so it is checked here
+    rule, identity = rules._resolve(rules.check_rule(rule), m, check_int(n, "n", 1)), identity_tiebreak(m)
+    possible = _reachable(rule, n, None, identity, budget)
+    return any(possible - _reachable(rule, n, report, identity, budget) for report in enumerate_rankings(m))
 
 
 def is_almost_unanimous(rule: rules.RuleSpec, n: int, m: int, tiebreak=None, budget=None) -> bool:
@@ -130,8 +131,7 @@ def is_almost_unanimous(rule: rules.RuleSpec, n: int, m: int, tiebreak=None, bud
     and d_t those of the ballots ranking t first, and stops at the first winner other than t.
     """
     check_enumerable(m)  # before anything of size m is built
-    rules.check_rule(rule)
     check_int(n, "almost-unanimity's n", 2)
     if tiebreak is not None:
         make_tiebreak(tiebreak, m)
-    return _almost_unanimous(rule, m, n, budget)
+    return _almost_unanimous(rules._resolve(rules.check_rule(rule), m, n), m, n, budget)

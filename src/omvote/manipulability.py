@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import rules
-from .ccum import CcumInstance, _bruteforce_feasible_map, _reachable, solve_ccum
+from .ccum import _bruteforce_feasible_map, _certificate, _reachable
 from .core import check_budget, check_int, identity_tiebreak, make_ranking, make_tiebreak, ranking_positions
 from .errors import InvalidParametersError, UnsupportedRuleError, VerificationError
 
@@ -61,22 +61,21 @@ class ManipulationReport:
 
 def case_outcomes(truth, report, rule: rules.RuleSpec, n: int, tiebreak, budget=None) -> CaseOutcomes:
     """Reachable-outcome extremes when a voter with preference *truth* files *report*."""
-    truth, tiebreak, pos, k = _checked(truth, rule, n, tiebreak, budget)
-    return _cases(make_ranking(report, len(truth)), rule, k, n, tiebreak, pos, budget)
+    truth, tiebreak, pos, rule = _checked(truth, rule, n, tiebreak, budget)
+    return _cases(make_ranking(report, len(truth)), rule, n, tiebreak, pos, budget)
 
 
 def _checked(truth, rule, n, tiebreak, budget) -> tuple:
-    # the one check of a query at a public entry point: (truth, tiebreak, pos, k), k looked up once per query
-    rules.check_rule(rule)
+    # the one check of a query at a public entry point: (truth, tiebreak, pos, rule), the rule resolved once
     truth = make_ranking(truth)
     tiebreak = make_tiebreak(tiebreak, len(truth))
     check_int(n, "n", 2)
     check_budget(0, budget)  # a counting route never weighs it, so it is checked here
-    return truth, tiebreak, ranking_positions(truth), rules._kapproval_k(rule, len(truth))
+    return truth, tiebreak, ranking_positions(truth), rules._resolve(rules.check_rule(rule), len(truth), n)
 
 
-def _cases(report, rule, k, n, tiebreak, pos, budget) -> CaseOutcomes:
-    return _extremes(_reachable(rule, k, n, report, tiebreak, budget), pos)
+def _cases(report, rule, n, tiebreak, pos, budget) -> CaseOutcomes:
+    return _extremes(_reachable(rule, n, report, tiebreak, budget), pos)
 
 
 def _extremes(feasible: frozenset, pos) -> CaseOutcomes:
@@ -84,43 +83,42 @@ def _extremes(feasible: frozenset, pos) -> CaseOutcomes:
                         feasible)
 
 
-def _find_bom(rule, k, n, tiebreak, pos, truthful, budget):
-    # With every voter free, the best outcome reachable under any report is
-    # found; if it beats the truthful best, the first ballot of its coalition
-    # certificate is the witness misreport.
+def _find_bom(rule, n, tiebreak, pos, truthful, budget):
+    # With every voter free, the best outcome reachable under any report is found; if it beats the truthful best,
+    # the first ballot of its coalition certificate, built past an instance's checks, is the witness misreport.
     best = pos[truthful.best]
-    place = min(map(pos.__getitem__, _reachable(rule, k, n, None, tiebreak, budget)))
+    place = min(map(pos.__getitem__, _reachable(rule, n, None, tiebreak, budget)))
     if place >= best:
         return None
     o_star = pos.index(place)
-    cert = solve_ccum(CcumInstance(rule, (), n, o_star, tiebreak), budget=budget)
+    cert = _certificate(rule, (), n, o_star, tiebreak, budget)
     if not cert.achievable:
         raise VerificationError(f"outcome {o_star} reachable but no certificate found")
     witness = BomWitness(cert.manipulator_ballots[0], cert.manipulator_ballots[1:])
-    if min(map(pos.__getitem__, _reachable(rule, k, n, witness.misreport, tiebreak, budget))) >= best:
+    if min(map(pos.__getitem__, _reachable(rule, n, witness.misreport, tiebreak, budget))) >= best:
         raise VerificationError("best-case witness does not improve the best case")
     return witness
 
 
-def _reduction(k, mode: str) -> bool:
-    # whether the reduction answers a rule of this k; False when brute force does
+def _reduction(rule, mode: str) -> bool:
+    # whether the reduction answers a resolved rule; False when brute force does
     if mode not in ("auto", "reduction", "bruteforce"):
         raise InvalidParametersError(f"unknown mode {mode!r}")
-    if mode == "reduction" and k is None:
+    if mode == "reduction" and rule.k is None:
         raise UnsupportedRuleError("reduction mode needs a k-approval style rule")
-    return mode != "bruteforce" and k is not None
+    return mode != "bruteforce" and rule.k is not None
 
 
-def _find_wom(rule, k, n, tiebreak, pos, truthful, reduce, budget):
+def _find_wom(rule, n, tiebreak, pos, truthful, reduce, budget):
     cut = pos[truthful.worst]
     if cut == 0:
         return None  # worst case is already the top choice
     if reduce:  # the reduction's one candidate, decided by its own reachable set
         candidate = tuple([o for o in tiebreak if pos[o] < cut] + [o for o in reversed(tiebreak) if pos[o] >= cut])
-        worst = max(map(pos.__getitem__, _reachable(rule, k, n, candidate, tiebreak, budget)))
+        worst = max(map(pos.__getitem__, _reachable(rule, n, candidate, tiebreak, budget)))
         return candidate if worst < cut else None
     witness = _first_wom(_bruteforce_feasible_map(rule, n, tiebreak, budget), pos, truthful.worst)
-    if witness is not None and pos[_cases(witness, rule, k, n, tiebreak, pos, budget).worst] >= cut:
+    if witness is not None and pos[_cases(witness, rule, n, tiebreak, pos, budget).worst] >= cut:
         raise VerificationError("worst-case witness does not improve the worst case")
     return witness
 
@@ -145,11 +143,11 @@ def classify(truth, rule: rules.RuleSpec, n: int, tiebreak, mode: str = "auto", 
     lexicographically first improving one; 'auto' means the reduction for
     k-approval rules and brute force otherwise.
     """
-    truth, tiebreak, pos, k = _checked(truth, rule, n, tiebreak, budget)
-    reduce = _reduction(k, mode)
-    truthful = _cases(truth, rule, k, n, tiebreak, pos, budget)
-    bom = _find_bom(rule, k, n, tiebreak, pos, truthful, budget)
-    wom = _find_wom(rule, k, n, tiebreak, pos, truthful, reduce, budget)
+    truth, tiebreak, pos, rule = _checked(truth, rule, n, tiebreak, budget)
+    reduce = _reduction(rule, mode)
+    truthful = _cases(truth, rule, n, tiebreak, pos, budget)
+    bom = _find_bom(rule, n, tiebreak, pos, truthful, budget)
+    wom = _find_wom(rule, n, tiebreak, pos, truthful, reduce, budget)
     return ManipulationReport(_label(bom is not None, wom is not None), bom, wom, truthful)
 
 
@@ -165,7 +163,7 @@ def _label(has_bom: bool, has_wom: bool) -> str:
 
 def bruteforce_feasible(rule: rules.RuleSpec, n: int, report, tiebreak, budget=None) -> frozenset:
     """Exhaustively computed reachable outcomes for one fixed report."""
-    report, tiebreak, _, _ = _checked(report, rule, n, tiebreak, budget)
+    report, tiebreak, _, rule = _checked(report, rule, n, tiebreak, budget)
     return _bruteforce_feasible_map(rule, n, tiebreak, budget)[report]
 
 
@@ -176,18 +174,15 @@ def bruteforce_feasible(rule: rules.RuleSpec, n: int, report, tiebreak, budget=N
 # order (o, then the rest ascending).  Relabeling each outcome by its place in
 # that order, x -> 0 if x == o else x + (x < o), makes it the identity and o
 # outcome 0, so o is in report r's row iff 0 is in the row of r relabeled in
-# the identity brute-force table of the scoring rule.  The table is keyed by
-# the caller's weight vector as a tuple, so vectors equal term by term
-# ((3, 2, 1, 0), [3, 2, 1, 0], (3.0, 2.0, 1.0, 0.0) or Fractions) share one
-# entry; the rule is built from the weights and checked for m only on a miss,
-# so an invalid vector never gets an entry.
+# the identity brute-force table of the resolved rule, which classify fills.
+# Keyed by the caller's weights as a tuple, vectors equal term by term share
+# one entry; only a miss resolves the rule, checking the vector against m, so
+# an invalid vector never gets an entry.
 
 
 @lru_cache(maxsize=64, typed=True)  # typed, so a float budget never hits an int budget's entry
 def _cowinner_feasible_map(weights: tuple, n: int, m: int, budget=None) -> dict:
-    rule = rules.scoring(weights)
-    rules.score_vector(rule, m)  # one weight per outcome
-    table = _bruteforce_feasible_map(rule, n, identity_tiebreak(m), budget)
+    table = _bruteforce_feasible_map(rules._resolve(rules.scoring(weights), m, n), n, identity_tiebreak(m), budget)
     return {report: frozenset(o for o in range(m) if 0 in table[tuple(0 if x == o else x + (x < o) for x in report)])
             for report in table}
 

@@ -149,7 +149,6 @@ def score_vector(rule: RuleSpec, m: int, n: int | None = None) -> tuple:
     raise InvalidParametersError(f"{rule.name} is not a positional scoring rule")
 
 
-@lru_cache(maxsize=512)
 def _canonical_weights(rule: RuleSpec, m: int, n: int | None = None) -> tuple:
     """The one integer score vector of a scoring rule for m outcomes.
 
@@ -164,18 +163,22 @@ def _canonical_weights(rule: RuleSpec, m: int, n: int | None = None) -> tuple:
     return tuple(w // gcd for w in ints)
 
 
+@lru_cache(maxsize=512)
+def _resolve(rule: RuleSpec, m: int, n: int | None = None) -> RuleSpec:
+    # the rule that every search, cache and kernel reads for a checked RuleSpec, m outcomes and n voters (None skips
+    # vetofamily's bound): a scoring rule becomes the "scoring" spec of its _canonical_weights, k their sum if 0/1,
+    # so every name of one vector is one key; STV, runoff and Copeland keep their name.  An unknown name is named here
+    if rule.name not in RULE_NAMES:
+        raise UnsupportedRuleError(f"unknown rule {rule.name!r}")
+    if not rule.is_scoring:
+        return RuleSpec(rule.name)
+    ws = _canonical_weights(rule, m, n)
+    return RuleSpec("scoring", sum(ws) if set(ws) == {0, 1} else None, ws)
+
+
 def kapproval_k(rule: RuleSpec, m: int) -> int | None:
     """The k of a k-approval rule, or None: a scoring rule whose canonical vector is 0/1 approves its sum."""
-    return _kapproval_k(check_rule(rule), check_int(m, "m"))
-
-
-@lru_cache(maxsize=512)
-def _kapproval_k(rule: RuleSpec, m: int) -> int | None:
-    # kapproval_k for a checked m: the check comes before the cache, so 4.0 never hits the entry of 4
-    if not rule.is_scoring:
-        return None
-    ws = _canonical_weights(rule, m)
-    return sum(ws) if set(ws) == {0, 1} else None
+    return _resolve(check_rule(rule), check_int(m, "m")).k  # checked before the cache, so 4.0 never hits 4's entry
 
 
 def scoring_scores(weights: Sequence, profile: Profile) -> dict:
@@ -261,12 +264,10 @@ class _Ballots(tuple):  # STV's tally: its ballots, sorted, so that the sum of t
 
 @lru_cache(maxsize=512)
 def _layout(rule: RuleSpec, m: int, n: int) -> tuple:
-    # (weights, shifts, mask): a tally is one int whose field i sits at bit shifts[i], mask wide, room for n
-    # ballots.  Field o totals outcome o's non-zero place weights, first places for runoff and Copeland, which add
-    # field m + a*m + b: the ballots ranking a above b
-    if rule.name not in RULE_NAMES:
-        raise UnsupportedRuleError(f"unknown rule {rule.name!r}")
-    ws = tuple(w for w in _canonical_weights(rule, m, n) if w) if rule.is_scoring else (1,)
+    # (weights, shifts, mask) of a resolved rule: a tally is one int whose field i sits at bit shifts[i], mask wide,
+    # room for n ballots.  Field o totals outcome o's non-zero place weights, first places for runoff and Copeland,
+    # which add field m + a*m + b: the ballots ranking a above b
+    ws = tuple(w for w in rule.weights if w) if rule.is_scoring else (1,)
     bits = (n * ws[0]).bit_length()
     return ws, range(0, (m if rule.is_scoring else m + m * m) * bits, bits), (1 << bits) - 1
 
@@ -324,18 +325,15 @@ def _decider(rule: RuleSpec, m: int, n: int):
 
 
 def _elect(rule: RuleSpec, profile: Profile, order) -> int:
-    # winner under a tie-break checked once per search: _chooser on the profile's fields, never packed
-    m, n = profile.m, profile.n
-    fields = _fields(rule, m, n, profile.ballots)  # _layout names an unknown rule first
-    return _chooser(rule, m)(fields, order)
+    # winner of a resolved rule under a tie-break checked once per search: _chooser on its fields, never packed
+    return _chooser(rule, profile.m)(_fields(rule, profile.m, profile.n, profile.ballots), order)
 
 
 def winner(rule: RuleSpec, profile: Profile, tiebreak) -> int:
     """Evaluate any supported rule on a profile with a fixed tie-break; an unknown rule is named first."""
-    check_rule(rule)
     if not isinstance(profile, Profile):
         raise InvalidParametersError(f"winner needs a Profile, got {profile!r}")
-    return _elect(rule, profile, _check_tiebreak(tiebreak, profile.m) if rule.name in RULE_NAMES else None)
+    return _elect(_resolve(check_rule(rule), profile.m, profile.n), profile, _check_tiebreak(tiebreak, profile.m))
 
 
 # ---------------------------------------------------------------------------

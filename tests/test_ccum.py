@@ -291,7 +291,7 @@ class TestCountingAgainstSolvers:
         for tiebreak in (tuple(range(m)), (*range(1, m, 2), *range(0, m, 2))):
             for k in range(1, m):
                 for n in (2, 3, 4):
-                    table = manipulability._bruteforce_feasible_map(kapproval(k), n, tiebreak)
+                    table = manipulability._bruteforce_feasible_map(rules._resolve(kapproval(k), m, n), n, tiebreak)
                     for report, feasible in table.items():
                         assert _counted(k, n, report, tiebreak) == feasible, (k, n, report, tiebreak)
 
@@ -511,7 +511,8 @@ class TestSummedTallies:
         fixed = data.draw(st.none() | st.permutations(range(m)).map(tuple), label="fixed")
         expected = _enumerated(rule, n, fixed, tiebreak)
         assert possible_outcomes(rule, n, fixed, tiebreak) == expected
-        assert ccum._possible_outcomes(rule, n, fixed, tiebreak, None) == expected  # summed, k-approval too
+        summed = ccum._possible_outcomes(rules._resolve(rule, m, n), n, fixed, tiebreak, None)
+        assert summed == expected  # k-approval too
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -521,23 +522,25 @@ class TestSummedTallies:
         ballots = data.draw(st.lists(st.permutations(range(m)).map(tuple), max_size=4), label="ballots")
         cut = data.draw(st.integers(0, len(ballots)), label="cut")
         n = max(len(ballots), 1) + data.draw(st.integers(0, 2), label="spare voters")
+        resolved = rules._resolve(rule, m, n)
 
         def tally(bs):
-            return rules._tally(rule, m, n, bs)
+            return rules._tally(resolved, m, n, bs)
 
         whole = tally(ballots)
         assert whole == tally(ballots[:cut]) + tally(ballots[cut:]) == tally(ballots[cut:]) + tally(ballots[:cut])
         assert tally(()) + whole == whole
         if ballots:  # decided at room for n ballots, it is the winner of the profile itself
             order = tuple(data.draw(st.permutations(range(m)), label="order"))
-            assert rules._decider(rule, m, n)(tally(ballots), order) == winner(rule, make_profile(ballots), order)
+            assert rules._decider(resolved, m, n)(tally(ballots), order) == winner(rule, make_profile(ballots), order)
 
     def test_fields_wider_than_eight_bytes(self):
         # 3 * 2^70 needs 72-bit fields, wider than a machine word
         rule, identity = rules.scoring((2**70, 2**70 - 1, 0)), (0, 1, 2)
-        assert rules._layout(rule, 3, 3)[1].step == 72
+        resolved = rules._resolve(rule, 3, 3)
+        assert rules._layout(resolved, 3, 3)[1].step == 72
         for fixed in (None, (2, 1, 0), (1, 0, 2)):
-            assert ccum._possible_outcomes(rule, 3, fixed, identity, None) == _enumerated(rule, 3, fixed, identity)
+            assert ccum._possible_outcomes(resolved, 3, fixed, identity, None) == _enumerated(rule, 3, fixed, identity)
 
     @pytest.mark.parametrize("label", ["borda", "dowdall", "paperfamily", "kapproval:k=2",
                                        "vetofamily:omega=30,eps=1", "stv", "runoff", "copeland"])
@@ -546,7 +549,8 @@ class TestSummedTallies:
         rule = parse_rule(label)
         for _ in range(2):
             fixed, tiebreak = tuple(rng.sample(range(5), 5)), tuple(rng.sample(range(5), 5))
-            assert ccum._possible_outcomes(rule, 3, fixed, tiebreak, None) == _enumerated(rule, 3, fixed, tiebreak)
+            summed = ccum._possible_outcomes(rules._resolve(rule, 5, 3), 3, fixed, tiebreak, None)
+            assert summed == _enumerated(rule, 3, fixed, tiebreak)
 
     @pytest.mark.parametrize("label, unanimous", [("borda", False), ("dowdall", True), ("runoff", True)])
     def test_m5_n4_searches_run_under_the_default_budget(self, label, unanimous):
@@ -566,8 +570,9 @@ class TestSummedTallies:
     def test_distinct_tallies_counted_without_building_them(self, label):
         rule = parse_rule(label)
         for m in (4,) if rule.name in ("scoring", "kapproval") else (2, 3, 4, 5):
+            resolved = rules._resolve(rule, m, 3)
             for top in (None, 0, m - 1):
-                assert ccum._distinct(rule, m, 3, top) == len(ccum._units(rule, m, 3, top))
+                assert ccum._distinct(resolved, m, 3, top) == len(ccum._units(resolved, m, 3, top))
 
     @pytest.mark.parametrize("search", [
         lambda: possible_outcomes(borda(), 3, tuple(range(8)), tuple(range(8))),

@@ -157,7 +157,7 @@ def test_too_many_outcomes_rejected_first(detector, m, monkeypatch):
     def unreachable(*args):
         raise AssertionError("built before the cap was checked")
 
-    for name in ("identity_tiebreak", "possible_outcomes"):
+    for name in ("identity_tiebreak", "_reachable"):
         monkeypatch.setattr(characterization, name, unreachable)
     with pytest.raises(TooLargeError):
         detector(kapproval(2), 3, m)

@@ -38,7 +38,7 @@ from omvote import (
     make_profile,
     stv,
 )
-from omvote import ccum, manipulability
+from omvote import ccum, manipulability, rules
 from omvote.core import ranking_positions
 
 IDENTITY3 = (0, 1, 2)
@@ -134,8 +134,8 @@ class TestFindWom:
         assert manipulability._first_wom(table, pos, o_w) == self._first_wom_by_max(table, pos, o_w)
 
     @pytest.mark.parametrize("table", [
-        lambda: manipulability._bruteforce_feasible_map(kapproval(2), 3, IDENTITY4),
-        lambda: manipulability._bruteforce_feasible_map(borda(), 2, IDENTITY4),
+        lambda: manipulability._bruteforce_feasible_map(rules._resolve(kapproval(2), 4, 3), 3, IDENTITY4),
+        lambda: manipulability._bruteforce_feasible_map(rules._resolve(borda(), 4, 2), 2, IDENTITY4),
         lambda: manipulability._cowinner_feasible_map((3, 2, 1, 0), 2, 4),
     ], ids=["approval-sets", "possible-outcomes", "cowinners"])
     def test_tables_keep_enumeration_order(self, table):
@@ -454,18 +454,18 @@ class TestVerificationFaults:
         return classify(self.BOM_TRUTH, kapproval(4), 3, (0, 1, 2, 3, 4)).bom_witness
 
     def test_bom_without_certificate(self, monkeypatch):
-        monkeypatch.setattr(manipulability, "solve_ccum", lambda inst, budget=None: CcumCertificate(False, None))
+        monkeypatch.setattr(manipulability, "_certificate", lambda *fields: CcumCertificate(False, None))
         with pytest.raises(VerificationError, match="no certificate"):
             self._bom_witness()
 
     def test_bom_witness_that_does_not_improve(self, monkeypatch):
-        solve = manipulability.solve_ccum
+        certificate = manipulability._certificate
 
-        def truthful_first(inst, budget=None):
-            cert = solve(inst, budget=budget)
+        def truthful_first(*fields):
+            cert = certificate(*fields)
             return CcumCertificate(True, (self.BOM_TRUTH, *cert.manipulator_ballots[1:]))
 
-        monkeypatch.setattr(manipulability, "solve_ccum", truthful_first)
+        monkeypatch.setattr(manipulability, "_certificate", truthful_first)
         with pytest.raises(VerificationError, match="best-case witness"):
             self._bom_witness()
 
