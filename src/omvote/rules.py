@@ -330,7 +330,7 @@ def _elect(rule: RuleSpec, profile: Profile, order) -> int:
 
 
 def winner(rule: RuleSpec, profile: Profile, tiebreak) -> int:
-    """Evaluate any supported rule on a profile with a fixed tie-break; an unknown rule is named first."""
+    """Evaluate any supported rule on a profile with a fixed tie-break; an unknown rule is named before it is read."""
     if not isinstance(profile, Profile):
         raise InvalidParametersError(f"winner needs a Profile, got {profile!r}")
     return _elect(_resolve(check_rule(rule), profile.m, profile.n), profile, _check_tiebreak(tiebreak, profile.m))

@@ -478,6 +478,18 @@ class TestOneTiebreakCheckPerSearch:
                     namers.add(path.stem)
         assert namers == {"ccum"}
 
+    def test_one_rule_identity(self):
+        # rules resolves a RuleSpec to its canonical rule: no other module computes canonical weights, and none
+        # that searches asks whether a rule is a scoring rule or looks its k up apart from the resolved rule
+        namers = {"_canonical_weights": set(), "is_scoring": set(), "_kapproval_k": set()}
+        for path in self.SOURCES:
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                for name in {getattr(node, a, None) for a in ("id", "attr", "name", "arg")} & namers.keys():
+                    namers[name].add(path.stem)
+        assert namers["_canonical_weights"] == {"rules"}
+        for name in ("is_scoring", "_kapproval_k"):
+            assert not namers[name] & {"ccum", "manipulability", "characterization"}, name
+
     @pytest.fixture
     def checks(self, monkeypatch):
         seen, check = [], rules._check_tiebreak

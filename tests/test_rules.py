@@ -15,12 +15,16 @@ from omvote import (
     UnsupportedRuleError,
     antiplurality,
     borda,
+    bruteforce_feasible,
     classify,
+    classify_randomized_tiebreak,
     condorcet_winner,
     copeland,
     dowdall,
     enumerate_profiles,
     enumerate_rankings,
+    has_veto_power,
+    is_almost_unanimous,
     kapproval,
     kapproval_k,
     make_profile,
@@ -28,6 +32,7 @@ from omvote import (
     paperfamily,
     parse_rule,
     plurality,
+    possible_outcomes,
     rule_label,
     runoff,
     score_vector,
@@ -39,6 +44,7 @@ from omvote import (
     vetofamily,
     winner,
 )
+from omvote import manipulability
 from omvote.rules import SCORING_RULE_NAMES, _canonical_weights
 
 F = Fraction
@@ -185,6 +191,67 @@ def _scoring_rules(draw, m):
         drops = draw(st.lists(st.integers(0, 3), min_size=m - 1, max_size=m - 1).filter(any))
         return scoring([sum(drops[i:]) for i in range(m)])
     return parse_rule(name)
+
+
+class TestOneRuleIdentity:
+    """Every RuleSpec is resolved once to its canonical rule, and every search and cache reads that rule."""
+
+    @pytest.mark.parametrize("search", [
+        lambda rule: possible_outcomes(rule, 3, None, (0, 1, 2, 3), budget=0),
+        lambda rule: classify((0, 1, 2, 3), rule, 3, (0, 1, 2, 3), budget=0),
+        lambda rule: has_veto_power(rule, 3, 4, None, budget=0),
+        lambda rule: is_almost_unanimous(rule, 3, 4, None, budget=0),
+    ], ids=["possible_outcomes", "classify", "veto", "unanimous"])
+    def test_unknown_rule_named_before_weighing(self, search):
+        # weighed as a rule of 24 one-ballot tallies, it would exceed a budget of 0 first
+        with pytest.raises(UnsupportedRuleError, match="unknown rule 'foo'"):
+            search(RuleSpec("foo"))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_aliases_share_reports_and_tables(self, data):
+        # the rules of a group share one canonical rule: the same report in every mode, and the second
+        # rule, or a co-winner run after the identity brute-force run, sums no reachable set again
+        m = data.draw(st.integers(3, 5), label="m")
+        n = data.draw(st.integers(2, 3), label="n")
+        group = data.draw(_aliases(m, n), label="group")
+        truth = tuple(data.draw(st.permutations(range(m)), label="truth"))
+        tiebreak = tuple(data.draw(st.permutations(range(m)), label="tiebreak"))
+        modes = ["auto", "bruteforce"] + (["reduction"] if kapproval_k(group[0], m) is not None else [])
+        reports = [classify(truth, group[0], n, tiebreak, mode) for mode in modes]
+        for alias in group[1:]:
+            misses = possible_outcomes.cache_info().misses
+            assert [classify(truth, alias, n, tiebreak, mode) for mode in modes] == reports, rule_label(alias)
+            assert possible_outcomes.cache_info().misses == misses, rule_label(alias)
+        bruteforce_feasible(group[0], n, truth, tuple(range(m)))  # the identity table, which classify reads
+        manipulability._cowinner_feasible_map.cache_clear()
+        misses = possible_outcomes.cache_info().misses
+        classify_randomized_tiebreak(truth, score_vector(group[-1], m, n), n)
+        assert possible_outcomes.cache_info().misses == misses
+
+
+@st.composite
+def _aliases(draw, m, n):
+    # rules equal up to their name or a positive affine map of their weights
+    scale = draw(st.fractions(min_value=F(1, 5), max_value=5).filter(bool), label="scale")
+    shift = draw(st.fractions(min_value=-3, max_value=3), label="shift")
+
+    def images(ws):
+        return [scoring(ws), scoring([2 * w for w in ws]), scoring([scale * w + shift for w in ws])]
+
+    kind = draw(st.sampled_from(["borda", "plurality", "antiplurality", "vetofamily", "binary"]), label="kind")
+    if kind == "borda":  # (6, 4, 2, 0) among the images at m=4
+        return [borda(), *images(score_vector(borda(), m))]
+    if kind == "plurality":
+        return [plurality(), kapproval(1), *images([1] + [0] * (m - 1))]
+    if kind == "antiplurality":
+        return [antiplurality(), kapproval(m - 1), *images([1] * (m - 1) + [0])]
+    if kind == "vetofamily":
+        eps = draw(st.integers(1, 3), label="eps")
+        rule = vetofamily(m * eps * (n - 1) + draw(st.integers(1, 4), label="omega over its bound"), eps)
+        return [rule, *images(score_vector(rule, m, n))]
+    k = draw(st.integers(1, m - 1), label="k")
+    return [*images([1] * k + [0] * (m - k)), kapproval(k)]
 
 
 class TestScoring:
