@@ -35,7 +35,7 @@ class TheoremVerdict:
 
 
 def kapproval_om(n: int, m: int, k: int) -> TheoremVerdict:
-    """k-approval is obviously manipulable iff n <= (m-2)/(m-k)."""
+    """k-approval is obviously manipulable iff n <= (m-2)/(m-k); its bound n >= 3 is probe-derived, from search."""
     check_int(n, "n", 3)  # the characterization assumes n >= 3 and m >= 3
     check_int(m, "m", 3)
     check_int(k, "k", 1, m - 1)
@@ -49,16 +49,19 @@ def kapproval_om(n: int, m: int, k: int) -> TheoremVerdict:
 
 
 def scoring_nom_sufficient(n: int, weights) -> TheoremVerdict:
-    """A scoring rule is NOM once n > s1/(s1-s2) + 1 (sufficient only)."""
+    """A scoring rule is NOM once n > s1/(s1-s2) + 1 (sufficient only), read on its canonical vector (last weight 0).
+
+    Read raw, paperfamily translated to (0, -1, -2, -6) would pass at n=3, yet search finds 6 of 24 truths WOM-only.
+    """
     check_int(n, "n", 1)
-    ws = rules.make_score_vector(weights)
-    s1, s2 = ws[0], ws[1]
-    holds = s1 > s2 and n > s1 / (s1 - s2) + 1
+    rule = rules.scoring(weights)
+    s1, s2 = rules._resolve(rule, len(rule.weights)).weights[:2]
+    holds = (n - 1) * (s1 - s2) > s1  # the canonical s1 is positive, so equal top weights never pass
     return TheoremVerdict(
         "scoring_nom_sufficient",
         holds,
         NOM if holds else NO_CLAIM,
-        {"n": n, "weights": ws},
+        {"n": n, "weights": rule.weights},
     )
 
 
@@ -70,37 +73,35 @@ def bom_iff(n: int, weights) -> TheoremVerdict:
     since larger k only loosens the inequality.
     """
     check_int(n, "n", 1)
-    ws = rules.make_score_vector(weights)
-    m = len(ws)
-    prefix = 1
-    while prefix < m and ws[prefix] == ws[0]:
-        prefix += 1
-    holds = prefix > 1 and n * (m - prefix) <= m - 2
+    rule = rules.scoring(weights)
+    ws = rules._resolve(rule, len(rule.weights)).weights
+    prefix = ws.count(ws[0])  # the weights do not increase, so every copy of the first is in the prefix
+    holds = prefix > 1 and n * (len(ws) - prefix) <= len(ws) - 2
     return TheoremVerdict(
         "bom_iff",
         holds,
         BOM if holds else NOT_BOM,
-        {"n": n, "weights": ws, "equal_prefix": prefix},
+        {"n": n, "weights": rule.weights, "equal_prefix": prefix},
     )
 
 
 def weakly_diminishing(n: int, weights) -> TheoremVerdict:
     """Strictly decreasing weights with non-increasing gaps imply NOM for n >= 3.
 
-    The characterization assumes n >= 3, as kapproval_om does.  At n=2 the
+    The bound n >= 3 is probe-derived, as kapproval_om's is.  At n=2 the
     claim is false: (3, 1, 0) is weakly diminishing, yet truth (2, 0, 1)
     gains in the worst case by reporting (0, 2, 1).
     """
     check_int(n, "n", 1)
-    ws = rules.make_score_vector(weights)
-    strict = all(a > b for a, b in zip(ws, ws[1:]))
+    rule = rules.scoring(weights)
+    ws = rules._resolve(rule, len(rule.weights)).weights
     gaps = [a - b for a, b in zip(ws, ws[1:])]
-    holds = n >= 3 and strict and all(g1 >= g2 for g1, g2 in zip(gaps, gaps[1:]))
+    holds = n >= 3 and all(g1 >= g2 for g1, g2 in zip(gaps, gaps[1:])) and gaps[-1] > 0  # the last gap is least
     return TheoremVerdict(
         "weakly_diminishing",
         holds,
         NOM if holds else NO_CLAIM,
-        {"n": n, "weights": ws},
+        {"n": n, "weights": rule.weights},
     )
 
 

@@ -262,7 +262,7 @@ def _by_search(weights, n):
 
 def _non_increasing(*ms):
     return st.sampled_from(ms).flatmap(
-        lambda m: st.lists(st.integers(0, 7), min_size=m, max_size=m)
+        lambda m: st.lists(st.integers(-7, 7), min_size=m, max_size=m)
     ).map(lambda ws: tuple(sorted(ws, reverse=True))).filter(lambda ws: ws[0] != ws[-1])
 
 
@@ -297,3 +297,21 @@ class TestPredicatesAgainstSearch:
                     om = any(classify(truth, kapproval(k), n, identity, mode="reduction").classification != "NOM"
                              for truth in enumerate_rankings(m))
                     assert kapproval_om(n, m, k).holds == om, (n, m, k)
+
+
+class TestOneRuleIdentity:
+    """A positive affine image of a score vector is the same rule, so each scoring predicate gives it the same claim."""
+
+    @given(weights=_non_increasing(2, 3, 4), n=st.integers(1, 6),
+           a=st.fractions(min_value=0).filter(bool), b=st.fractions())
+    def test_affine_images_share_claims(self, weights, n, a, b):
+        image = tuple(a * w + b for w in weights)
+        for predicate in (scoring_nom_sufficient, bom_iff, weakly_diminishing):
+            mine, theirs = predicate(n, weights), predicate(n, image)
+            assert (mine.holds, mine.implied_classification) == (theirs.holds, theirs.implied_classification)
+            assert theirs.parameters["weights"] == image  # the caller's vector is echoed, not the canonical one
+
+    @pytest.mark.parametrize("weights", [(F(1), F(1, 2), F(1, 3)), (6, 3, 2), (4, 1, 0)])
+    def test_dowdall_aliases_at_three_voters(self, weights):
+        # Dowdall's canonical vector at m=3 is (4, 1, 0), and 2 * (4 - 1) > 4: all three are NOM at n=3
+        assert scoring_nom_sufficient(3, weights).implied_classification == "NOM"
