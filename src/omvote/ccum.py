@@ -13,7 +13,10 @@ and doubles as the correctness oracle for both.  Each solver decides
 achievable by electing the profile it returns, so a certificate needs no
 second check.  Every other exhaustive reachable set sums ballot tallies,
 here alone: this module weighs and holds them, the brute-force tables and
-the almost-unanimity search included.
+the almost-unanimity search included.  Every supported rule is neutral, so
+those sets and tables are held under the identity priority only, one table
+per rule, voter count and budget; a query under another tie-break is
+relabeled by places in it and its answer mapped back, uncached.
 """
 
 from __future__ import annotations
@@ -199,15 +202,17 @@ def possible_outcomes(rule: rules.RuleSpec, n: int, fixed, tiebreak, budget: int
     its place in that order makes it the identity, and winner(pi(P),
     identity) = pi(winner(P, tiebreak)).  A query of a summed rule
     under another tie-break is answered under the identity, with the fixed
-    ballot relabeled, and mapped back; the closed form walks the query's
-    own tie-break and is never relabeled.
+    ballot relabeled, and mapped back, on every call; the closed form walks
+    the query's own tie-break and is never relabeled.
 
-    Summed queries are cached, the 2048 most recent (room for the 64 tables
-    kept at m=4), under the resolved rule (rules._resolve) that every name of
-    one score vector shares; the m! tie-breaks of a rule share each identity
-    entry, filled by the brute-force tables, m! rows each (a co-winner table
-    reads the identity table that classify fills), and by has_veto_power.  A
-    query is checked and resolved here, so the cache holds checked ones only.
+    Summed queries are cached under the identity alone, the 2048 most
+    recent (room for the 64 tables kept at m=4), under the resolved rule
+    (rules._resolve) that every name of one score vector shares; the m!
+    tie-breaks of a rule share each identity entry, so one rule's queries at
+    one n and budget hold at most m!+1 of them, filled by its brute-force
+    table, m! rows (a co-winner table reads the same table), and by the
+    all-free query and has_veto_power.  A query is checked and resolved
+    here, so the cache holds checked ones only.
     """
     rules.check_rule(rule)
     tiebreak = make_tiebreak(tiebreak)
@@ -218,19 +223,27 @@ def possible_outcomes(rule: rules.RuleSpec, n: int, fixed, tiebreak, budget: int
 
 
 def _reachable(rule, n: int, fixed, tiebreak: tuple, budget) -> frozenset:
-    # possible_outcomes on a checked query (tie-break, fixed ballot or None, int n >= 1) and its resolved rule
+    # possible_outcomes on a checked query (tie-break, fixed ballot or None, int n >= 1) and its resolved rule;
+    # a summed one is read under the identity, the fixed ballot relabeled by places in the tie-break
     if rule.k is not None:
         return _kapproval_reachable(rule.k, n, fixed, tiebreak)
-    return _possible_outcomes(rule, n, fixed, tiebreak, budget)
+    m = len(tiebreak)
+    if tiebreak == tuple(range(m)):
+        return _possible_outcomes(rule, n, fixed, m, budget)
+    relabeled = None if fixed is None else tuple(map(_relabel(tiebreak), fixed))
+    return frozenset(map(tiebreak.__getitem__, _possible_outcomes(rule, n, relabeled, m, budget)))
+
+
+def _identity_reachable(rule, n: int, fixed, m: int, budget) -> frozenset:
+    # _reachable under the identity priority of m outcomes, with no relabel to test for
+    if rule.k is not None:
+        return _kapproval_reachable(rule.k, n, fixed, tuple(range(m)))
+    return _possible_outcomes(rule, n, fixed, m, budget)
 
 
 @lru_cache(maxsize=2048, typed=True)  # typed: a float budget is its own key, so it meets check_budget
-def _possible_outcomes(rule, n, fixed, tiebreak, budget) -> frozenset:
-    m = len(tiebreak)
-    identity = tuple(range(m))
-    if tiebreak != identity:  # relabel each outcome by its place in the tie-break, which makes it the identity
-        relabeled = None if fixed is None else tuple(map(_relabel(tiebreak), fixed))
-        return frozenset(tiebreak[o] for o in _possible_outcomes(rule, n, relabeled, identity, budget))
+def _possible_outcomes(rule, n: int, fixed, m: int, budget) -> frozenset:
+    # the summed query under the identity priority
     _weigh(rule, m, n, budget, table=fixed is None)
     if fixed is None:  # the first ballot is free too: the rows of all its tallies
         return frozenset().union(*(_row(rule, m, n, u) for u in _units(rule, m, n)))
@@ -287,11 +300,11 @@ def _row(rule, m: int, n: int, tally) -> frozenset:
 
 
 @lru_cache(maxsize=64, typed=True)  # typed, as _possible_outcomes
-def _bruteforce_feasible_map(rule: rules.RuleSpec, n: int, tiebreak, budget=None) -> dict:
-    # keyed by all m! rankings in enumerate_rankings order, which manipulability._first_wom's scan relies on
-    m = check_enumerable(len(tiebreak))
+def _bruteforce_feasible_map(rule: rules.RuleSpec, n: int, m: int, budget=None) -> dict:
+    # the identity's table, keyed by all m! rankings in enumerate_rankings order, which the WOM scans rely on
+    check_enumerable(m)
     _weigh(rule, m, n, budget, table=True)
-    return {r: _possible_outcomes(rule, n, r, tiebreak, budget) for r in enumerate_rankings(m)}
+    return {r: _possible_outcomes(rule, n, r, m, budget) for r in enumerate_rankings(m)}
 
 
 def _almost_unanimous(rule, m: int, n: int, budget) -> bool:

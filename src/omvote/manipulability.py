@@ -17,7 +17,9 @@ each witness once, through those reachable sets, as brute force does
 through its cached ones, comparing outcomes by their places in the truth; a
 brute-force witness and every BOM witness are checked again against those
 sets, and a disagreement surfaces as a VerificationError rather than being
-silently trusted.
+silently trusted.  Brute force reads one identity table per rule whatever
+the tie-break: it relabels the truth once by places in the tie-break and
+maps each outcome it finds back through it.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import rules
-from .ccum import _bruteforce_feasible_map, _certificate, _reachable
-from .core import check_budget, check_int, identity_tiebreak, make_ranking, make_tiebreak, ranking_positions
+from .ccum import _bruteforce_feasible_map, _certificate, _identity_reachable, _reachable, _relabel
+from .core import check_budget, check_int, make_ranking, make_tiebreak, ranking_positions
 from .errors import InvalidParametersError, UnsupportedRuleError, VerificationError
 
 NOM = "NOM"
@@ -83,14 +85,12 @@ def _extremes(feasible: frozenset, pos) -> CaseOutcomes:
                         feasible)
 
 
-def _find_bom(rule, n, tiebreak, pos, truthful, budget):
-    # With every voter free, the best outcome reachable under any report is found; if it beats the truthful best,
-    # the first ballot of its coalition certificate, built past an instance's checks, is the witness misreport.
-    best = pos[truthful.best]
-    place = min(map(pos.__getitem__, _reachable(rule, n, None, tiebreak, budget)))
-    if place >= best:
+def _find_bom(rule, n, tiebreak, pos, best, free, budget):
+    # If the truth's place of the best outcome every voter free can reach, *free*, beats its truthful best place,
+    # the first ballot of that outcome's coalition certificate, built past an instance's checks, is the witness.
+    if free >= best:
         return None
-    o_star = pos.index(place)
+    o_star = pos.index(free)
     cert = _certificate(rule, (), n, o_star, tiebreak, budget)
     if not cert.achievable:
         raise VerificationError(f"outcome {o_star} reachable but no certificate found")
@@ -109,16 +109,28 @@ def _reduction(rule, mode: str) -> bool:
     return mode != "bruteforce" and rule.k is not None
 
 
-def _find_wom(rule, n, tiebreak, pos, truthful, reduce, budget):
-    cut = pos[truthful.worst]
+def _reduced_wom(rule, n, tiebreak, pos, cut, budget):
+    # the reduction's one candidate, decided by its own reachable set; cut is the truth's place of its truthful worst
     if cut == 0:
         return None  # worst case is already the top choice
-    if reduce:  # the reduction's one candidate, decided by its own reachable set
-        candidate = tuple([o for o in tiebreak if pos[o] < cut] + [o for o in reversed(tiebreak) if pos[o] >= cut])
-        worst = max(map(pos.__getitem__, _reachable(rule, n, candidate, tiebreak, budget)))
-        return candidate if worst < cut else None
-    witness = _first_wom(_bruteforce_feasible_map(rule, n, tiebreak, budget), pos, truthful.worst)
-    if witness is not None and pos[_cases(witness, rule, n, tiebreak, pos, budget).worst] >= cut:
+    candidate = tuple([o for o in tiebreak if pos[o] < cut] + [o for o in reversed(tiebreak) if pos[o] >= cut])
+    worst = max(map(pos.__getitem__, _reachable(rule, n, candidate, tiebreak, budget)))
+    return candidate if worst < cut else None
+
+
+def _searched_wom(rule, n, tiebreak, relabeled, cut, budget):
+    # The lexicographically first report whose every reachable outcome the truth ranks above its truthful worst,
+    # at place cut.  Report r reads the identity table's row of r relabeled, so the matches are the rows inside the
+    # truth's first cut outcomes, relabeled; their reports map back through the tie-break, which need not keep
+    # their order.
+    if cut == 0:
+        return None  # worst case is already the top choice
+    better, m = frozenset(relabeled[:cut]), len(relabeled)
+    matches = [r for r, feasible in _bruteforce_feasible_map(rule, n, m, budget).items() if feasible <= better]
+    if not matches:
+        return None
+    witness, r = min((tuple(map(tiebreak.__getitem__, r)), r) for r in matches)
+    if not _identity_reachable(rule, n, r, m, budget) <= better:
         raise VerificationError("worst-case witness does not improve the worst case")
     return witness
 
@@ -141,13 +153,28 @@ def classify(truth, rule: rules.RuleSpec, n: int, tiebreak, mode: str = "auto", 
     and returns it iff its worst reachable outcome beats the truthful
     worst; 'bruteforce' scans all m! misreports and returns the
     lexicographically first improving one; 'auto' means the reduction for
-    k-approval rules and brute force otherwise.
+    k-approval rules and brute force otherwise.  Brute force reads its
+    reachable sets under the identity priority, the truth relabeled once by
+    places in the tie-break, and maps the outcomes it finds back.
     """
     truth, tiebreak, pos, rule = _checked(truth, rule, n, tiebreak, budget)
     reduce = _reduction(rule, mode)
-    truthful = _cases(truth, rule, n, tiebreak, pos, budget)
-    bom = _find_bom(rule, n, tiebreak, pos, truthful, budget)
-    wom = _find_wom(rule, n, tiebreak, pos, truthful, reduce, budget)
+    if reduce:
+        truthful = _cases(truth, rule, n, tiebreak, pos, budget)
+        best, cut = pos[truthful.best], pos[truthful.worst]
+        free = min(map(pos.__getitem__, _reachable(rule, n, None, tiebreak, budget)))
+    else:  # outcome o reads as its place in the tie-break, so the truth reads place∘truth and ranks x at pos[tb[x]]
+        m, back = len(truth), tiebreak.__getitem__
+        relabeled, at = tuple(map(_relabel(tiebreak), truth)), list(map(pos.__getitem__, tiebreak))
+        row = _identity_reachable(rule, n, relabeled, m, budget)
+        best, cut = min(map(at.__getitem__, row)), max(map(at.__getitem__, row))
+        truthful = CaseOutcomes(truth[best], truth[cut], frozenset(map(back, row)))
+        free = min(map(at.__getitem__, _identity_reachable(rule, n, None, m, budget)))
+    bom = _find_bom(rule, n, tiebreak, pos, best, free, budget)
+    if reduce:
+        wom = _reduced_wom(rule, n, tiebreak, pos, cut, budget)
+    else:
+        wom = _searched_wom(rule, n, tiebreak, relabeled, cut, budget)
     return ManipulationReport(_label(bom is not None, wom is not None), bom, wom, truthful)
 
 
@@ -164,7 +191,8 @@ def _label(has_bom: bool, has_wom: bool) -> str:
 def bruteforce_feasible(rule: rules.RuleSpec, n: int, report, tiebreak, budget=None) -> frozenset:
     """Exhaustively computed reachable outcomes for one fixed report."""
     report, tiebreak, _, rule = _checked(report, rule, n, tiebreak, budget)
-    return _bruteforce_feasible_map(rule, n, tiebreak, budget)[report]
+    row = _bruteforce_feasible_map(rule, n, len(report), budget)[tuple(map(_relabel(tiebreak), report))]
+    return frozenset(map(tiebreak.__getitem__, row))
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +210,7 @@ def bruteforce_feasible(rule: rules.RuleSpec, n: int, report, tiebreak, budget=N
 
 @lru_cache(maxsize=64, typed=True)  # typed, so a float budget never hits an int budget's entry
 def _cowinner_feasible_map(weights: tuple, n: int, m: int, budget=None) -> dict:
-    table = _bruteforce_feasible_map(rules._resolve(rules.scoring(weights), m, n), n, identity_tiebreak(m), budget)
+    table = _bruteforce_feasible_map(rules._resolve(rules.scoring(weights), m, n), n, m, budget)
     return {report: frozenset(o for o in range(m) if 0 in table[tuple(0 if x == o else x + (x < o) for x in report)])
             for report in table}
 

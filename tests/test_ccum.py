@@ -291,8 +291,8 @@ class TestCountingAgainstSolvers:
         for tiebreak in (tuple(range(m)), (*range(1, m, 2), *range(0, m, 2))):
             for k in range(1, m):
                 for n in (2, 3, 4):
-                    table = manipulability._bruteforce_feasible_map(rules._resolve(kapproval(k), m, n), n, tiebreak)
-                    for report, feasible in table.items():
+                    for report in enumerate_rankings(m):
+                        feasible = bruteforce_feasible(kapproval(k), n, report, tiebreak)
                         assert _counted(k, n, report, tiebreak) == feasible, (k, n, report, tiebreak)
 
 
@@ -456,7 +456,7 @@ class TestNeutrality:
         assert possible_outcomes(borda(), 3, relabeled, tiebreak) == {tiebreak[o] for o in found}
         after = ccum.possible_outcomes.cache_info()
         assert calls == []
-        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+        assert (after.misses - before.misses, after.hits - before.hits) == (0, 1)  # no entry of its own
 
     @pytest.mark.parametrize("rule", [borda(), kapproval(2)])
     @pytest.mark.parametrize("n, fixed, tiebreak, error", [
@@ -488,6 +488,14 @@ def _draw_rule(data, m):
     return parse_rule(name)
 
 
+def _summed(rule, n, fixed, tiebreak):
+    # the summed route itself, k-approval too: the identity's cached set of the fixed ballot relabeled by places
+    # in the tie-break, mapped back through it
+    m, place = len(tiebreak), {o: i for i, o in enumerate(tiebreak)}
+    relabeled = None if fixed is None else tuple(place[o] for o in fixed)
+    return frozenset(tiebreak[o] for o in ccum._possible_outcomes(rules._resolve(rule, m, n), n, relabeled, m, None))
+
+
 def _enumerated(rule, n, fixed, tiebreak):
     # the winners of every completion by ballot tuples, stopping once every outcome is found
     m, fixed_ballots, found = len(tiebreak), () if fixed is None else (fixed,), set()
@@ -511,8 +519,7 @@ class TestSummedTallies:
         fixed = data.draw(st.none() | st.permutations(range(m)).map(tuple), label="fixed")
         expected = _enumerated(rule, n, fixed, tiebreak)
         assert possible_outcomes(rule, n, fixed, tiebreak) == expected
-        summed = ccum._possible_outcomes(rules._resolve(rule, m, n), n, fixed, tiebreak, None)
-        assert summed == expected  # k-approval too
+        assert _summed(rule, n, fixed, tiebreak) == expected  # k-approval too
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -540,7 +547,7 @@ class TestSummedTallies:
         resolved = rules._resolve(rule, 3, 3)
         assert rules._layout(resolved, 3, 3)[1].step == 72
         for fixed in (None, (2, 1, 0), (1, 0, 2)):
-            assert ccum._possible_outcomes(resolved, 3, fixed, identity, None) == _enumerated(rule, 3, fixed, identity)
+            assert ccum._possible_outcomes(resolved, 3, fixed, 3, None) == _enumerated(rule, 3, fixed, identity)
 
     @pytest.mark.parametrize("label", ["borda", "dowdall", "paperfamily", "kapproval:k=2",
                                        "vetofamily:omega=30,eps=1", "stv", "runoff", "copeland"])
@@ -549,8 +556,7 @@ class TestSummedTallies:
         rule = parse_rule(label)
         for _ in range(2):
             fixed, tiebreak = tuple(rng.sample(range(5), 5)), tuple(rng.sample(range(5), 5))
-            summed = ccum._possible_outcomes(rules._resolve(rule, 5, 3), 3, fixed, tiebreak, None)
-            assert summed == _enumerated(rule, 3, fixed, tiebreak)
+            assert _summed(rule, 3, fixed, tiebreak) == _enumerated(rule, 3, fixed, tiebreak)
 
     @pytest.mark.parametrize("label, unanimous", [("borda", False), ("dowdall", True), ("runoff", True)])
     def test_m5_n4_searches_run_under_the_default_budget(self, label, unanimous):

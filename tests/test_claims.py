@@ -6,11 +6,13 @@ manipulable, BOM some truth best-case manipulable and not-BOM none; no-claim lic
 """
 
 import json
+import math
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from omvote import classify, enumerate_rankings, parse_rule
+from omvote import classify, enumerate_rankings, exact_rates, kapproval_om, parse_rule
 from omvote.cli import main
 
 RULES = {  # label: the one m its explicit vector fixes, or None for a family defined at every m
@@ -59,3 +61,24 @@ def test_every_licensed_verdict_matches_search(label, m, n, capsys):
 def test_translated_paperfamily_is_not_nom():
     # the counterexample scoring_nom_sufficient's docstring names: read raw, (0, -1, -2, -6) passed at n=3
     assert _search("scoring:w=0,-1,-2,-6", 3, 4) == _search("paperfamily", 3, 4) == {"NOM": 18, "WOM-only": 6}
+
+
+def _shares(found, m):
+    """(WOM, BOM) shares of the m! truths, as Fractions."""
+    count = math.factorial(m)
+    return (Fraction(found["WOM-only"] + found["BOM-and-WOM"], count),
+            Fraction(found["BOM-only"] + found["BOM-and-WOM"], count))
+
+
+@pytest.mark.parametrize("n, m, k", [(n, m, k) for n in (3, 4) for m in (4, 5) for k in range(1, m)] + [(3, 6, 5)])
+def test_kapproval_three_ways(n, m, k):
+    # brute-force shares over every truth, the closed-form rates of the grid, and the theorem's OM verdict agree
+    found = _search(f"kapproval:k={k}", n, m)
+    assert _shares(found, m) == exact_rates(n, m, k)
+    assert kapproval_om(n, m, k).holds == (set(found) != {"NOM"})
+
+
+@pytest.mark.parametrize("n, m, k, shares", [(3, 5, 4, (Fraction(3, 20), Fraction(1, 20))),
+                                             (3, 6, 5, (Fraction(1, 4), Fraction(1, 12)))])
+def test_kapproval_shares_checked_by_hand(n, m, k, shares):
+    assert _shares(_search(f"kapproval:k={k}", n, m), m) == exact_rates(n, m, k) == shares

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -10,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omvote import (
+    BomWitness,
+    CaseOutcomes,
     CcumCertificate,
     CcumInstance,
     InvalidParametersError,
@@ -36,6 +39,8 @@ from omvote import (
     scoring_cowinners,
     scoring_winner,
     make_profile,
+    ManipulationReport,
+    solve_ccum,
     stv,
 )
 from omvote import ccum, manipulability, rules
@@ -134,8 +139,8 @@ class TestFindWom:
         assert manipulability._first_wom(table, pos, o_w) == self._first_wom_by_max(table, pos, o_w)
 
     @pytest.mark.parametrize("table", [
-        lambda: manipulability._bruteforce_feasible_map(rules._resolve(kapproval(2), 4, 3), 3, IDENTITY4),
-        lambda: manipulability._bruteforce_feasible_map(rules._resolve(borda(), 4, 2), 2, IDENTITY4),
+        lambda: manipulability._bruteforce_feasible_map(rules._resolve(kapproval(2), 4, 3), 3, 4),
+        lambda: manipulability._bruteforce_feasible_map(rules._resolve(borda(), 4, 2), 2, 4),
         lambda: manipulability._cowinner_feasible_map((3, 2, 1, 0), 2, 4),
     ], ids=["approval-sets", "possible-outcomes", "cowinners"])
     def test_tables_keep_enumeration_order(self, table):
@@ -396,6 +401,19 @@ RULE_NAMES = ("borda", "plurality", "antiplurality", "dowdall", "paperfamily", "
               "scoring", "vetofamily:omega=9,eps=1", "stv", "runoff", "copeland")
 
 
+def _draw_rule(data, m):
+    # every rule family: a named rule, k-approval at any k, or a random integer score vector
+    name = data.draw(st.sampled_from(RULE_NAMES), label="rule")
+    if name == "kapproval":
+        name = f"kapproval:k={data.draw(st.integers(1, m - 1), label='k')}"
+    elif name == "scoring":
+        ws = sorted(data.draw(st.lists(st.integers(0, 4), min_size=m, max_size=m), label="weights"), reverse=True)
+        if ws[0] == ws[-1]:
+            ws[0] += 1  # a constant vector is not a scoring rule
+        name = "scoring:w=" + ",".join(map(str, ws))
+    return parse_rule(name)
+
+
 class TestEntryPointsAgree:
     """classify's truthful cases are case_outcomes', and its BOM witness does not depend on the mode."""
 
@@ -404,15 +422,7 @@ class TestEntryPointsAgree:
     def test_classify_matches_public_functions(self, data):
         m = data.draw(st.sampled_from((3, 4)), label="m")
         n = data.draw(st.sampled_from((2, 3)), label="n")
-        name = data.draw(st.sampled_from(RULE_NAMES), label="rule")
-        if name == "kapproval":
-            name = f"kapproval:k={data.draw(st.integers(1, m - 1), label='k')}"
-        elif name == "scoring":
-            ws = sorted(data.draw(st.lists(st.integers(0, 4), min_size=m, max_size=m)), reverse=True)
-            if ws[0] == ws[-1]:
-                ws[0] += 1  # a constant vector is not a scoring rule
-            name = "scoring:w=" + ",".join(map(str, ws))
-        rule = parse_rule(name)
+        rule = _draw_rule(data, m)
         truth = tuple(data.draw(st.permutations(range(m)), label="truth"))
         tiebreak = tuple(data.draw(st.permutations(range(m)), label="tiebreak"))
         modes = ["auto", "bruteforce"] + (["reduction"] if kapproval_k(rule, m) is not None else [])
@@ -446,6 +456,78 @@ class TestEntryPointsAgree:
         assert built == []
 
 
+class TestIdentityTable:
+    """Brute force reads one identity table per rule, yet answers every tie-break as that tie-break's own table would.
+
+    The reference builds the tie-break's table row by row from public possible_outcomes, in enumerate_rankings
+    order, and classifies from it as a table keyed by the tie-break did: the truthful row's extremes, the first
+    ballot of the coalition certificate of the best all-free outcome, and the first report whose row the truth ranks
+    wholly above its truthful worst.
+    """
+
+    LABELS = {(False, False): "NOM", (True, False): "BOM-only", (False, True): "WOM-only", (True, True): "BOM-and-WOM"}
+
+    @staticmethod
+    def _table(rule, n, tiebreak):
+        return {r: possible_outcomes(rule, n, r, tiebreak) for r in enumerate_rankings(len(tiebreak))}
+
+    @classmethod
+    def _reference(cls, truth, rule, n, tiebreak, table) -> ManipulationReport:
+        pos = ranking_positions(truth)
+        places = sorted(map(pos.__getitem__, table[truth]))
+        truthful = CaseOutcomes(truth[places[0]], truth[places[-1]], table[truth])
+        best = min(map(pos.__getitem__, possible_outcomes(rule, n, None, tiebreak)))
+        bom = None
+        if best < places[0]:
+            ballots = solve_ccum(CcumInstance(rule, (), n, truth[best], tiebreak)).manipulator_ballots
+            bom = BomWitness(ballots[0], ballots[1:])
+        wom = next((r for r, row in table.items() if max(map(pos.__getitem__, row)) < places[-1]), None)
+        return ManipulationReport(cls.LABELS[bom is not None, wom is not None], bom, wom, truthful)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_every_entry_point_matches_the_tiebreak_table(self, data):
+        m = data.draw(st.sampled_from((3, 4)), label="m")
+        n = data.draw(st.sampled_from((2, 3)), label="n")
+        rule = _draw_rule(data, m)
+        tiebreak = tuple(data.draw(st.permutations(range(m)), label="tiebreak"))
+        table = self._table(rule, n, tiebreak)
+        for truth in enumerate_rankings(m):
+            assert classify(truth, rule, n, tiebreak, mode="bruteforce") == self._reference(
+                truth, rule, n, tiebreak, table), truth
+            assert bruteforce_feasible(rule, n, truth, tiebreak) == table[truth]
+        truth = tuple(data.draw(st.permutations(range(m)), label="truth"))
+        for report, row in table.items():
+            assert case_outcomes(truth, report, rule, n, tiebreak).feasible == row
+
+    @pytest.mark.parametrize("label", ["antiplurality", "paperfamily"])
+    def test_witnesses_at_m5(self, label):
+        # at m=5, n=3 antiplurality has BOM-and-WOM and WOM-only truths and paperfamily WOM-only ones, whatever
+        # the tie-break; two seeded tie-breaks, every truth
+        rule, rng, found = parse_rule(label), random.Random(label), set()
+        for tiebreak in (tuple(rng.sample(range(5), 5)) for _ in range(2)):
+            table = self._table(rule, 3, tiebreak)
+            for truth in enumerate_rankings(5):
+                report = classify(truth, rule, 3, tiebreak, mode="bruteforce")
+                assert report == self._reference(truth, rule, 3, tiebreak, table), (tiebreak, truth)
+                found.add(report.classification)
+        assert found == {"antiplurality": {"NOM", "WOM-only", "BOM-and-WOM"}, "paperfamily": {"NOM", "WOM-only"}}[label]
+
+    @pytest.mark.parametrize("label", ["paperfamily", "stv", "kapproval:k=2"])
+    def test_one_table_serves_every_tiebreak(self, label):
+        # all 24 truths under all 24 tie-breaks at m=4, n=3: one table, and at most its m! rows plus the all-free
+        # query cached
+        rule = parse_rule(label)
+        manipulability._bruteforce_feasible_map.cache_clear()
+        possible_outcomes.cache_clear()
+        for tiebreak in enumerate_rankings(4):
+            for truth in enumerate_rankings(4):
+                classify(truth, rule, 3, tiebreak, mode="bruteforce")
+        info = manipulability._bruteforce_feasible_map.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        assert possible_outcomes.cache_info().currsize <= math.factorial(4) + 1
+
+
 class TestVerificationFaults:
     """Each witness check raises VerificationError when a fault is injected into what it checks."""
 
@@ -471,8 +553,10 @@ class TestVerificationFaults:
             self._bom_witness()
 
     def test_bruteforce_wom_witness_rechecked(self, monkeypatch):
-        # the truthful worst case of (0, 1, 2, 3) is 2, so the truth itself does not improve it
-        monkeypatch.setattr(manipulability, "_first_wom", lambda table, pos, o_w: IDENTITY4)
+        # the truthful worst case of (0, 1, 2, 3) is 2, so the truth itself does not improve it: a table whose
+        # row of the truth claims {0} makes the scan return it, and the check reads its reachable set again
+        monkeypatch.setattr(manipulability, "_bruteforce_feasible_map",
+                            lambda rule, n, m, budget=None: {IDENTITY4: frozenset({0})})
         with pytest.raises(VerificationError, match="worst-case witness"):
             classify(IDENTITY4, kapproval(2), 3, IDENTITY4, mode="bruteforce")
 
