@@ -22,9 +22,9 @@ relabeled by places in it and its answer mapped back, uncached.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
+from typing import NamedTuple
 
 from . import rules
 from .core import (Profile, _ballots, check_budget, check_enumerable, check_int, enumerate_profiles, enumerate_rankings,
@@ -32,32 +32,38 @@ from .core import (Profile, _ballots, check_budget, check_enumerable, check_int,
 from .errors import InvalidParametersError
 
 
-@dataclass(frozen=True)
-class CcumInstance:
-    """Fixed ballots, a count of free manipulators, and a target to elect."""
-
+class _CcumFields(NamedTuple):
     rule: rules.RuleSpec
     fixed_ballots: tuple
     num_manipulators: int
     target: int
     tiebreak: tuple
 
-    def __post_init__(self):
-        rules.check_rule(self.rule)
-        object.__setattr__(self, "tiebreak", make_tiebreak(self.tiebreak))  # m is its length
-        m = self.m
-        object.__setattr__(self, "fixed_ballots", tuple(make_ranking(b, m) for b in _ballots(self.fixed_ballots)))
-        if not (check_int(self.num_manipulators, "num_manipulators", 0) or self.fixed_ballots):
+
+class CcumInstance(_CcumFields):
+    """Fixed ballots, a count of free manipulators, and a target to elect; checked as it is built."""
+
+    __slots__ = ()
+
+    def __new__(cls, rule, fixed_ballots, num_manipulators, target, tiebreak):
+        rules.check_rule(rule)
+        tiebreak = make_tiebreak(tiebreak)  # m is its length
+        fixed_ballots = tuple(make_ranking(b, len(tiebreak)) for b in _ballots(fixed_ballots))
+        if not (check_int(num_manipulators, "num_manipulators", 0) or fixed_ballots):
             raise InvalidParametersError("instance has no voters at all")
-        check_int(self.target, "target", 0, m - 1)
+        check_int(target, "target", 0, len(tiebreak) - 1)
+        return tuple.__new__(cls, (rule, fixed_ballots, num_manipulators, target, tiebreak))
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks its fields as construction does
+        return cls(*iterable)
 
     @property
     def m(self) -> int:
         return len(self.tiebreak)
 
 
-@dataclass(frozen=True)
-class CcumCertificate:
+class CcumCertificate(NamedTuple):
     achievable: bool
     manipulator_ballots: tuple | None
 

@@ -7,7 +7,7 @@ exhaustive search at small scale, so each side can validate the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import rules
 from .ccum import _almost_unanimous, _reachable
@@ -20,8 +20,7 @@ NOT_BOM = "not-BOM"
 NO_CLAIM = "no-claim"
 
 
-@dataclass(frozen=True)
-class TheoremVerdict:
+class TheoremVerdict(NamedTuple):
     """Outcome of one predicate, with the classification it licenses.
 
     Biconditional predicates imply a definite classification either way;
@@ -31,7 +30,7 @@ class TheoremVerdict:
     predicate: str
     holds: bool
     implied_classification: str
-    parameters: dict = field(default_factory=dict)
+    parameters: dict
 
 
 def kapproval_om(n: int, m: int, k: int) -> TheoremVerdict:

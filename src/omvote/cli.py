@@ -7,7 +7,6 @@ Results go to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from functools import lru_cache
@@ -104,7 +103,7 @@ def _cmd_ccum(args) -> int:
         "config": _config(args, "ccum", rule=rules.rule_label(rule), fixed_profile=args.fixed_profile,
                           manipulators=args.manipulators, target=args.target,
                           tiebreak=list(tiebreak)),
-        **dataclasses.asdict(cert),
+        **cert._asdict(),
     }
     _emit(payload, args.format)
     return 0
@@ -161,7 +160,7 @@ def _cmd_characterize(args) -> int:
     payload = {
         "config": _config(args, "characterize", rule=rules.rule_label(rule), n=n, m=m,
                           exhaustive=args.exhaustive),
-        "verdicts": [dataclasses.asdict(v) for v in verdicts],
+        "verdicts": [v._asdict() for v in verdicts],
     }
     _emit(payload, args.format)
     return 0

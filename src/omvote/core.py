@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import operator
 import struct
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -88,12 +87,37 @@ def ranking_positions(ranking: Ranking) -> list:
     return positions
 
 
-@dataclass(frozen=True)
-class Profile:
-    """An ordered list of ballots over a common set of m outcomes."""
+_set = object.__setattr__
 
-    ballots: tuple
-    m: int
+
+class Profile:
+    """An ordered list of ballots over a common set of m outcomes; immutable, equal and hashed by its fields."""
+
+    __slots__ = __match_args__ = ("ballots", "m")
+
+    def __init__(self, ballots: tuple, m: int):
+        _set(self, "ballots", ballots)
+        _set(self, "m", m)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ballots, self.m) == (other.ballots, other.m)
+
+    def __hash__(self):
+        return hash((self.ballots, self.m))
+
+    def __repr__(self):
+        return f"Profile(ballots={self.ballots!r}, m={self.m!r})"
+
+    def __reduce__(self):  # pickle and copy rebuild it through __init__, past __setattr__
+        return Profile, (self.ballots, self.m)
 
     @property
     def n(self) -> int:
@@ -101,6 +125,13 @@ class Profile:
 
     def __iter__(self):
         return iter(self.ballots)
+
+
+def check_profile(profile) -> Profile:
+    """*profile* if it is a Profile; else InvalidParametersError, so no AttributeError escapes for one."""
+    if isinstance(profile, Profile):
+        return profile
+    raise InvalidParametersError(f"profile must be a Profile, got {profile!r}")
 
 
 def make_profile(ballots: Sequence[Sequence[int]], m: int | None = None) -> Profile:
@@ -273,6 +304,8 @@ def _fisher_yates_many(m: int, key: int, start: int, count: int, steps: tuple) -
 
 def parse_profile(text: str) -> tuple:
     """Parse the profile text format; returns (Profile, TieBreak or None)."""
+    if not isinstance(text, str):
+        raise ProfileFormatError(f"profile text must be a string, got {text!r}")
     lines = [ln.strip() for ln in text.split("\n")]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:

@@ -9,10 +9,9 @@ one such cell per run is audited by sampling anyway and asserting NOM.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import manipulability, rules
 from .characterization import kapproval_om
@@ -25,8 +24,7 @@ CHUNK = 512  # truths drawn together as lanes of one integer: bounds a draw's me
 MAX_M = 256  # the grid holds each place in a byte
 
 
-@dataclass(frozen=True)
-class ProportionRow:
+class ProportionRow(NamedTuple):
     """Manipulation rates for one (n, m, k) cell."""
 
     n: int
@@ -273,12 +271,23 @@ CSV_HEADER = "n,m,k,m_minus_k,samples,seed,p_wom,p_bom,p_om"
 def rows_to_csv(rows: Sequence[ProportionRow]) -> str:
     """Deterministic CSV text: identical rows give identical bytes."""
     lines = [CSV_HEADER]
-    for r in rows:
+    for r in _rows(rows):
         lines.append(
             f"{r.n},{r.m},{r.k},{r.m - r.k},{r.samples},{r.seed},"
             f"{r.p_wom:.6f},{r.p_bom:.6f},{r.p_om:.6f}"
         )
     return "\n".join(lines) + "\n"
+
+
+def _rows(rows) -> tuple:
+    try:
+        rows = tuple(rows)
+    except TypeError:
+        raise InvalidParametersError(f"rows must be a sequence of ProportionRow, got {rows!r}") from None
+    for r in rows:
+        if not isinstance(r, ProportionRow):
+            raise InvalidParametersError(f"each of rows must be a ProportionRow, got {r!r}")
+    return rows
 
 
 def write_csv_file(path, rows: Sequence[ProportionRow]) -> None:

@@ -24,7 +24,6 @@ maps each outcome it finds back through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -39,8 +38,7 @@ WOM_ONLY = "WOM-only"
 BOM_AND_WOM = "BOM-and-WOM"
 
 
-@dataclass(frozen=True)
-class CaseOutcomes:
+class CaseOutcomes(NamedTuple):
     """Best and worst reachable outcomes, judged by the truthful ranking."""
 
     best: int
@@ -53,8 +51,7 @@ class BomWitness(NamedTuple):
     others: tuple  # ballots of the remaining voters that realize the improvement
 
 
-@dataclass(frozen=True)
-class ManipulationReport:
+class ManipulationReport(NamedTuple):
     classification: str
     bom_witness: BomWitness | None
     wom_witness: tuple | None

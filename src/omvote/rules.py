@@ -8,13 +8,12 @@ priority order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import lshift
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .core import Profile, check_int, make_tiebreak
+from .core import Profile, check_int, check_profile, make_tiebreak
 from .errors import DimensionMismatchError, InvalidParametersError, UnsupportedRuleError
 
 SCORING_RULE_NAMES = frozenset(
@@ -43,8 +42,7 @@ def _fractions(values, what: str) -> tuple:
         raise InvalidParametersError(f"{what} must be numbers, got {values!r}") from exc
 
 
-@dataclass(frozen=True)
-class RuleSpec:
+class RuleSpec(NamedTuple):
     """A voting rule plus its parameters; materializes to weights per m."""
 
     name: str
@@ -186,7 +184,7 @@ def scoring_scores(weights: Sequence, profile: Profile) -> dict:
 
     Exact: each weight is read as a Fraction, and integral ones are summed as ints.
     """
-    m = profile.m
+    m = check_profile(profile).m
     ws = [int(f) if f.denominator == 1 else f for f in _fractions(weights, "weights")]
     if len(ws) != m:
         raise DimensionMismatchError(f"{len(ws)} weights for {m} outcomes")
@@ -210,7 +208,7 @@ def _check_tiebreak(tiebreak, m: int) -> tuple:
 
 def scoring_winner(weights: Sequence, profile: Profile, tiebreak) -> int:
     """Highest-scoring outcome; exact score ties go to the higher priority."""
-    order = _check_tiebreak(tiebreak, profile.m)
+    order = _check_tiebreak(tiebreak, check_profile(profile).m)
     return max(order, key=scoring_scores(weights, profile).__getitem__)
 
 
@@ -331,8 +329,7 @@ def _elect(rule: RuleSpec, profile: Profile, order) -> int:
 
 def winner(rule: RuleSpec, profile: Profile, tiebreak) -> int:
     """Evaluate any supported rule on a profile with a fixed tie-break; an unknown rule is named before it is read."""
-    if not isinstance(profile, Profile):
-        raise InvalidParametersError(f"winner needs a Profile, got {profile!r}")
+    check_profile(profile)
     return _elect(_resolve(check_rule(rule), profile.m, profile.n), profile, _check_tiebreak(tiebreak, profile.m))
 
 
@@ -342,6 +339,8 @@ def winner(rule: RuleSpec, profile: Profile, tiebreak) -> int:
 
 
 def parse_rule(text: str) -> RuleSpec:
+    if not isinstance(text, str):
+        raise InvalidParametersError(f"rule text must be a string, got {text!r}")
     name, _, params = text.strip().partition(":")
     name = name.lower()
     if name not in RULE_NAMES:
@@ -373,7 +372,7 @@ def _single_param(params: str, key: str) -> str:
 
 def rule_label(rule: RuleSpec) -> str:
     """Round-trippable text form of a RuleSpec."""
-    if rule.name == "kapproval":
+    if check_rule(rule).name == "kapproval":
         return f"kapproval:k={rule.k}"
     if rule.name == "scoring":
         return "scoring:w=" + ",".join(str(w) for w in rule.weights)

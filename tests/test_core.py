@@ -404,14 +404,36 @@ class TestShapeBeforeLength:
         lambda: omvote.possible_outcomes(["borda"], 3, (0, 1, 2), (0, 1, 2)),
         lambda: omvote.kapproval_k(None, 3),
         lambda: omvote.winner(omvote.borda(), (0, 1, 2), (0, 1, 2)),
+        lambda: omvote.parse_rule(None),
+        lambda: omvote.rule_label(None),
+        lambda: omvote.scoring_scores((2, 1, 0), None),
+        lambda: omvote.scoring_winner((2, 1, 0), None, (0, 1, 2)),
+        lambda: omvote.scoring_cowinners((2, 1, 0), (0, 1, 2)),
+        lambda: parse_profile(None),
+        lambda: omvote.rows_to_csv(None),
+        lambda: omvote.rows_to_csv([None]),
     ], ids=["winner-none", "winner-int", "ccum-instance", "ccum-none-ballots", "ccum-int-ballots",
             "randomized-truth", "scores-none", "cowinners-int", "scoring-winner-none", "profile-none-ballot",
             "profile-none", "fixed-none", "format-int-tiebreak", "format-short-tiebreak",
             "classify-none-rule", "classify-str-rule", "possible-none-rule", "feasible-none-rule", "veto-none-rule",
             "unanimous-none-rule", "ccum-none-rule", "classify-list-rule", "possible-list-rule",
-            "kapproval-k-none-rule", "winner-tuple-profile"])
+            "kapproval-k-none-rule", "winner-tuple-profile", "parse-rule-none", "rule-label-none",
+            "scores-none-profile", "scoring-winner-none-profile", "cowinners-tuple-profile", "parse-profile-none",
+            "csv-none", "csv-none-row"])
     def test_rejected(self, call):
         with pytest.raises(VotingError):
+            call()
+
+    @pytest.mark.parametrize("call, error, named", [
+        (lambda: omvote.parse_rule(None), InvalidParametersError, "rule text must be a string"),
+        (lambda: omvote.rule_label(None), InvalidParametersError, "rule must be a RuleSpec"),
+        (lambda: omvote.scoring_scores((2, 1, 0), None), InvalidParametersError, "profile must be a Profile"),
+        (lambda: parse_profile(None), ProfileFormatError, "profile text must be a string"),
+        (lambda: omvote.rows_to_csv(None), InvalidParametersError, "rows must be a sequence of ProportionRow"),
+    ], ids=["parse-rule", "rule-label", "scoring-scores", "parse-profile", "rows-to-csv"])
+    def test_wrong_type_names_the_argument(self, call, error, named):
+        # each of these once let an AttributeError or TypeError escape
+        with pytest.raises(error, match=named):
             call()
 
 

@@ -443,13 +443,16 @@ class TestEntryPointsAgree:
         m = 21
         truth = (3,) + tuple(o for o in range(m) if o != 3)
         built = []
-        post_init = CcumInstance.__post_init__
+        new = CcumInstance.__new__  # an instance is checked in __new__, so every construction passes here
 
-        def counting(inst):
-            built.append(inst.target)
-            post_init(inst)
+        def counting(cls, *fields, **named):
+            built.append(fields)
+            return new(cls, *fields, **named)
 
-        monkeypatch.setattr(CcumInstance, "__post_init__", counting)
+        monkeypatch.setattr(CcumInstance, "__new__", counting)
+        CcumInstance(kapproval(20), (), 3, 3, tuple(range(m)))  # the spy sees a construction
+        assert len(built) == 1
+        built.clear()
         ccum.possible_outcomes.cache_clear()
         report = classify(truth, kapproval(20), 3, tuple(range(m)))
         assert report.bom_witness is not None
