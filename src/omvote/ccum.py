@@ -93,6 +93,8 @@ def ccum_greedy_kapproval(inst: CcumInstance) -> CcumCertificate:
 
 
 def _query(inst: CcumInstance) -> tuple:  # a checked instance's fields in order, its rule resolved for its voters
+    if not isinstance(inst, CcumInstance):
+        raise InvalidParametersError(f"inst must be a CcumInstance, got {inst!r}")
     n = len(inst.fixed_ballots) + inst.num_manipulators
     return rules._resolve(inst.rule, inst.m, n), inst.fixed_ballots, inst.num_manipulators, inst.target, inst.tiebreak
 

@@ -338,7 +338,7 @@ def _parse_index_list(raw: str) -> list:
 
 def format_profile(profile: Profile, tiebreak: TieBreak | None = None) -> str:
     """Render a profile (and optional tie-break) in the text format."""
-    lines = [f"{profile.n} {profile.m}"]
+    lines = [f"{check_profile(profile).n} {profile.m}"]
     lines.extend(",".join(str(o) for o in ballot) for ballot in profile.ballots)
     if tiebreak is not None:  # checked, so the text parses back
         lines.append("tiebreak: " + ",".join(str(o) for o in make_tiebreak(tiebreak, profile.m)))

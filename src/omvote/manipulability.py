@@ -19,7 +19,12 @@ brute-force witness and every BOM witness are checked again against those
 sets, and a disagreement surfaces as a VerificationError rather than being
 silently trusted.  Brute force reads one identity table per rule whatever
 the tie-break: it relabels the truth once by places in the tie-break and
-maps each outcome it finds back through it.
+maps each outcome it finds back through it.  So a truth's verdict depends
+only on the truth relabeled, and is derived once per identity table, in
+bounded memos keyed by no tie-break: its row's extremes and the all-free
+best, then the reports whose rows lie inside its first outcomes; each call
+maps them back, builds the BOM certificate afresh and reads its WOM
+witness's row again.  A co-winner table keeps each truth's report with it.
 """
 
 from __future__ import annotations
@@ -115,19 +120,41 @@ def _reduced_wom(rule, n, tiebreak, pos, cut, budget):
     return candidate if worst < cut else None
 
 
-def _searched_wom(rule, n, tiebreak, relabeled, cut, budget):
-    # The lexicographically first report whose every reachable outcome the truth ranks above its truthful worst,
-    # at place cut.  Report r reads the identity table's row of r relabeled, so the matches are the rows inside the
-    # truth's first cut outcomes, relabeled; their reports map back through the tie-break, which need not keep
-    # their order.
-    if cut == 0:
-        return None  # worst case is already the top choice
-    better, m = frozenset(relabeled[:cut]), len(relabeled)
-    matches = [r for r, feasible in _bruteforce_feasible_map(rule, n, m, budget).items() if feasible <= better]
+@lru_cache(maxsize=5040)
+def _verdict(rule, n: int, relabeled: tuple, budget) -> tuple:
+    # A truth's brute-force extremes in identity labels, derived once for every tie-break: its row, the places best
+    # and cut of the row's best and worst outcomes in the relabeled truth, free, the best place the all-free voters
+    # reach, and the truth's first cut outcomes as a bit mask.  It asks the row query, then the all-free query, and
+    # reads no table.  The 5040 most recent are kept, every truth of one table at m <= 7, each about 1 KiB (5 MiB in
+    # all): its key, the tuple and, unless ccum's caches share it, its row; a mask at m <= 8 is a cached small int.
+    m, at = len(relabeled), ranking_positions(relabeled)
+    row = _identity_reachable(rule, n, relabeled, m, budget)
+    places = sorted(map(at.__getitem__, row))
+    free = min(map(at.__getitem__, _identity_reachable(rule, n, None, m, budget)))
+    return row, places[0], places[-1], free, sum(1 << o for o in relabeled[:places[-1]])
+
+
+@lru_cache(maxsize=256)
+def _matches(rule, n: int, m: int, better: int, budget) -> tuple:
+    # The identity reports, in the table's (lexicographic) order, whose every reachable outcome is in the mask
+    # better; read off the table, which is built here, never before a query's BOM certificate.  Keyed by the mask,
+    # which truths of the same first outcomes share, so one table needs fewer than 2^m of them: the 256 most recent
+    # are kept, every mask of one table at m <= 8, each a tuple of at most m! reports shared with the table's keys
+    # (8 bytes a report: 0.3 MiB at m=8, 5.6 KiB at m=6).
+    inside = frozenset(o for o in range(m) if better >> o & 1)
+    return tuple(r for r, feasible in _bruteforce_feasible_map(rule, n, m, budget).items() if feasible <= inside)
+
+
+def _least_wom(rule, n, tiebreak, better, budget):
+    # The lexicographically first report under the tie-break whose every reachable outcome is in the mask better:
+    # report r reads the identity table's row of r relabeled, so it is the least tie-break image of the matches,
+    # which need not keep their order.  Its row is read again on every call.
+    m = len(tiebreak)
+    matches = _matches(rule, n, m, better, budget)
     if not matches:
         return None
     witness, r = min((tuple(map(tiebreak.__getitem__, r)), r) for r in matches)
-    if not _identity_reachable(rule, n, r, m, budget) <= better:
+    if not all(better >> o & 1 for o in _identity_reachable(rule, n, r, m, budget)):
         raise VerificationError("worst-case witness does not improve the worst case")
     return witness
 
@@ -152,26 +179,25 @@ def classify(truth, rule: rules.RuleSpec, n: int, tiebreak, mode: str = "auto", 
     lexicographically first improving one; 'auto' means the reduction for
     k-approval rules and brute force otherwise.  Brute force reads its
     reachable sets under the identity priority, the truth relabeled once by
-    places in the tie-break, and maps the outcomes it finds back.
+    places in the tie-break, and maps the outcomes it finds back.  It
+    derives each relabeled truth's verdict once per identity table, so the
+    m! tie-breaks of a query share it: the truth's row is asked first, then
+    the all-free set, then the certificate, when a BOM exists, then the
+    table, when the truthful worst is not the top choice, which is where
+    each refuses a budget too small for it.
     """
     truth, tiebreak, pos, rule = _checked(truth, rule, n, tiebreak, budget)
-    reduce = _reduction(rule, mode)
-    if reduce:
+    if _reduction(rule, mode):
         truthful = _cases(truth, rule, n, tiebreak, pos, budget)
         best, cut = pos[truthful.best], pos[truthful.worst]
         free = min(map(pos.__getitem__, _reachable(rule, n, None, tiebreak, budget)))
-    else:  # outcome o reads as its place in the tie-break, so the truth reads place∘truth and ranks x at pos[tb[x]]
-        m, back = len(truth), tiebreak.__getitem__
-        relabeled, at = tuple(map(_relabel(tiebreak), truth)), list(map(pos.__getitem__, tiebreak))
-        row = _identity_reachable(rule, n, relabeled, m, budget)
-        best, cut = min(map(at.__getitem__, row)), max(map(at.__getitem__, row))
-        truthful = CaseOutcomes(truth[best], truth[cut], frozenset(map(back, row)))
-        free = min(map(at.__getitem__, _identity_reachable(rule, n, None, m, budget)))
-    bom = _find_bom(rule, n, tiebreak, pos, best, free, budget)
-    if reduce:
+        bom = _find_bom(rule, n, tiebreak, pos, best, free, budget)
         wom = _reduced_wom(rule, n, tiebreak, pos, cut, budget)
-    else:
-        wom = _searched_wom(rule, n, tiebreak, relabeled, cut, budget)
+    else:  # outcome o reads as its place in the tie-break, so the truth reads place∘truth, with the truth's places
+        row, best, cut, free, better = _verdict(rule, n, tuple(map(_relabel(tiebreak), truth)), budget)
+        truthful = CaseOutcomes(truth[best], truth[cut], frozenset(map(tiebreak.__getitem__, row)))
+        bom = _find_bom(rule, n, tiebreak, pos, best, free, budget)
+        wom = _least_wom(rule, n, tiebreak, better, budget) if cut else None  # cut 0: the worst is the top choice
     return ManipulationReport(_label(bom is not None, wom is not None), bom, wom, truthful)
 
 
@@ -202,14 +228,25 @@ def bruteforce_feasible(rule: rules.RuleSpec, n: int, report, tiebreak, budget=N
 # the identity brute-force table of the resolved rule, which classify fills.
 # Keyed by the caller's weights as a tuple, vectors equal term by term share
 # one entry; only a miss resolves the rule, checking the vector against m, so
-# an invalid vector never gets an entry.
+# an invalid vector never gets an entry.  Each table keeps the report of every
+# truth classified against it, derived on its first call: at most m! reports,
+# each a few small tuples over the table's own rows and keys, that go with
+# the table when the cache drops or clears it.
+
+
+class _CowinnerTable(dict):
+    # report -> co-winner row, in enumerate_rankings order; reports holds the truths classified so far
+    __slots__ = ("reports",)
 
 
 @lru_cache(maxsize=64, typed=True)  # typed, so a float budget never hits an int budget's entry
 def _cowinner_feasible_map(weights: tuple, n: int, m: int, budget=None) -> dict:
     table = _bruteforce_feasible_map(rules._resolve(rules.scoring(weights), m, n), n, m, budget)
-    return {report: frozenset(o for o in range(m) if 0 in table[tuple(0 if x == o else x + (x < o) for x in report)])
-            for report in table}
+    cowinners = _CowinnerTable(
+        (report, frozenset(o for o in range(m) if 0 in table[tuple(0 if x == o else x + (x < o) for x in report)]))
+        for report in table)
+    cowinners.reports = {}
+    return cowinners
 
 
 def classify_randomized_tiebreak(truth, weights, n: int, budget=None) -> ManipulationReport:
@@ -232,7 +269,10 @@ def classify_randomized_tiebreak(truth, weights, n: int, budget=None) -> Manipul
         raise
     if truth[0] not in table[truth]:
         raise VerificationError(f"truthful top {truth[0]} is not a co-winner of the truthful report")
-    pos = ranking_positions(truth)
-    truthful = _extremes(table[truth], pos)
-    wom = _first_wom(table, pos, truthful.worst)
-    return ManipulationReport(_label(False, wom is not None), None, wom, truthful)
+    report = table.reports.get(truth)
+    if report is None:
+        pos = ranking_positions(truth)
+        truthful = _extremes(table[truth], pos)
+        wom = _first_wom(table, pos, truthful.worst)
+        report = table.reports[truth] = ManipulationReport(_label(False, wom is not None), None, wom, truthful)
+    return report

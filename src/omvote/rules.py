@@ -221,7 +221,7 @@ def scoring_cowinners(weights: Sequence, profile: Profile) -> frozenset:
 
 def pairwise_tally(profile: Profile) -> list:
     """tally[a][b] = number of ballots ranking a above b."""
-    m = profile.m
+    m = check_profile(profile).m
     tally = [[0] * m for _ in range(m)]
     for ballot in profile.ballots:
         for i, a in enumerate(ballot):
@@ -233,7 +233,7 @@ def pairwise_tally(profile: Profile) -> list:
 
 def condorcet_winner(profile: Profile):
     """The outcome beating every other by strict pairwise majority, or None."""
-    tally = pairwise_tally(profile)
+    tally = pairwise_tally(profile)  # checks the profile
     n = profile.n
     for a in range(profile.m):
         if all(2 * tally[a][b] > n for b in range(profile.m) if b != a):

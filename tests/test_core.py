@@ -430,7 +430,16 @@ class TestShapeBeforeLength:
         (lambda: omvote.scoring_scores((2, 1, 0), None), InvalidParametersError, "profile must be a Profile"),
         (lambda: parse_profile(None), ProfileFormatError, "profile text must be a string"),
         (lambda: omvote.rows_to_csv(None), InvalidParametersError, "rows must be a sequence of ProportionRow"),
-    ], ids=["parse-rule", "rule-label", "scoring-scores", "parse-profile", "rows-to-csv"])
+        (lambda: omvote.solve_ccum(None), InvalidParametersError, "inst must be a CcumInstance"),
+        (lambda: omvote.ccum_greedy_kapproval(None), InvalidParametersError, "inst must be a CcumInstance"),
+        (lambda: omvote.ccum_bruteforce(None), InvalidParametersError, "inst must be a CcumInstance"),
+        (lambda: omvote.solve_ccum(((0, 1, 2),)), InvalidParametersError, "inst must be a CcumInstance"),
+        (lambda: omvote.condorcet_winner(None), InvalidParametersError, "profile must be a Profile"),
+        (lambda: omvote.rules.pairwise_tally(None), InvalidParametersError, "profile must be a Profile"),
+        (lambda: format_profile(None), InvalidParametersError, "profile must be a Profile"),
+    ], ids=["parse-rule", "rule-label", "scoring-scores", "parse-profile", "rows-to-csv", "solve-ccum",
+            "greedy-kapproval", "ccum-bruteforce", "solve-ccum-tuple", "condorcet-winner", "pairwise-tally",
+            "format-profile"])
     def test_wrong_type_names_the_argument(self, call, error, named):
         # each of these once let an AttributeError or TypeError escape
         with pytest.raises(error, match=named):
@@ -461,7 +470,7 @@ class TestOneTiebreakCheckPerSearch:
         # relabel that _possible_outcomes and the greedy share; the grid takes its truths' positions as bytes,
         # by bytes.maketrans
         calls = self._sites(lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == "ranking_positions")
-        assert calls == {("ccum", "_relabel"), ("manipulability", "_checked"),
+        assert calls == {("ccum", "_relabel"), ("manipulability", "_checked"), ("manipulability", "_verdict"),
                          ("manipulability", "classify_randomized_tiebreak")}
         named = self._sites(lambda node: "prank" in {getattr(node, a, None) for a in ("id", "arg", "attr", "name")})
         assert named <= {("ccum", "_relabel")}

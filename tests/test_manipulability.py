@@ -50,6 +50,17 @@ IDENTITY3 = (0, 1, 2)
 IDENTITY4 = (0, 1, 2, 3)
 
 
+@pytest.fixture
+def fresh_verdicts():
+    # brute force derives each truth's verdict once and keeps it apart from the table: a test that counts table
+    # builds, or injects a fault into the table, starts with none kept and leaves none behind
+    for memo in (manipulability._verdict, manipulability._matches):
+        memo.cache_clear()
+    yield
+    for memo in (manipulability._verdict, manipulability._matches):
+        memo.cache_clear()
+
+
 class TestCaseOutcomes:
     def test_plurality_full_range(self):
         cases = case_outcomes((0, 1, 2), (0, 1, 2), plurality(), 3, IDENTITY3)
@@ -517,7 +528,7 @@ class TestIdentityTable:
         assert found == {"antiplurality": {"NOM", "WOM-only", "BOM-and-WOM"}, "paperfamily": {"NOM", "WOM-only"}}[label]
 
     @pytest.mark.parametrize("label", ["paperfamily", "stv", "kapproval:k=2"])
-    def test_one_table_serves_every_tiebreak(self, label):
+    def test_one_table_serves_every_tiebreak(self, label, fresh_verdicts):
         # all 24 truths under all 24 tie-breaks at m=4, n=3: one table, and at most its m! rows plus the all-free
         # query cached
         rule = parse_rule(label)
@@ -529,6 +540,110 @@ class TestIdentityTable:
         info = manipulability._bruteforce_feasible_map.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
         assert possible_outcomes.cache_info().currsize <= math.factorial(4) + 1
+
+
+class TestVerdictMemo:
+    """Brute force derives each truth's verdict once, in identity labels, and answers every tie-break from it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_warm_verdicts_answer_another_tiebreak(self, data):
+        # every verdict warmed under one tie-break, then every truth classified under another, witnesses included
+        m = data.draw(st.sampled_from((3, 4)), label="m")
+        n = data.draw(st.sampled_from((2, 3)), label="n")
+        rule = _draw_rule(data, m)
+        warm, tiebreak = (tuple(data.draw(st.permutations(range(m)), label=label)) for label in ("warm", "tiebreak"))
+        manipulability._verdict.cache_clear()
+        manipulability._matches.cache_clear()
+        for truth in enumerate_rankings(m):
+            classify(truth, rule, n, warm, mode="bruteforce")
+        table = TestIdentityTable._table(rule, n, tiebreak)
+        for truth in enumerate_rankings(m):
+            assert classify(truth, rule, n, tiebreak, mode="bruteforce") == TestIdentityTable._reference(
+                truth, rule, n, tiebreak, table), truth
+
+    @pytest.mark.parametrize("label", ["paperfamily", "copeland", "kapproval:k=2"])
+    def test_every_tiebreak_derives_at_most_m_factorial_verdicts(self, label, fresh_verdicts):
+        # all 24 truths under all 24 tie-breaks at m=4, n=3: 576 queries, at most 24 verdicts and fewer than 2^4
+        # match lists
+        rule = parse_rule(label)
+        for tiebreak in enumerate_rankings(4):
+            for truth in enumerate_rankings(4):
+                classify(truth, rule, 3, tiebreak, mode="bruteforce")
+        assert manipulability._verdict.cache_info().misses <= math.factorial(4)
+        assert manipulability._matches.cache_info().misses < 2**4
+
+    def test_cowinner_reports_built_once_per_truth(self, monkeypatch):
+        # 24 truths asked three times each: one report built per truth, kept with its table and returned again
+        derived, first_wom = [], manipulability._first_wom
+
+        def counting(*args):
+            derived.append(args)
+            return first_wom(*args)
+
+        monkeypatch.setattr(manipulability, "_first_wom", counting)
+        manipulability._cowinner_feasible_map.cache_clear()
+        rounds = [[classify_randomized_tiebreak(truth, (3, 2, 1, 0), 3) for truth in enumerate_rankings(4)]
+                  for _ in range(3)]
+        assert len(derived) <= math.factorial(4)
+        assert all(a is b for later in rounds[1:] for a, b in zip(rounds[0], later))
+        assert len(manipulability._cowinner_feasible_map((3, 2, 1, 0), 3, 4, None).reports) == math.factorial(4)
+
+
+class TestRefusalOrder:
+    """Brute-force classify asks the truth's row, then the all-free set, then the coalition certificate when a
+    best-case witness exists, then the table when the truthful worst is not the top choice.
+
+    Each query refuses one unit below its weight and runs at it, so a budget between two weights names the later
+    one.  A summed rule weighs its all-free set as one table, so once that set is admitted its table is too; a
+    k-approval rule reads its row and all-free set in closed form and builds its certificate greedily, unweighed,
+    so its table alone refuses, after the certificate.  No summed rule has a best-case witness at m <= 5.
+    """
+
+    IDENTITY5 = (0, 1, 2, 3, 4)
+    CASES = [  # rule, truth, tie-break, (budget, the weight its refusal names or None), the verdict at the last budget
+        ("borda", IDENTITY4, (2, 0, 3, 1), [(599, 600), (600, 7200), (7199, 7200), (7200, None)], "NOM"),
+        ("paperfamily", (0, 1, 3, 2), IDENTITY4, [(599, 600), (600, 7200), (7199, 7200), (7200, None)], "WOM-only"),
+        ("kapproval:k=2", IDENTITY4, (1, 3, 0, 2), [(41, 126), (125, 126), (126, None)], "NOM"),
+        ("kapproval:k=4", (3, 0, 1, 2, 4), IDENTITY5, [(29, 75), (74, 75), (75, None)], "BOM-and-WOM"),
+        ("scoring:w=2,1,1,1,0", IDENTITY5, (1, 0, 2, 4, 3), [(419, 420), (420, 4200), (4199, 4200), (4200, None)],
+         "NOM"),
+        ("paperfamily", (0, 1, 2, 4, 3), IDENTITY5,
+         [(14519, 14520), (14520, 871200), (871199, 871200), (871200, None)], "WOM-only"),
+    ]
+
+    @pytest.mark.parametrize("label, truth, tiebreak, budgets, verdict", CASES,
+                             ids=[f"{c[0]}-m{len(c[1])}" for c in CASES])
+    def test_each_query_refuses_below_its_weight(self, label, truth, tiebreak, budgets, verdict, monkeypatch):
+        asked, certificate, table = [], manipulability._certificate, manipulability._bruteforce_feasible_map
+
+        def spying(name, query):
+            def spy(*args):
+                asked.append(name)
+                return query(*args)
+            return spy
+
+        monkeypatch.setattr(manipulability, "_certificate", spying("certificate", certificate))
+        monkeypatch.setattr(manipulability, "_bruteforce_feasible_map", spying("table", table))
+        rule = parse_rule(label)
+        for budget, weight in budgets:
+            asked.clear()
+            if weight is None:
+                assert classify(truth, rule, 3, tiebreak, mode="bruteforce", budget=budget).classification == verdict
+                continue
+            with pytest.raises(TooLargeError, match=f"^{weight} summed tallies exceed the enumeration budget$"):
+                classify(truth, rule, 3, tiebreak, mode="bruteforce", budget=budget)
+            if rule.name == "kapproval":  # the row and the all-free set never refuse: the table does, last
+                assert asked == ["certificate", "table"][verdict != "BOM-and-WOM":], budget
+            else:
+                assert asked == [], budget
+
+    @pytest.mark.parametrize("label", ["kapproval:k=4", "scoring:w=2,1,1,1,1,1,1,1,0"])
+    def test_nine_outcomes_refused_by_the_enumeration_cap(self, label):
+        # 4-approval reaches the table, whose cap refuses it; the scoring rule's row is admitted by the budget
+        # (72 one-ballot tallies) and refused when its tallies would enumerate the rankings
+        with pytest.raises(TooLargeError, match=r"^refusing to enumerate 9! rankings \(m > 8\)$"):
+            classify(tuple(range(9)), parse_rule(label), 3, tuple(range(9)), mode="bruteforce")
 
 
 class TestVerificationFaults:
@@ -555,13 +670,35 @@ class TestVerificationFaults:
         with pytest.raises(VerificationError, match="best-case witness"):
             self._bom_witness()
 
-    def test_bruteforce_wom_witness_rechecked(self, monkeypatch):
+    def test_bruteforce_wom_witness_rechecked(self, monkeypatch, fresh_verdicts):
         # the truthful worst case of (0, 1, 2, 3) is 2, so the truth itself does not improve it: a table whose
-        # row of the truth claims {0} makes the scan return it, and the check reads its reachable set again
+        # row of the truth claims {0} makes the match memo list it, and the check reads its reachable set again
         monkeypatch.setattr(manipulability, "_bruteforce_feasible_map",
                             lambda rule, n, m, budget=None: {IDENTITY4: frozenset({0})})
         with pytest.raises(VerificationError, match="worst-case witness"):
             classify(IDENTITY4, kapproval(2), 3, IDENTITY4, mode="bruteforce")
+
+    def test_warm_bruteforce_wom_witness_rechecked(self, monkeypatch, fresh_verdicts):
+        # with the verdict and its matches kept, a fault in the witness's row is still caught: the check reads that
+        # row on every call, not only when the verdict is derived
+        assert classify((0, 1, 3, 2), paperfamily(), 3, IDENTITY4, mode="bruteforce").wom_witness == (0, 3, 1, 2)
+        reachable = manipulability._identity_reachable
+
+        def faulty(rule, n, fixed, m, budget):
+            return frozenset(range(m)) if fixed == (0, 3, 1, 2) else reachable(rule, n, fixed, m, budget)
+
+        monkeypatch.setattr(manipulability, "_identity_reachable", faulty)
+        with pytest.raises(VerificationError, match="worst-case witness"):
+            classify((0, 1, 3, 2), paperfamily(), 3, IDENTITY4, mode="bruteforce")
+
+    def test_warm_randomized_truthful_top_not_a_cowinner(self, monkeypatch):
+        # the truth's report is kept with its table, yet the co-winner check reads the table's row on every call
+        classify_randomized_tiebreak(IDENTITY3, (2, 1, 0), 3)
+        table = manipulability._cowinner_feasible_map((2, 1, 0), 3, 3, None)
+        assert IDENTITY3 in table.reports
+        monkeypatch.setitem(table, IDENTITY3, frozenset({1, 2}))
+        with pytest.raises(VerificationError, match="not a co-winner"):
+            classify_randomized_tiebreak(IDENTITY3, (2, 1, 0), 3)
 
     def test_randomized_truthful_top_not_a_cowinner(self, monkeypatch):
         monkeypatch.setattr(manipulability, "_cowinner_feasible_map",
