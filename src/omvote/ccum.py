@@ -3,11 +3,15 @@
 For k-approval style rules, with at most one fixed ballot, a closed form
 private to this module decides which targets the free voters can elect from
 that ballot's approved set and the tie-break, with no ballots built and
-nothing cached, and the greedy solver builds the ballots of a certificate in
-polynomial time.  The greedy reads the tie-break only as an order, so it
-builds them under the identity priority and relabels them, and a bounded
-cache keeps the identity's ballots; the election that decides achievable
-runs on every call and is never cached.
+nothing cached.  It reads the ballot and the tie-break as bytes and returns
+bytes, so its deleting, slicing and counting run in C; bytes hold outcomes
+up to 255, so a k-approval reachability query has at most MAX_M (256)
+outcomes and is refused past that before anything is counted.  The greedy
+solver builds the ballots of a certificate in polynomial time.  It reads
+the tie-break only as an order, so it builds them under the identity
+priority and relabels them, and a bounded cache keeps the identity's
+ballots; the election that decides achievable runs on every call and is
+never cached.
 The brute-force solver enumerates manipulator ballot tuples for any rule
 and doubles as the correctness oracle for both.  Each solver decides
 achievable by electing the profile it returns, so a certificate needs no
@@ -27,8 +31,8 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from . import rules
-from .core import (Profile, _ballots, check_budget, check_enumerable, check_int, enumerate_profiles, enumerate_rankings,
-                   make_ranking, make_tiebreak, ranking_positions)
+from .core import (MAX_M, Profile, _ballots, check_budget, check_enumerable, check_int, enumerate_profiles,
+                   enumerate_rankings, make_ranking, make_tiebreak, ranking_positions)
 from .errors import InvalidParametersError
 
 
@@ -136,17 +140,34 @@ def _relabel(tiebreak: tuple):
     return ranking_positions(tiebreak).__getitem__
 
 
-def _kapproval_reachable(k: int, n: int, fixed, tiebreak: tuple) -> frozenset:
+def _as_bytes(order: tuple) -> bytes:
+    # a checked ranking or tie-break of a k-approval reachability query as bytes, the kernel's form; refused past
+    # MAX_M outcomes, which is where bytes stop holding them, before anything is counted
+    if len(order) > MAX_M:
+        raise InvalidParametersError(f"k-approval reachability holds outcomes in bytes, so m must be at most {MAX_M}, "
+                                     f"got {len(order)}")
+    return bytes(order)
+
+
+def _counted_reachable(rule, n: int, fixed, tiebreak: bytes) -> bytes:
+    # _reachable of a k-approval rule, as bytes, for a caller that made its query bytes once (_as_bytes)
+    return _kapproval_reachable(rule.k, n, fixed, tiebreak)
+
+
+def _kapproval_reachable(k: int, n: int, fixed, tiebreak: bytes) -> bytes:
     # The targets that n voters, all free or all but one holding *fixed*, can
-    # elect under k-approval, by counting alone.  Free ballots electing t
-    # still do with t swapped into every approved set that lacks it, so every
-    # free voter approves t, and t then wins iff each rival o ends with at
-    # most cap_o = top - f_o - [o has priority over t] approvals (f the fixed
-    # approvals, top = f_t + free) while the free voters hand out free*(k-1)
-    # rival approvals, at most one each to a rival.  Any counts x_o <=
-    # min(cap_o, free) summing to free*(k-1) can be dealt (rival by rival,
-    # the j-th approval to voter j mod free), so t is reachable iff no cap_o
-    # is negative and the min(cap_o, free) sum to at least free*(k-1).
+    # elect under k-approval, by counting alone, as bytes in priority order.
+    # The ballot (or None) and the tie-break are bytes (so m <= MAX_M), and
+    # deleting, slicing and counting run in C; nothing is cached.  Free
+    # ballots electing t still do with t swapped into every approved set that
+    # lacks it, so every free voter approves t, and t then wins iff each
+    # rival o ends with at most cap_o = top - f_o - [o has priority over t]
+    # approvals (f the fixed approvals, top = f_t + free) while the free
+    # voters hand out free*(k-1) rival approvals, at most one each to a rival.
+    # Any counts x_o <= min(cap_o, free) summing to free*(k-1) can be dealt
+    # (rival by rival, the j-th approval to voter j mod free), so t is
+    # reachable iff no cap_o is negative and the min(cap_o, free) sum to at
+    # least free*(k-1).
     #
     # Every f_o is 0 or 1.  With room = free*(m-k), idx the outcomes ahead of
     # t and a the approved ones among them, the sum reads a <= room for an
@@ -154,19 +175,21 @@ def _kapproval_reachable(k: int, n: int, fixed, tiebreak: tuple) -> frozenset:
     # an unapproved one, whose caps stay non-negative iff free >= 2, or
     # free = 1 and a = 0.  With no fixed ballot every f_o is 0 and the sum
     # reads idx <= room.
+    #
+    # So the head of the tie-break up to idx = room - k is reachable, cut
+    # before its first approved outcome when free = 1, and so are the
+    # approved outcomes past it, up to the (room+1)-th approved one.
     m = len(tiebreak)
     if fixed is None:
-        return frozenset(tiebreak[: n * (m - k) + 1])
+        return tiebreak[: n * (m - k) + 1]
     free = n - 1
     room = free * (m - k)
-    approved = set(fixed[:k])
-    reachable = [t for t in tiebreak if t in approved][: room + 1]  # the approved t with a <= room
-    for t in tiebreak[: max(room - k + 1, 0)]:  # the unapproved t with idx <= room - k, and a = 0 if free = 1
-        if t not in approved:
-            reachable.append(t)
-        elif free == 1:
-            break
-    return frozenset(reachable)
+    disapproved = fixed[k:]
+    approved = tiebreak.translate(None, disapproved)  # in priority order: the approved t with a <= room lead it
+    head = tiebreak[: max(room - k + 1, 0)]  # idx <= room - k, which every approved t there meets too
+    if free == 1:
+        head = head[: tiebreak.index(approved[0])]  # and a = 0
+    return head + approved[len(head.translate(None, disapproved)): room + 1]
 
 
 def ccum_bruteforce(inst: CcumInstance, budget: int | None = None) -> CcumCertificate:
@@ -202,15 +225,18 @@ def possible_outcomes(rule: rules.RuleSpec, n: int, fixed, tiebreak, budget: int
 
     With *fixed* set to one voter's ranking the other n-1 voters are free;
     with fixed=None all n are.  k-approval rules are decided in closed form
-    from the fixed ballot's approved set (_kapproval_reachable), with no ballots
-    built and no cache; everything else sums ballot tallies (_row, _weigh).
+    from the fixed ballot's approved set (_kapproval_reachable), on the
+    ballot and the tie-break as bytes, with no ballots built and no cache; a
+    k-approval query of more than MAX_M (256) outcomes is refused with
+    InvalidParametersError before anything is counted.  Everything else sums
+    ballot tallies (_row, _weigh).
 
     Every supported rule is neutral: scoring, STV, runoff and Copeland read
     the tie-break only as an order to walk, so relabeling each outcome by
     its place in that order makes it the identity, and winner(pi(P),
     identity) = pi(winner(P, tiebreak)).  A query of a summed rule
     under another tie-break is answered under the identity, with the fixed
-    ballot relabeled, and mapped back, on every call; the closed form walks
+    ballot relabeled, and mapped back, on every call; the closed form reads
     the query's own tie-break and is never relabeled.
 
     Summed queries are cached under the identity alone, the 2048 most
@@ -232,9 +258,11 @@ def possible_outcomes(rule: rules.RuleSpec, n: int, fixed, tiebreak, budget: int
 
 def _reachable(rule, n: int, fixed, tiebreak: tuple, budget) -> frozenset:
     # possible_outcomes on a checked query (tie-break, fixed ballot or None, int n >= 1) and its resolved rule;
-    # a summed one is read under the identity, the fixed ballot relabeled by places in the tie-break
+    # a k-approval one is counted on bytes, the tie-break checked against MAX_M first, and a summed one is read
+    # under the identity, the fixed ballot relabeled by places in the tie-break
     if rule.k is not None:
-        return _kapproval_reachable(rule.k, n, fixed, tiebreak)
+        order = _as_bytes(tiebreak)
+        return frozenset(_kapproval_reachable(rule.k, n, None if fixed is None else bytes(fixed), order))
     m = len(tiebreak)
     if tiebreak == tuple(range(m)):
         return _possible_outcomes(rule, n, fixed, m, budget)
@@ -245,7 +273,7 @@ def _reachable(rule, n: int, fixed, tiebreak: tuple, budget) -> frozenset:
 def _identity_reachable(rule, n: int, fixed, m: int, budget) -> frozenset:
     # _reachable under the identity priority of m outcomes, with no relabel to test for
     if rule.k is not None:
-        return _kapproval_reachable(rule.k, n, fixed, tuple(range(m)))
+        return _reachable(rule, n, fixed, tuple(range(m)), budget)
     return _possible_outcomes(rule, n, fixed, m, budget)
 
 

@@ -31,6 +31,9 @@ MAX_ENUMERATED_OUTCOMES = 8
 #: Default cap on the size of an exhaustive search: ballot tuples, or summed tallies.
 DEFAULT_BUDGET = 10**8
 
+#: Most outcomes of a query that holds outcomes or places in bytes: the experiment grid and k-approval reachability.
+MAX_M = 256
+
 
 def check_int(value, what: str, least: int | None = None, most: int | None = None) -> int:
     """*value* if it is an int in [least, most], a None bound being open; else InvalidParametersError.

@@ -15,13 +15,12 @@ from typing import Iterable, NamedTuple, Sequence
 
 from . import manipulability, rules
 from .characterization import kapproval_om
-from .core import _fisher_yates_many, _fisher_yates_steps, _seed_key, check_int, identity_tiebreak
+from .core import MAX_M, _fisher_yates_many, _fisher_yates_steps, _seed_key, check_int, identity_tiebreak
 from .errors import InvalidParametersError, VerificationError
 
 DEFAULT_SAMPLES = 100_000
 AUDIT_SAMPLES = 500
 CHUNK = 512  # truths drawn together as lanes of one integer: bounds a draw's memory at any samples
-MAX_M = 256  # the grid holds each place in a byte
 
 
 class ProportionRow(NamedTuple):

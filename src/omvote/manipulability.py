@@ -14,17 +14,19 @@ cache, relabeled by the tie-break and elected afresh on every call) and
 plain exhaustive search (any rule, small elections).  They are
 cross-checked against each other in the test suite.  The reduction decides
 each witness once, through those reachable sets, as brute force does
-through its cached ones, comparing outcomes by their places in the truth; a
-brute-force witness and every BOM witness are checked again against those
-sets, and a disagreement surfaces as a VerificationError rather than being
-silently trusted.  Brute force reads one identity table per rule whatever
-the tie-break: it relabels the truth once by places in the tie-break and
-maps each outcome it finds back through it.  So a truth's verdict depends
-only on the truth relabeled, and is derived once per identity table, in
-bounded memos keyed by no tie-break: its row's extremes and the all-free
-best, then the reports whose rows lie inside its first outcomes; each call
-maps them back, builds the BOM certificate afresh and reads its WOM
-witness's row again.  A co-winner table keeps each truth's report with it.
+through its cached ones, comparing outcomes by their places in the truth,
+which it reads in C from the truth and the tie-break as bytes, made once.
+A brute-force witness and every BOM witness are checked again against
+those sets, and a disagreement surfaces as a VerificationError rather than
+being silently trusted.  Brute force reads one identity table per rule
+whatever the tie-break: it relabels the truth once by places in the
+tie-break and maps each outcome it finds back through it.  So a truth's
+verdict depends only on the truth relabeled, and is derived once per
+identity table, in bounded memos keyed by no tie-break: its row's extremes
+and the all-free best, then the reports whose rows lie inside its first
+outcomes; each call maps them back, builds the BOM certificate afresh and
+reads its WOM witness's row again.  A co-winner table keeps each truth's
+report with it.
 """
 
 from __future__ import annotations
@@ -33,14 +35,17 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import rules
-from .ccum import _bruteforce_feasible_map, _certificate, _identity_reachable, _reachable, _relabel
-from .core import check_budget, check_int, make_ranking, make_tiebreak, ranking_positions
+from .ccum import (_as_bytes, _bruteforce_feasible_map, _certificate, _counted_reachable, _identity_reachable,
+                   _reachable, _relabel)
+from .core import MAX_M, check_budget, check_int, make_ranking, make_tiebreak, ranking_positions
 from .errors import InvalidParametersError, UnsupportedRuleError, VerificationError
 
 NOM = "NOM"
 BOM_ONLY = "BOM-only"
 WOM_ONLY = "WOM-only"
 BOM_AND_WOM = "BOM-and-WOM"
+
+_PLACES = bytes(range(MAX_M))  # place p as byte p: a truth's places table is bytes.maketrans(truth, _PLACES[:m])
 
 
 class CaseOutcomes(NamedTuple):
@@ -65,34 +70,33 @@ class ManipulationReport(NamedTuple):
 
 def case_outcomes(truth, report, rule: rules.RuleSpec, n: int, tiebreak, budget=None) -> CaseOutcomes:
     """Reachable-outcome extremes when a voter with preference *truth* files *report*."""
-    truth, tiebreak, pos, rule = _checked(truth, rule, n, tiebreak, budget)
-    return _cases(make_ranking(report, len(truth)), rule, n, tiebreak, pos, budget)
+    truth, tiebreak, rule = _checked(truth, rule, n, tiebreak, budget)
+    feasible = _reachable(rule, n, make_ranking(report, len(truth)), tiebreak, budget)
+    return _extremes(feasible, truth, ranking_positions(truth))
 
 
 def _checked(truth, rule, n, tiebreak, budget) -> tuple:
-    # the one check of a query at a public entry point: (truth, tiebreak, pos, rule), the rule resolved once
+    # the one check of a query at a public entry point: (truth, tiebreak, rule), the rule resolved once
     truth = make_ranking(truth)
     tiebreak = make_tiebreak(tiebreak, len(truth))
     check_int(n, "n", 2)
     check_budget(0, budget)  # a counting route never weighs it, so it is checked here
-    return truth, tiebreak, ranking_positions(truth), rules._resolve(rules.check_rule(rule), len(truth), n)
+    return truth, tiebreak, rules._resolve(rules.check_rule(rule), len(truth), n)
 
 
-def _cases(report, rule, n, tiebreak, pos, budget) -> CaseOutcomes:
-    return _extremes(_reachable(rule, n, report, tiebreak, budget), pos)
-
-
-def _extremes(feasible: frozenset, pos) -> CaseOutcomes:
-    return CaseOutcomes(pos.index(min(map(pos.__getitem__, feasible))), pos.index(max(map(pos.__getitem__, feasible))),
+def _extremes(feasible: frozenset, truth, pos) -> CaseOutcomes:
+    # pos[o] is outcome o's place in the truth, and place p holds the truth's outcome truth[p]
+    return CaseOutcomes(truth[min(map(pos.__getitem__, feasible))], truth[max(map(pos.__getitem__, feasible))],
                         feasible)
 
 
-def _find_bom(rule, n, tiebreak, pos, best, free, budget):
+def _find_bom(rule, n, tiebreak, truth, pos, best, free, budget):
     # If the truth's place of the best outcome every voter free can reach, *free*, beats its truthful best place,
     # the first ballot of that outcome's coalition certificate, built past an instance's checks, is the witness.
+    # pos[o] is outcome o's place in the truth: a list, or the reduction's places table.
     if free >= best:
         return None
-    o_star = pos.index(free)
+    o_star = truth[free]
     cert = _certificate(rule, (), n, o_star, tiebreak, budget)
     if not cert.achievable:
         raise VerificationError(f"outcome {o_star} reachable but no certificate found")
@@ -111,13 +115,14 @@ def _reduction(rule, mode: str) -> bool:
     return mode != "bruteforce" and rule.k is not None
 
 
-def _reduced_wom(rule, n, tiebreak, pos, cut, budget):
-    # the reduction's one candidate, decided by its own reachable set; cut is the truth's place of its truthful worst
+def _reduced_wom(rule, n, tiebreak: bytes, truth: bytes, places: bytes, cut):
+    # the reduction's one candidate, decided by its own reachable set, all in bytes; cut is the truth's place of its
+    # truthful worst, and places the truth's places table
     if cut == 0:
         return None  # worst case is already the top choice
-    candidate = tuple([o for o in tiebreak if pos[o] < cut] + [o for o in reversed(tiebreak) if pos[o] >= cut])
-    worst = max(map(pos.__getitem__, _reachable(rule, n, candidate, tiebreak, budget)))
-    return candidate if worst < cut else None
+    better = tiebreak.translate(None, truth[cut:])  # the outcomes the truth ranks above its worst, in priority order
+    candidate = better + tiebreak.translate(None, better)[::-1]
+    return tuple(candidate) if max(_counted_reachable(rule, n, candidate, tiebreak).translate(places)) < cut else None
 
 
 @lru_cache(maxsize=5040)
@@ -177,7 +182,9 @@ def classify(truth, rule: rules.RuleSpec, n: int, tiebreak, mode: str = "auto", 
     and returns it iff its worst reachable outcome beats the truthful
     worst; 'bruteforce' scans all m! misreports and returns the
     lexicographically first improving one; 'auto' means the reduction for
-    k-approval rules and brute force otherwise.  Brute force reads its
+    k-approval rules and brute force otherwise.  The reduction reads every
+    reachable set on the truth and the tie-break as bytes, made once, and
+    refuses m > 256 with InvalidParametersError.  Brute force reads its
     reachable sets under the identity priority, the truth relabeled once by
     places in the tie-break, and maps the outcomes it finds back.  It
     derives each relabeled truth's verdict once per identity table, so the
@@ -186,17 +193,21 @@ def classify(truth, rule: rules.RuleSpec, n: int, tiebreak, mode: str = "auto", 
     table, when the truthful worst is not the top choice, which is where
     each refuses a budget too small for it.
     """
-    truth, tiebreak, pos, rule = _checked(truth, rule, n, tiebreak, budget)
-    if _reduction(rule, mode):
-        truthful = _cases(truth, rule, n, tiebreak, pos, budget)
-        best, cut = pos[truthful.best], pos[truthful.worst]
-        free = min(map(pos.__getitem__, _reachable(rule, n, None, tiebreak, budget)))
-        bom = _find_bom(rule, n, tiebreak, pos, best, free, budget)
-        wom = _reduced_wom(rule, n, tiebreak, pos, cut, budget)
+    truth, tiebreak, rule = _checked(truth, rule, n, tiebreak, budget)
+    if _reduction(rule, mode):  # the truth and the tie-break as bytes, once: every place is read in C
+        order, ranked = _as_bytes(tiebreak), bytes(truth)
+        places = bytes.maketrans(ranked, _PLACES[:len(ranked)])
+        reach = _counted_reachable(rule, n, ranked, order)
+        at = reach.translate(places)
+        best, cut = min(at), max(at)
+        truthful = CaseOutcomes(truth[best], truth[cut], frozenset(reach))
+        free = min(_counted_reachable(rule, n, None, order).translate(places))
+        bom = _find_bom(rule, n, tiebreak, truth, places, best, free, budget)
+        wom = _reduced_wom(rule, n, order, ranked, places, cut)
     else:  # outcome o reads as its place in the tie-break, so the truth reads place∘truth, with the truth's places
         row, best, cut, free, better = _verdict(rule, n, tuple(map(_relabel(tiebreak), truth)), budget)
         truthful = CaseOutcomes(truth[best], truth[cut], frozenset(map(tiebreak.__getitem__, row)))
-        bom = _find_bom(rule, n, tiebreak, pos, best, free, budget)
+        bom = _find_bom(rule, n, tiebreak, truth, ranking_positions(truth), best, free, budget)
         wom = _least_wom(rule, n, tiebreak, better, budget) if cut else None  # cut 0: the worst is the top choice
     return ManipulationReport(_label(bom is not None, wom is not None), bom, wom, truthful)
 
@@ -213,7 +224,7 @@ def _label(has_bom: bool, has_wom: bool) -> str:
 
 def bruteforce_feasible(rule: rules.RuleSpec, n: int, report, tiebreak, budget=None) -> frozenset:
     """Exhaustively computed reachable outcomes for one fixed report."""
-    report, tiebreak, _, rule = _checked(report, rule, n, tiebreak, budget)
+    report, tiebreak, rule = _checked(report, rule, n, tiebreak, budget)
     row = _bruteforce_feasible_map(rule, n, len(report), budget)[tuple(map(_relabel(tiebreak), report))]
     return frozenset(map(tiebreak.__getitem__, row))
 
@@ -272,7 +283,7 @@ def classify_randomized_tiebreak(truth, weights, n: int, budget=None) -> Manipul
     report = table.reports.get(truth)
     if report is None:
         pos = ranking_positions(truth)
-        truthful = _extremes(table[truth], pos)
+        truthful = _extremes(table[truth], truth, pos)
         wom = _first_wom(table, pos, truthful.worst)
         report = table.reports[truth] = ManipulationReport(_label(False, wom is not None), None, wom, truthful)
     return report

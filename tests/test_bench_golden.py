@@ -2,10 +2,11 @@
 
 Every op of the exhaustive_small pool (8 rules, all 24 tie-breaks at m=4,
 n=3: classify by brute force with its witnesses, the randomized tie-break
-route, veto power and almost-unanimity) and the first two batches of the
+route, veto power and almost-unanimity) and every query of the
 kapproval_reduction pool (every (m, m-k, n) shape, identity and seeded
 tie-breaks, default mode) are run once and their digests compared with
-bench/golden.json.  Both files are read, never written.
+bench/golden.json; the pool's first two batches also have a test of their
+own, which fails fast.  Both files are read, never written.
 """
 
 import importlib.util
@@ -48,4 +49,11 @@ def test_kapproval_reduction_prefix_matches_golden_digests():
     ops = itertools.islice(workloads.KapprovalReduction(omvote, 0).universe(), 2 * workloads.KR_BATCH)
     checked, mismatched = _mismatches(workloads, ops)
     assert checked == 208
+    assert mismatched == []
+
+
+def test_kapproval_reduction_pool_matches_golden_digests():
+    workloads = _load_workloads()
+    checked, mismatched = _mismatches(workloads, workloads.KapprovalReduction(omvote, 0).universe())
+    assert checked == workloads.KR_BATCHES * workloads.KR_BATCH == 26000
     assert mismatched == []

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from omvote import (
@@ -222,8 +222,23 @@ def kapproval_instances(draw, max_m, max_free):
     return k, free + (fixed is not None), fixed, tuple(draw(st.permutations(range(m)), label="tiebreak"))
 
 
+@st.composite
+def paper_scale_instances(draw):
+    """(k, n, the one fixed ballot or None, tie-break) at m = 13..64, m-k often small, under the identity
+    tie-break or a seeded one."""
+    m = draw(st.integers(13, 64), label="m")
+    k = m - draw(st.integers(1, 4) | st.integers(1, m - 1), label="m-k")
+    fixed = draw(st.none() | st.permutations(range(m)).map(tuple), label="fixed")
+    n = draw(st.integers(1, 6), label="n")
+    seed = draw(st.none() | st.integers(0, 2**32), label="tie-break seed")
+    return k, n, fixed, tuple(range(m)) if seed is None else tuple(random.Random(seed).sample(range(m), m))
+
+
 def _counted(k, n, fixed, tiebreak):
-    return ccum._kapproval_reachable(k, n, fixed, tiebreak)
+    # the kernel reads bytes and returns the reachable outcomes as bytes, in priority order
+    reachable = ccum._kapproval_reachable(k, n, None if fixed is None else bytes(fixed), bytes(tiebreak))
+    assert list(reachable) == [t for t in tiebreak if t in reachable]
+    return set(reachable)
 
 
 def _solved(solver, k, n, fixed, tiebreak):
@@ -239,6 +254,15 @@ class TestCountingAgainstSolvers:
     @settings(max_examples=300, deadline=None)
     @given(kapproval_instances(max_m=12, max_free=6))
     def test_matches_greedy(self, instance):
+        assert _counted(*instance) == _solved(ccum_greedy_kapproval, *instance)
+
+    @settings(max_examples=60, deadline=None)
+    @given(paper_scale_instances())
+    @example((40, 2, tuple(range(63, -1, -1)), tuple(range(64))))  # one free voter, the identity tie-break
+    @example((20, 2, (5, *range(30, 49), *range(5), *range(6, 30), *range(49, 64)), tuple(range(64))))  # cut at 5
+    @example((60, 2, tuple(range(1, 64)) + (0,), tuple(random.Random(7).sample(range(64), 64))))
+    def test_matches_greedy_at_paper_scale(self, instance):
+        # m = 13..64, where no table reaches: the greedy's certificates are polynomial
         assert _counted(*instance) == _solved(ccum_greedy_kapproval, *instance)
 
     @settings(max_examples=150, deadline=None)

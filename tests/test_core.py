@@ -467,11 +467,11 @@ class TestOneTiebreakCheckPerSearch:
 
     def test_tiebreak_positions_only_to_relabel(self):
         # kernels walk the tie-break itself: positions are taken of truths, and of a tie-break only by the one
-        # relabel that _possible_outcomes and the greedy share; the grid takes its truths' positions as bytes,
-        # by bytes.maketrans
+        # relabel that _possible_outcomes and the greedy share; the grid and the reduction take their truths'
+        # positions as bytes, by bytes.maketrans
         calls = self._sites(lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == "ranking_positions")
-        assert calls == {("ccum", "_relabel"), ("manipulability", "_checked"), ("manipulability", "_verdict"),
-                         ("manipulability", "classify_randomized_tiebreak")}
+        assert calls == {("ccum", "_relabel"), ("manipulability", "case_outcomes"), ("manipulability", "classify"),
+                         ("manipulability", "_verdict"), ("manipulability", "classify_randomized_tiebreak")}
         named = self._sites(lambda node: "prank" in {getattr(node, a, None) for a in ("id", "arg", "attr", "name")})
         assert named <= {("ccum", "_relabel")}
 

@@ -408,6 +408,25 @@ class TestQueryChecks:
                 call()
 
 
+    @pytest.mark.parametrize("entry", ["classify", "case_outcomes", "possible_outcomes"])
+    def test_kapproval_reachability_holds_up_to_256_outcomes(self, entry, monkeypatch):
+        # the counting kernel holds outcomes in bytes: m = 256 is answered, and m = 257 refused, naming the limit,
+        # before anything is counted.  The reversed truth approves 255..6 under 250-approval, so two free voters,
+        # 12 disapprovals, lift the first 13 approved outcomes in priority order, 6..18
+        def ask(m):
+            truth, rule, tiebreak = tuple(range(m - 1, -1, -1)), kapproval(m - 6), tuple(range(m))
+            if entry == "classify":
+                return classify(truth, rule, 3, tiebreak).truthful_cases.feasible
+            if entry == "case_outcomes":
+                return case_outcomes(truth, truth, rule, 3, tiebreak).feasible
+            return possible_outcomes(rule, 3, truth, tiebreak)
+
+        assert ask(256) == set(range(6, 19))
+        monkeypatch.setattr(ccum, "_kapproval_reachable", lambda *args: pytest.fail("counted"))
+        with pytest.raises(InvalidParametersError, match="m must be at most 256, got 257$"):
+            ask(257)
+
+
 RULE_NAMES = ("borda", "plurality", "antiplurality", "dowdall", "paperfamily", "kapproval",
               "scoring", "vetofamily:omega=9,eps=1", "stv", "runoff", "copeland")
 
