@@ -140,9 +140,9 @@ def _relabel(tiebreak: tuple):
     return ranking_positions(tiebreak).__getitem__
 
 
-def _as_bytes(order: tuple) -> bytes:
-    # a checked ranking or tie-break of a k-approval reachability query as bytes, the kernel's form; refused past
-    # MAX_M outcomes, which is where bytes stop holding them, before anything is counted
+def _as_bytes(order) -> bytes:
+    # a checked ranking or tie-break of a k-approval reachability query as bytes, the kernel's form, itself if it is
+    # bytes already; refused past MAX_M outcomes, which is where bytes stop holding them, before anything is counted
     if len(order) > MAX_M:
         raise InvalidParametersError(f"k-approval reachability holds outcomes in bytes, so m must be at most {MAX_M}, "
                                      f"got {len(order)}")
@@ -150,7 +150,7 @@ def _as_bytes(order: tuple) -> bytes:
 
 
 def _counted_reachable(rule, n: int, fixed, tiebreak: bytes) -> bytes:
-    # _reachable of a k-approval rule, as bytes, for a caller that made its query bytes once (_as_bytes)
+    # _reachable of a k-approval rule, as bytes, for a caller whose check made its query bytes (core._ranking_bytes)
     return _kapproval_reachable(rule.k, n, fixed, tiebreak)
 
 
@@ -256,10 +256,10 @@ def possible_outcomes(rule: rules.RuleSpec, n: int, fixed, tiebreak, budget: int
     return _reachable(rules._resolve(rule, len(tiebreak), check_int(n, "n", 1)), n, fixed, tiebreak, budget)
 
 
-def _reachable(rule, n: int, fixed, tiebreak: tuple, budget) -> frozenset:
-    # possible_outcomes on a checked query (tie-break, fixed ballot or None, int n >= 1) and its resolved rule;
-    # a k-approval one is counted on bytes, the tie-break checked against MAX_M first, and a summed one is read
-    # under the identity, the fixed ballot relabeled by places in the tie-break
+def _reachable(rule, n: int, fixed, tiebreak, budget) -> frozenset:
+    # possible_outcomes on a checked query (tie-break, fixed ballot or None, both tuples or both bytes, int n >= 1)
+    # and its resolved rule; a k-approval one is counted on bytes, the tie-break checked against MAX_M first, and a
+    # summed one is read under the identity, the fixed ballot relabeled by places in the tie-break
     if rule.k is not None:
         order = _as_bytes(tiebreak)
         return frozenset(_kapproval_reachable(rule.k, n, None if fixed is None else bytes(fixed), order))

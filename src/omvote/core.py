@@ -34,6 +34,8 @@ DEFAULT_BUDGET = 10**8
 #: Most outcomes of a query that holds outcomes or places in bytes: the experiment grid and k-approval reachability.
 MAX_M = 256
 
+_RANGE = tuple(bytes(range(m)) for m in range(MAX_M + 1))  # _RANGE[m]: places 0..m-1 as bytes, made once
+
 
 def check_int(value, what: str, least: int | None = None, most: int | None = None) -> int:
     """*value* if it is an int in [least, most], a None bound being open; else InvalidParametersError.
@@ -51,10 +53,33 @@ def check_int(value, what: str, least: int | None = None, most: int | None = Non
 
 
 def make_ranking(order: Sequence[int], m: int | None = None) -> Ranking:
-    """Validate *order* as a permutation of range(m) and return it as a tuple.
+    """Validate *order* as a permutation of range(m) and return it as a tuple of ints.
 
-    If *m* is omitted it is inferred from the length of *order*.
+    If *m* is omitted it is inferred from the length of *order*.  A tuple or
+    list of at most MAX_M entries takes one test in C (_ranking_bytes); any
+    other input, and any input that test does not accept, takes the loop
+    that names the fault.
     """
+    checked = _ranking_bytes(order, m)
+    return checked if checked.__class__ is tuple else tuple(checked)
+
+
+def _ranking_bytes(order, m=None):
+    # *order* checked as make_ranking checks it: as bytes up to MAX_M outcomes, past that as a tuple.  A tuple or
+    # list of at most MAX_M entries, m of them if m is given, is tested in C: bytes() reads each entry through
+    # __index__ (an exact tuple or list is never read as a buffer or by __bytes__), no byte may survive deleting
+    # those below the length, and the places table of a repeated byte maps its first place to its last.  The test
+    # only accepts: anything else takes the loop, which names the first fault.
+    size = len(order) if order.__class__ is tuple or order.__class__ is list else MAX_M + 1
+    if size <= MAX_M and (m is None or size == m):  # 3.0 == 3, as in the loop
+        try:
+            checked = bytes(order)
+        except (TypeError, ValueError):  # an entry without __index__, or outside range(256)
+            pass
+        else:
+            places = _RANGE[size]
+            if not checked.translate(None, places) and checked.translate(_places(checked)) == places:
+                return checked
     try:
         order = tuple(map(operator.index, order))
     except TypeError:
@@ -69,7 +94,7 @@ def make_ranking(order: Sequence[int], m: int | None = None) -> Ranking:
         if seen[o]:
             raise DuplicateOutcomeError(f"outcome {o} listed twice")
         seen[o] = True
-    return order
+    return bytes(order) if m <= MAX_M else order
 
 
 def make_tiebreak(priority: Sequence[int], m: int | None = None) -> TieBreak:
@@ -88,6 +113,12 @@ def ranking_positions(ranking: Ranking) -> list:
     for rank, o in enumerate(ranking):
         positions[o] = rank
     return positions
+
+
+def _places(ranking: bytes) -> bytes:
+    # ranking_positions of a checked byte ranking, as a translate table: byte o holds outcome o's place, and the
+    # bytes past m map to themselves.  The one places table of bytes
+    return bytes.maketrans(ranking, _RANGE[len(ranking)])
 
 
 _set = object.__setattr__

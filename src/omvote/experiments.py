@@ -15,7 +15,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from . import manipulability, rules
 from .characterization import kapproval_om
-from .core import MAX_M, _fisher_yates_many, _fisher_yates_steps, _seed_key, check_int, identity_tiebreak
+from .core import MAX_M, _fisher_yates_many, _fisher_yates_steps, _places, _seed_key, check_int, identity_tiebreak
 from .errors import InvalidParametersError, VerificationError
 
 DEFAULT_SAMPLES = 100_000
@@ -62,9 +62,10 @@ def _classify_saturated(positions, cells) -> list:
     """(wom, bom, first) for each cell (k, need, L) = (k, (n-1)(m-k)+1, n(m-k)+1), over the truths of *positions*.
 
     *positions* holds one bytes object per truth, its places by outcome
-    (ranking_positions as bytes); wom and bom count the truths that are WOM
-    and BOM in the cell, and first is the index of the first truth that is
-    BOM but not WOM, or None.  k-approval, identity tie-break.  Valid only
+    (ranking_positions as bytes: core._places, whose bytes past m go
+    unread); wom and bom count the truths that are WOM and BOM in the cell,
+    and first is the index of the first truth that is BOM but not WOM, or
+    None.  k-approval, identity tie-break.  Valid only
     when m >= n*(m-k)+2: the n(m-k) disapprovals never cover all outcomes,
     so a report approving the set A reaches exactly the need
     highest-priority members of A.  Those lie among the L outcomes of
@@ -194,7 +195,7 @@ def run_experiment(n_values, m_values, mk_values, samples: int = DEFAULT_SAMPLES
     rates, so the identity loses nothing.  Truth i of m outcomes is
     sample_ranking(m, seed, i), drawn once, CHUNK truths at a time, by
     core._fisher_yates_many from the seed's key and the m's steps made once.
-    Each chunk's places become bytes, by one bytes.maketrans per truth, and
+    Each chunk's places become bytes, by one core._places per truth, and
     one _classify_saturated call counts the chunk's WOM and BOM truths in
     every sampled cell of that m, in one pass per truth for cells that share
     k (fig1's n-sweep); a truth that is BOM but not WOM raises
@@ -227,12 +228,12 @@ def run_experiment(n_values, m_values, mk_values, samples: int = DEFAULT_SAMPLES
         tallies = [[0, 0] for _ in sampled]
         counts.update(zip(sampled, tallies))
         consts = [(k, (n - 1) * (m - k) + 1, n * (m - k) + 1) for n, _, k in sampled]
-        steps, places = _fisher_yates_steps(m), bytes(range(m))
+        steps = _fisher_yates_steps(m)
         audit_n = min(AUDIT_SAMPLES, samples) if audited and audited[1] == m else 0
         draws = samples if sampled else audit_n
         for start in range(0, draws, CHUNK):
             chunk = _fisher_yates_many(m, key, start, min(CHUNK, draws - start), steps)
-            positions = [bytes.maketrans(bytes(truth), places)[:m] for truth in chunk]  # ranking_positions, in C
+            positions = list(map(_places, map(bytes, chunk)))  # ranking_positions, in C
             for (wom, bom, first), c in zip(_classify_saturated(positions, consts), tallies):
                 if first is not None:
                     raise VerificationError(f"best-case-only manipulation at sample {start + first}: {chunk[first]}")

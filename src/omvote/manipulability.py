@@ -8,25 +8,26 @@ instance admitting neither, for any misreport, is classified NOM.
 
 Two independent routes are provided: a reduction onto coalition
 manipulation (polynomial, k-approval rules only: a closed form in the
-report's approved set decides reachability, uncached, and the greedy solver
-builds certificates, their ballots under the identity priority in a bounded
-cache, relabeled by the tie-break and elected afresh on every call) and
-plain exhaustive search (any rule, small elections).  They are
-cross-checked against each other in the test suite.  The reduction decides
-each witness once, through those reachable sets, as brute force does
-through its cached ones, comparing outcomes by their places in the truth,
-which it reads in C from the truth and the tie-break as bytes, made once.
-A brute-force witness and every BOM witness are checked again against
-those sets, and a disagreement surfaces as a VerificationError rather than
-being silently trusted.  Brute force reads one identity table per rule
-whatever the tie-break: it relabels the truth once by places in the
-tie-break and maps each outcome it finds back through it.  So a truth's
-verdict depends only on the truth relabeled, and is derived once per
-identity table, in bounded memos keyed by no tie-break: its row's extremes
-and the all-free best, then the reports whose rows lie inside its first
-outcomes; each call maps them back, builds the BOM certificate afresh and
-reads its WOM witness's row again.  A co-winner table keeps each truth's
-report with it.
+report's approved set decides reachability, uncached, and the greedy
+solver builds certificates, their ballots under the identity priority in a
+bounded cache, relabeled by the tie-break and elected afresh on every
+call) and plain exhaustive search (any rule, small elections).  They are
+cross-checked against each other in the test suite.  Both routes read the
+truth and the tie-break as the bytes that checked them (a test in C, made
+once per query), and every place in C, by translate tables.  The reduction
+decides each witness once, through those reachable sets, as brute force
+does through its cached ones, comparing outcomes by their places in the
+truth.  A brute-force witness and every BOM witness are checked again
+against those sets, and a disagreement surfaces as a VerificationError
+rather than being silently trusted.  Brute force reads one identity table
+per rule whatever the tie-break: it relabels the truth by places in the
+tie-break, one translate, and maps each outcome it finds back through the
+tie-break's bytes.  So a truth's verdict depends only on the truth
+relabeled, and is derived once per identity table, in bounded memos keyed
+by no tie-break: its row's extremes and the all-free best, then the
+reports whose rows lie inside its first outcomes; each call maps them
+back, builds the BOM certificate afresh and reads its WOM witness's row
+again.  A co-winner table keeps each truth's report with it.
 """
 
 from __future__ import annotations
@@ -35,17 +36,15 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import rules
-from .ccum import (_as_bytes, _bruteforce_feasible_map, _certificate, _counted_reachable, _identity_reachable,
-                   _reachable, _relabel)
-from .core import MAX_M, check_budget, check_int, make_ranking, make_tiebreak, ranking_positions
+from .ccum import _bruteforce_feasible_map, _certificate, _counted_reachable, _identity_reachable, _reachable
+from .core import (_RANGE, MAX_M, _places, _ranking_bytes, check_budget, check_enumerable, check_int,
+                   make_ranking, ranking_positions)
 from .errors import InvalidParametersError, UnsupportedRuleError, VerificationError
 
 NOM = "NOM"
 BOM_ONLY = "BOM-only"
 WOM_ONLY = "WOM-only"
 BOM_AND_WOM = "BOM-and-WOM"
-
-_PLACES = bytes(range(MAX_M))  # place p as byte p: a truth's places table is bytes.maketrans(truth, _PLACES[:m])
 
 
 class CaseOutcomes(NamedTuple):
@@ -71,37 +70,38 @@ class ManipulationReport(NamedTuple):
 def case_outcomes(truth, report, rule: rules.RuleSpec, n: int, tiebreak, budget=None) -> CaseOutcomes:
     """Reachable-outcome extremes when a voter with preference *truth* files *report*."""
     truth, tiebreak, rule = _checked(truth, rule, n, tiebreak, budget)
-    feasible = _reachable(rule, n, make_ranking(report, len(truth)), tiebreak, budget)
-    return _extremes(feasible, truth, ranking_positions(truth))
+    return _extremes(_reachable(rule, n, _ranking_bytes(report, len(truth)), tiebreak, budget), truth)
 
 
 def _checked(truth, rule, n, tiebreak, budget) -> tuple:
-    # the one check of a query at a public entry point: (truth, tiebreak, rule), the rule resolved once
-    truth = make_ranking(truth)
-    tiebreak = make_tiebreak(tiebreak, len(truth))
+    # The one check of a query at a public entry point: (truth, tiebreak, rule), the truth and the tie-break as
+    # checked bytes and the rule resolved once.  Past MAX_M outcomes bytes hold neither, and both stay tuples:
+    # every route refuses m > 8 at the first reachable set it asks, whatever the truth, as _reachable does.
+    truth = _ranking_bytes(truth)
+    tiebreak = _ranking_bytes(tiebreak, len(truth))
     check_int(n, "n", 2)
     check_budget(0, budget)  # a counting route never weighs it, so it is checked here
     return truth, tiebreak, rules._resolve(rules.check_rule(rule), len(truth), n)
 
 
-def _extremes(feasible: frozenset, truth, pos) -> CaseOutcomes:
-    # pos[o] is outcome o's place in the truth, and place p holds the truth's outcome truth[p]
-    return CaseOutcomes(truth[min(map(pos.__getitem__, feasible))], truth[max(map(pos.__getitem__, feasible))],
-                        feasible)
+def _extremes(feasible: frozenset, truth: bytes) -> CaseOutcomes:
+    # the truth's places table reads each outcome's place, and place p holds the truth's outcome truth[p]
+    at = bytes(feasible).translate(_places(truth))
+    return CaseOutcomes(truth[min(at)], truth[max(at)], feasible)
 
 
-def _find_bom(rule, n, tiebreak, truth, pos, best, free, budget):
+def _find_bom(rule, n, tiebreak: bytes, truth: bytes, best, free, budget):
     # If the truth's place of the best outcome every voter free can reach, *free*, beats its truthful best place,
-    # the first ballot of that outcome's coalition certificate, built past an instance's checks, is the witness.
-    # pos[o] is outcome o's place in the truth: a list, or the reduction's places table.
+    # the first ballot of that outcome's coalition certificate, built past an instance's checks, is the witness:
+    # the one tuple of the tie-break a query builds, and the one use of the truth's places by brute force.
     if free >= best:
         return None
-    o_star = truth[free]
+    o_star, tiebreak = truth[free], tuple(tiebreak)
     cert = _certificate(rule, (), n, o_star, tiebreak, budget)
     if not cert.achievable:
         raise VerificationError(f"outcome {o_star} reachable but no certificate found")
     witness = BomWitness(cert.manipulator_ballots[0], cert.manipulator_ballots[1:])
-    if min(map(pos.__getitem__, _reachable(rule, n, witness.misreport, tiebreak, budget))) >= best:
+    if min(bytes(_reachable(rule, n, witness.misreport, tiebreak, budget)).translate(_places(truth))) >= best:
         raise VerificationError("best-case witness does not improve the best case")
     return witness
 
@@ -126,42 +126,63 @@ def _reduced_wom(rule, n, tiebreak: bytes, truth: bytes, places: bytes, cut):
 
 
 @lru_cache(maxsize=5040)
-def _verdict(rule, n: int, relabeled: tuple, budget) -> tuple:
-    # A truth's brute-force extremes in identity labels, derived once for every tie-break: its row, the places best
-    # and cut of the row's best and worst outcomes in the relabeled truth, free, the best place the all-free voters
-    # reach, and the truth's first cut outcomes as a bit mask.  It asks the row query, then the all-free query, and
-    # reads no table.  The 5040 most recent are kept, every truth of one table at m <= 7, each about 1 KiB (5 MiB in
-    # all): its key, the tuple and, unless ccum's caches share it, its row; a mask at m <= 8 is a cached small int.
-    m, at = len(relabeled), ranking_positions(relabeled)
-    row = _identity_reachable(rule, n, relabeled, m, budget)
-    places = sorted(map(at.__getitem__, row))
-    free = min(map(at.__getitem__, _identity_reachable(rule, n, None, m, budget)))
-    return row, places[0], places[-1], free, sum(1 << o for o in relabeled[:places[-1]])
+def _verdict(rule, n: int, relabeled: bytes, budget) -> tuple:
+    # A truth's brute-force extremes in identity labels, derived once for every tie-break: its row as bytes, the
+    # places best and cut of the row's best and worst outcomes in the relabeled truth, free, the best place the
+    # all-free voters reach, and the truth's first cut outcomes as a bit mask.  Keyed by the relabeled truth as
+    # bytes, it asks the row query, then the all-free query, and reads no table.  The 5040 most recent are kept,
+    # every truth of one table at m <= 7, each about 1 KiB (5 MiB in all): its key, the tuple, its row's bytes and,
+    # unless ccum's caches share them, its row query's key and set; a mask at m <= 8 is a cached small int.
+    m, at = len(relabeled), _places(relabeled)
+    row = bytes(_identity_reachable(rule, n, tuple(relabeled), m, budget))
+    places = row.translate(at)
+    free = min(bytes(_identity_reachable(rule, n, None, m, budget)).translate(at))
+    best, cut = min(places), max(places)
+    return row, best, cut, free, sum(1 << o for o in relabeled[:cut])
 
 
 @lru_cache(maxsize=256)
-def _matches(rule, n: int, m: int, better: int, budget) -> tuple:
+def _matches(rule, n: int, m: int, better: int, budget) -> bytes:
     # The identity reports, in the table's (lexicographic) order, whose every reachable outcome is in the mask
-    # better; read off the table, which is built here, never before a query's BOM certificate.  Keyed by the mask,
-    # which truths of the same first outcomes share, so one table needs fewer than 2^m of them: the 256 most recent
-    # are kept, every mask of one table at m <= 8, each a tuple of at most m! reports shared with the table's keys
-    # (8 bytes a report: 0.3 MiB at m=8, 5.6 KiB at m=6).
+    # better, as one bytes string of m bytes a report; read off the table, which is built here, never before a
+    # query's BOM certificate.  Keyed by the mask, which truths of the same first outcomes share, so one table needs
+    # fewer than 2^m of them: the 256 most recent are kept, every mask of one table at m <= 8, each at most m! * m
+    # bytes (315 KiB at m=8, 4.2 KiB at m=6), no more than a tuple of m! pointers to the table's keys at m <= 8.
     inside = frozenset(o for o in range(m) if better >> o & 1)
-    return tuple(r for r, feasible in _bruteforce_feasible_map(rule, n, m, budget).items() if feasible <= inside)
+    return b"".join(bytes(r) for r, feasible in _bruteforce_feasible_map(rule, n, m, budget).items()
+                    if feasible <= inside)
 
 
-def _least_wom(rule, n, tiebreak, better, budget):
+def _back(tiebreak: bytes) -> bytes:
+    # the translate table that maps an identity label o back to the caller's, tiebreak[o]: the tie-break's own bytes
+    return tiebreak + _RANGE[MAX_M][len(tiebreak):]
+
+
+def _least_wom(rule, n, tiebreak: bytes, better, budget):
     # The lexicographically first report under the tie-break whose every reachable outcome is in the mask better:
-    # report r reads the identity table's row of r relabeled, so it is the least tie-break image of the matches,
-    # which need not keep their order.  Its row is read again on every call.
+    # report r reads the identity table's row of r relabeled, so it is the least m-byte slice of the matches'
+    # tie-break image, one translate.  Its row is read again on every call.
     m = len(tiebreak)
     matches = _matches(rule, n, m, better, budget)
     if not matches:
         return None
-    witness, r = min((tuple(map(tiebreak.__getitem__, r)), r) for r in matches)
-    if not all(better >> o & 1 for o in _identity_reachable(rule, n, r, m, budget)):
+    image = matches.translate(_back(tiebreak))
+    at = _least_slice(image, m) * m
+    if not all(better >> o & 1 for o in _identity_reachable(rule, n, tuple(matches[at: at + m]), m, budget)):
         raise VerificationError("worst-case witness does not improve the worst case")
-    return witness
+    return tuple(image[at: at + m])
+
+
+def _least_slice(image: bytes, m: int) -> int:
+    # The index of the least m-byte slice of *image*, the image under a relabel of distinct rankings in lexicographic
+    # order.  The rankings that share a prefix are one run, and so are their images: so the run of the least prefix
+    # is narrowed column by column, each a slice, a min and two index searches in C, until one ranking is left.
+    lo, hi, d = 0, len(image) // m, 0
+    while hi - lo > 1:
+        column = image[lo * m + d: hi * m: m]
+        least = min(column)
+        lo, hi, d = lo + column.index(least), lo + column.rindex(least) + 1, d + 1
+    return lo
 
 
 def _first_wom(table: dict, pos, o_w):
@@ -182,32 +203,37 @@ def classify(truth, rule: rules.RuleSpec, n: int, tiebreak, mode: str = "auto", 
     and returns it iff its worst reachable outcome beats the truthful
     worst; 'bruteforce' scans all m! misreports and returns the
     lexicographically first improving one; 'auto' means the reduction for
-    k-approval rules and brute force otherwise.  The reduction reads every
-    reachable set on the truth and the tie-break as bytes, made once, and
-    refuses m > 256 with InvalidParametersError.  Brute force reads its
-    reachable sets under the identity priority, the truth relabeled once by
-    places in the tie-break, and maps the outcomes it finds back.  It
-    derives each relabeled truth's verdict once per identity table, so the
-    m! tie-breaks of a query share it: the truth's row is asked first, then
-    the all-free set, then the certificate, when a BOM exists, then the
-    table, when the truthful worst is not the top choice, which is where
-    each refuses a budget too small for it.
+    k-approval rules and brute force otherwise.  Both read the truth and the
+    tie-break as the bytes their check made, so m > 256 is refused at the
+    truth's row, as its route refuses it: InvalidParametersError for
+    k-approval, TooLargeError otherwise.  The reduction reads every
+    reachable set as bytes.  Brute force reads its reachable sets under the
+    identity priority, the truth relabeled once by places in the tie-break,
+    and maps the outcomes it finds back.  It derives each relabeled truth's
+    verdict once per identity table, so the m! tie-breaks of a query share
+    it: the truth's row is asked first, then the all-free set, then the
+    certificate, when a BOM exists, then the table, when the truthful worst
+    is not the top choice, which is where each refuses a budget too small
+    for it.
     """
     truth, tiebreak, rule = _checked(truth, rule, n, tiebreak, budget)
-    if _reduction(rule, mode):  # the truth and the tie-break as bytes, once: every place is read in C
-        order, ranked = _as_bytes(tiebreak), bytes(truth)
-        places = bytes.maketrans(ranked, _PLACES[:len(ranked)])
-        reach = _counted_reachable(rule, n, ranked, order)
+    reduced = _reduction(rule, mode)
+    if len(truth) > MAX_M:  # no route holds it in bytes, and each refuses m > 8 at the truth's row, whatever the truth
+        _reachable(rule, n, truth, tiebreak, budget)
+        check_enumerable(len(truth))  # not reached: k-approval counts on bytes, and a summed row enumerates rankings
+    if reduced:  # every place is read in C, on the checked bytes
+        places = _places(truth)
+        reach = _counted_reachable(rule, n, truth, tiebreak)
         at = reach.translate(places)
         best, cut = min(at), max(at)
         truthful = CaseOutcomes(truth[best], truth[cut], frozenset(reach))
-        free = min(_counted_reachable(rule, n, None, order).translate(places))
-        bom = _find_bom(rule, n, tiebreak, truth, places, best, free, budget)
-        wom = _reduced_wom(rule, n, order, ranked, places, cut)
+        free = min(_counted_reachable(rule, n, None, tiebreak).translate(places))
+        bom = _find_bom(rule, n, tiebreak, truth, best, free, budget)
+        wom = _reduced_wom(rule, n, tiebreak, truth, places, cut)
     else:  # outcome o reads as its place in the tie-break, so the truth reads place∘truth, with the truth's places
-        row, best, cut, free, better = _verdict(rule, n, tuple(map(_relabel(tiebreak), truth)), budget)
-        truthful = CaseOutcomes(truth[best], truth[cut], frozenset(map(tiebreak.__getitem__, row)))
-        bom = _find_bom(rule, n, tiebreak, truth, ranking_positions(truth), best, free, budget)
+        row, best, cut, free, better = _verdict(rule, n, truth.translate(_places(tiebreak)), budget)
+        truthful = CaseOutcomes(truth[best], truth[cut], frozenset(row.translate(_back(tiebreak))))
+        bom = _find_bom(rule, n, tiebreak, truth, best, free, budget)
         wom = _least_wom(rule, n, tiebreak, better, budget) if cut else None  # cut 0: the worst is the top choice
     return ManipulationReport(_label(bom is not None, wom is not None), bom, wom, truthful)
 
@@ -225,8 +251,8 @@ def _label(has_bom: bool, has_wom: bool) -> str:
 def bruteforce_feasible(rule: rules.RuleSpec, n: int, report, tiebreak, budget=None) -> frozenset:
     """Exhaustively computed reachable outcomes for one fixed report."""
     report, tiebreak, rule = _checked(report, rule, n, tiebreak, budget)
-    row = _bruteforce_feasible_map(rule, n, len(report), budget)[tuple(map(_relabel(tiebreak), report))]
-    return frozenset(map(tiebreak.__getitem__, row))
+    table = _bruteforce_feasible_map(rule, n, len(report), budget)  # refuses m > 8 before the report is relabeled
+    return frozenset(map(tiebreak.__getitem__, table[tuple(report.translate(_places(tiebreak)))]))
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +309,7 @@ def classify_randomized_tiebreak(truth, weights, n: int, budget=None) -> Manipul
     report = table.reports.get(truth)
     if report is None:
         pos = ranking_positions(truth)
-        truthful = _extremes(table[truth], truth, pos)
+        truthful = _extremes(table[truth], bytes(truth))
         wom = _first_wom(table, pos, truthful.worst)
         report = table.reports[truth] = ManipulationReport(_label(False, wom is not None), None, wom, truthful)
     return report

@@ -1,7 +1,9 @@
 """Rankings, enumeration, sampling, and the profile text format."""
 
+import array
 import ast
 import math
+import operator
 import re
 from collections import Counter
 from pathlib import Path
@@ -62,6 +64,120 @@ class TestMakeRanking:
     def test_length_stands_for_an_equal_m(self):
         # m=3.0 equals the length, so the ranking is valid; its count is the int length
         assert make_ranking((2, 0, 1), 3.0) == (2, 0, 1)
+
+
+def _reference_make_ranking(order, m=None):
+    # make_ranking before its test in C, kept verbatim as the reference: the loop alone
+    try:
+        order = tuple(map(operator.index, order))
+    except TypeError:
+        raise OutOfRangeIndexError(f"outcomes must be integers, got {order!r}") from None
+    if m is not None and len(order) != m:
+        raise WrongLengthError(f"expected {core.check_int(m, 'm')} entries, got {len(order)}")
+    m = len(order)
+    seen = [False] * m
+    for o in order:
+        if o < 0 or o >= m:
+            raise OutOfRangeIndexError(f"outcome {o} not in [0, {m})")
+        if seen[o]:
+            raise DuplicateOutcomeError(f"outcome {o} listed twice")
+        seen[o] = True
+    return order
+
+
+class _Index:
+    # an outcome that is an integer only through __index__
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    def __repr__(self):
+        return f"_Index({self.value})"
+
+
+class _ClaimsBytes(tuple):
+    # a tuple subclass whose __bytes__ claims a permutation whatever it holds
+    def __bytes__(self):
+        return bytes(range(len(self)))
+
+
+def _outcome(call):
+    # what a call returns, or the class and message it raises (a generator's address masked)
+    try:
+        return "returned", call()
+    except Exception as exc:  # compared whole, so a TypeError escaping either side is a difference too
+        return type(exc), re.sub(r"0x[0-9a-f]+", "0x", str(exc))
+
+
+class TestPermutationTestInC:
+    """make_ranking's test in C accepts exactly what the loop accepts, with the loop's answer and refusals."""
+
+    CONTAINERS = ["list", "tuple", "generator", "bytes", "bytearray", "memoryview", "array", "tuple-subclass"]
+
+    @staticmethod
+    def _container(kind, entries):
+        # a factory of *entries* in one kind of container, or None where that kind cannot hold them
+        if kind in ("bytes", "bytearray", "memoryview"):
+            if not all(isinstance(e, int) and 0 <= e < 256 for e in entries):
+                return None
+            make = {"bytes": bytes, "bytearray": bytearray, "memoryview": lambda es: memoryview(bytes(es))}[kind]
+            return lambda: make(entries)
+        if kind == "array":
+            if not all(isinstance(e, int) and not isinstance(e, bool) and 0 <= e < 2**16 for e in entries):
+                return None
+            return lambda: array.array("H", entries)
+        return {"list": lambda: list(entries), "tuple": lambda: tuple(entries),
+                "generator": lambda: (e for e in entries), "tuple-subclass": lambda: _ClaimsBytes(entries)}[kind]
+
+    def _check(self, make, m):
+        want = _outcome(lambda: _reference_make_ranking(make(), m))
+        for entry in (make_ranking, make_tiebreak):
+            got = _outcome(lambda: entry(make(), m))
+            assert got == want
+            if want[0] == "returned":
+                assert all(type(o) is int for o in got[1])
+        if want[0] == "returned":  # the checked bytes the queries read, or the tuple past MAX_M
+            checked = core._ranking_bytes(make(), m)
+            assert checked == (bytes(want[1]) if len(want[1]) <= core.MAX_M else want[1])
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_agrees_with_the_loop(self, data):
+        size = data.draw(st.integers(0, 8), label="size")
+        entries = list(data.draw(st.permutations(range(size)), label="permutation"))
+        odd = st.one_of(st.integers(-3, size + 3), st.integers(2**64 - 1, 2**64 + 1), st.sampled_from([1.0, 2.5]),
+                        st.booleans(), st.integers(0, size).map(_Index))
+        for i in data.draw(st.lists(st.integers(0, max(size - 1, 0)), max_size=3), label="replaced") if size else ():
+            entries[i] = data.draw(odd, label=f"entry {i}")
+        if data.draw(st.booleans(), label="as bools or indexes") and size:
+            entries = [bool(e) if e in (0, 1) and type(e) is int else _Index(e) if type(e) is int else e
+                       for e in entries]
+        m = data.draw(st.sampled_from([None, size, size + 1, size - 1, float(size), 257]), label="m")
+        make = self._container(data.draw(st.sampled_from(self.CONTAINERS), label="container"), entries)
+        if make is not None:
+            self._check(make, m)
+
+    @pytest.mark.parametrize("make, m", [
+        (lambda: array.array("H", [256, 770]), None),  # its raw buffer reads 0, 1, 2, 3: a permutation of range(4)
+        (lambda: list(range(257))[::-1], None),  # past MAX_M: the loop accepts it
+        (lambda: list(range(257)), 257),
+        (lambda: [0, 1, 2], 257),
+        (lambda: (2, 0, 1), 3.0),
+        (lambda: (2, 0), 3.0),
+        (lambda: [True, False], None),
+        (lambda: (1, 1, 0), None),
+        (lambda: [0, 2**64, 1], None),
+        (lambda: bytes([1, 0]), None),
+        (lambda: memoryview(bytes([0, 0])), None),
+        (lambda: _ClaimsBytes((5, 5)), None),
+    ])
+    def test_named_inputs(self, make, m):
+        self._check(make, m)
+        if isinstance(make(), array.array):
+            with pytest.raises(OutOfRangeIndexError, match=r"^outcome 256 not in \[0, 2\)$"):
+                make_ranking(make())
 
 
 class TestEnumeration:
@@ -466,12 +582,13 @@ class TestOneTiebreakCheckPerSearch:
         return sites
 
     def test_tiebreak_positions_only_to_relabel(self):
-        # kernels walk the tie-break itself: positions are taken of truths, and of a tie-break only by the one
-        # relabel that _possible_outcomes and the greedy share; the grid and the reduction take their truths'
-        # positions as bytes, by bytes.maketrans
+        # kernels walk the tie-break itself: positions of a tuple are taken of the co-winner classifier's truths, and
+        # of a tie-break only by the one relabel that _possible_outcomes and the greedy share; the grid and both routes
+        # of classify take places of bytes, and every places table of bytes is built by the one helper, core._places
         calls = self._sites(lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == "ranking_positions")
-        assert calls == {("ccum", "_relabel"), ("manipulability", "case_outcomes"), ("manipulability", "classify"),
-                         ("manipulability", "_verdict"), ("manipulability", "classify_randomized_tiebreak")}
+        assert calls == {("ccum", "_relabel"), ("manipulability", "classify_randomized_tiebreak")}
+        tables = self._sites(lambda node: isinstance(node, ast.Call) and ast.unparse(node.func).endswith("maketrans"))
+        assert tables == {("core", "_places")}
         named = self._sites(lambda node: "prank" in {getattr(node, a, None) for a in ("id", "arg", "attr", "name")})
         assert named <= {("ccum", "_relabel")}
 

@@ -427,6 +427,48 @@ class TestQueryChecks:
             ask(257)
 
 
+    BYTES = (InvalidParametersError,
+             "k-approval reachability holds outcomes in bytes, so m must be at most 256, got 257")
+    ENUMERATED = (TooLargeError, "refusing to enumerate 257! rankings (m > 8)")
+    REDUCTION = (UnsupportedRuleError, "reduction mode needs a k-approval style rule")
+    ROW_WEIGHT = 2 * math.comb(math.factorial(257) + 1, 2)  # n=3: 2 free ballots over 257! one-ballot tallies, one row
+    TABLE_WEIGHT = math.factorial(257) * math.comb(math.factorial(257) + 1, 2)  # every row of the all-free set
+
+    @pytest.mark.parametrize("budget", [None, 10**3000], ids=["default", "past-every-weight"])
+    @pytest.mark.parametrize("label", ["kapproval:k=2", "borda", "stv"])
+    def test_past_256_outcomes_each_entry_refuses_as_before(self, label, budget):
+        # No route holds 257 outcomes in bytes.  Each entry point refuses them at the first query it asks, with the
+        # class and message recorded from the code before the checked bytes: k-approval counts on bytes; a summed
+        # rule weighs its row, or its all-free set, then enumerates its one-ballot tallies' rankings; the table
+        # checks its enumeration cap first; the reduction mode names a rule it cannot take.
+        rule, m = parse_rule(label), 257
+        truth = tuple(range(m - 1, -1, -1))
+        kapproval_rule = rule.name == "kapproval"
+
+        def summed(weight):
+            if budget is not None:
+                return self.ENUMERATED
+            return TooLargeError, f"{weight} summed tallies exceed the enumeration budget"
+
+        row = self.BYTES if kapproval_rule else summed(self.ROW_WEIGHT)
+        for tiebreak in (tuple(range(m)), truth):
+            calls = [
+                (lambda: classify(truth, rule, 3, tiebreak, "auto", budget), row),
+                (lambda: classify(truth, rule, 3, tiebreak, "bruteforce", budget), row),
+                (lambda: classify(truth, rule, 3, tiebreak, "reduction", budget),
+                 self.BYTES if kapproval_rule else self.REDUCTION),
+                (lambda: case_outcomes(truth, tiebreak, rule, 3, tiebreak, budget), row),
+                (lambda: bruteforce_feasible(rule, 3, truth, tiebreak, budget), self.ENUMERATED),
+                (lambda: possible_outcomes(rule, 3, truth, tiebreak, budget), row),
+                (lambda: possible_outcomes(rule, 3, None, tiebreak, budget),
+                 self.BYTES if kapproval_rule else summed(self.TABLE_WEIGHT)),
+            ]
+            for call, (error, message) in calls:
+                with pytest.raises(error) as raised:
+                    call()
+                assert type(raised.value) is error and str(raised.value) == message
+
+
 RULE_NAMES = ("borda", "plurality", "antiplurality", "dowdall", "paperfamily", "kapproval",
               "scoring", "vetofamily:omega=9,eps=1", "stv", "runoff", "copeland")
 
@@ -559,6 +601,21 @@ class TestIdentityTable:
         info = manipulability._bruteforce_feasible_map.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
         assert possible_outcomes.cache_info().currsize <= math.factorial(4) + 1
+
+
+class TestLeastSlice:
+    """The WOM witness is the least m-byte slice of the matches' tie-break image, found run by run."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_the_least_slice(self, data):
+        m = data.draw(st.integers(1, 6), label="m")
+        rankings = list(itertools.permutations(range(m)))  # sorted, as the table's matches are
+        kept = data.draw(st.sets(st.integers(0, len(rankings) - 1), min_size=1, max_size=80), label="matches")
+        tiebreak = bytes(data.draw(st.permutations(range(m)), label="tiebreak"))
+        image = b"".join(bytes(rankings[i]) for i in sorted(kept)).translate(manipulability._back(tiebreak))
+        at = manipulability._least_slice(image, m) * m
+        assert image[at: at + m] == min(image[i: i + m] for i in range(0, len(image), m))
 
 
 class TestVerdictMemo:
