@@ -34,7 +34,8 @@ DEFAULT_BUDGET = 10**8
 #: Most outcomes of a query that holds outcomes or places in bytes: the experiment grid and k-approval reachability.
 MAX_M = 256
 
-_RANGE = tuple(bytes(range(m)) for m in range(MAX_M + 1))  # _RANGE[m]: places 0..m-1 as bytes, made once
+_PLACES = bytes(range(MAX_M))  # place p as byte p
+_RANGE = tuple(_PLACES[:m] for m in range(MAX_M + 1))  # _RANGE[m]: places 0..m-1 as bytes, made once
 
 
 def check_int(value, what: str, least: int | None = None, most: int | None = None) -> int:

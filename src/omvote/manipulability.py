@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 from . import rules
 from .ccum import _bruteforce_feasible_map, _certificate, _counted_reachable, _identity_reachable, _reachable
-from .core import (_RANGE, MAX_M, _places, _ranking_bytes, check_budget, check_enumerable, check_int,
+from .core import (_PLACES, MAX_M, _places, _ranking_bytes, check_budget, check_enumerable, check_int,
                    make_ranking, ranking_positions)
 from .errors import InvalidParametersError, UnsupportedRuleError, VerificationError
 
@@ -155,7 +155,7 @@ def _matches(rule, n: int, m: int, better: int, budget) -> bytes:
 
 def _back(tiebreak: bytes) -> bytes:
     # the translate table that maps an identity label o back to the caller's, tiebreak[o]: the tie-break's own bytes
-    return tiebreak + _RANGE[MAX_M][len(tiebreak):]
+    return tiebreak + _PLACES[len(tiebreak):]
 
 
 def _least_wom(rule, n, tiebreak: bytes, better, budget):
