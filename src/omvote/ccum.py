@@ -1,26 +1,28 @@
 """Constructive coalitional manipulation: can free voters make a target win?
 
-For k-approval style rules, with at most one fixed ballot, a closed form
-private to this module decides which targets the free voters can elect from
-that ballot's approved set and the tie-break, with no ballots built and
-nothing cached.  It reads the ballot and the tie-break as bytes and returns
-bytes, so its deleting, slicing and counting run in C; bytes hold outcomes
-up to 255, so a k-approval reachability query has at most MAX_M (256)
-outcomes and is refused past that before anything is counted.  The greedy
-solver builds the ballots of a certificate in polynomial time.  It reads
-the tie-break only as an order, so it builds them under the identity
-priority and relabels them, and a bounded cache keeps the identity's
-ballots; the election that decides achievable runs on every call and is
-never cached.
-The brute-force solver enumerates manipulator ballot tuples for any rule
-and doubles as the correctness oracle for both.  Each solver decides
+A reachable set has one form here: a query's fixed ballot (or None) and
+tie-break are checked bytes, and its answer is bytes, the reachable
+outcomes in priority order.  Bytes hold outcomes up to 255, so a query past
+MAX_M (256) outcomes is refused, in _reachable alone, before anything is
+counted or built.  For k-approval style rules, with at most one fixed
+ballot, a closed form private to this module decides which targets the
+free voters can elect from that ballot's approved set and the tie-break,
+with no ballots built and nothing cached; its deleting, slicing and
+counting run in C.  The greedy solver builds the ballots of a certificate
+in polynomial time.  It reads the tie-break only as an order, so it builds
+them under the identity priority and relabels them, and a bounded cache
+keeps the identity's ballots; the election that decides achievable runs on
+every call and is never cached.  The brute-force solver enumerates
+manipulator ballot tuples for any rule and doubles as the correctness
+oracle for both.  Each solver decides
 achievable by electing the profile it returns, so a certificate needs no
 second check.  Every other exhaustive reachable set sums ballot tallies,
 here alone: this module weighs and holds them, the brute-force tables and
 the almost-unanimity search included.  Every supported rule is neutral, so
 those sets and tables are held under the identity priority only, one table
-per rule, voter count and budget; a query under another tie-break is
-relabeled by places in it and its answer mapped back, uncached.
+per rule, voter count and budget, its reports and rows bytes too; a query
+under another tie-break is relabeled by places in it and its answer mapped
+back, each one translate, uncached.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from . import rules
-from .core import (MAX_M, Profile, _ballots, check_budget, check_enumerable, check_int, enumerate_profiles,
-                   enumerate_rankings, make_ranking, make_tiebreak, ranking_positions)
+from .core import (_RANGE, MAX_M, Profile, _back, _ballots, _places, _ranking_bytes, check_budget, check_enumerable,
+                   check_int, enumerate_profiles, enumerate_rankings, make_ranking, make_tiebreak, ranking_positions)
 from .errors import InvalidParametersError
 
 
@@ -140,20 +142,6 @@ def _relabel(tiebreak: tuple):
     return ranking_positions(tiebreak).__getitem__
 
 
-def _as_bytes(order) -> bytes:
-    # a checked ranking or tie-break of a k-approval reachability query as bytes, the kernel's form, itself if it is
-    # bytes already; refused past MAX_M outcomes, which is where bytes stop holding them, before anything is counted
-    if len(order) > MAX_M:
-        raise InvalidParametersError(f"k-approval reachability holds outcomes in bytes, so m must be at most {MAX_M}, "
-                                     f"got {len(order)}")
-    return bytes(order)
-
-
-def _counted_reachable(rule, n: int, fixed, tiebreak: bytes) -> bytes:
-    # _reachable of a k-approval rule, as bytes, for a caller whose check made its query bytes (core._ranking_bytes)
-    return _kapproval_reachable(rule.k, n, fixed, tiebreak)
-
-
 def _kapproval_reachable(k: int, n: int, fixed, tiebreak: bytes) -> bytes:
     # The targets that n voters, all free or all but one holding *fixed*, can
     # elect under k-approval, by counting alone, as bytes in priority order.
@@ -224,12 +212,13 @@ def possible_outcomes(rule: rules.RuleSpec, n: int, fixed, tiebreak, budget: int
     """Outcomes some ballots of the free voters can elect.
 
     With *fixed* set to one voter's ranking the other n-1 voters are free;
-    with fixed=None all n are.  k-approval rules are decided in closed form
-    from the fixed ballot's approved set (_kapproval_reachable), on the
-    ballot and the tie-break as bytes, with no ballots built and no cache; a
-    k-approval query of more than MAX_M (256) outcomes is refused with
-    InvalidParametersError before anything is counted.  Everything else sums
-    ballot tallies (_row, _weigh).
+    with fixed=None all n are.  The query is checked once, into bytes, and
+    answered by _reachable as bytes.  k-approval rules are decided in closed
+    form from the fixed ballot's approved set (_kapproval_reachable), with no
+    ballots built and no cache; a k-approval query of more than MAX_M (256)
+    outcomes is refused with InvalidParametersError before anything is
+    counted.  Everything else sums ballot tallies (_row, _weigh), and past
+    MAX_M is refused as its weight or its enumeration would refuse it.
 
     Every supported rule is neutral: scoring, STV, runoff and Copeland read
     the tie-break only as an order to walk, so relabeling each outcome by
@@ -239,57 +228,57 @@ def possible_outcomes(rule: rules.RuleSpec, n: int, fixed, tiebreak, budget: int
     ballot relabeled, and mapped back, on every call; the closed form reads
     the query's own tie-break and is never relabeled.
 
-    Summed queries are cached under the identity alone, the 2048 most
-    recent (room for the 64 tables kept at m=4), under the resolved rule
-    (rules._resolve) that every name of one score vector shares; the m!
-    tie-breaks of a rule share each identity entry, so one rule's queries at
-    one n and budget hold at most m!+1 of them, filled by its brute-force
-    table, m! rows (a co-winner table reads the same table), and by the
-    all-free query and has_veto_power.  A query is checked and resolved
+    Summed queries are cached under the identity alone, keyed by the fixed
+    ballot's bytes and holding the answer's (each at most 41 bytes at
+    m <= 8), the 2048 most recent (room for the 64 tables kept at m=4),
+    under the resolved rule (rules._resolve) that every name of one score
+    vector shares; the m! tie-breaks of a rule share each identity entry,
+    so one rule's queries at one n and budget hold at most m!+1 of them,
+    filled by its brute-force table, m! rows (a co-winner table reads the
+    same table), and by the all-free query and has_veto_power.  A query is checked and resolved
     here, so the cache holds checked ones only.
     """
     rules.check_rule(rule)
-    tiebreak = make_tiebreak(tiebreak)
+    tiebreak = _ranking_bytes(tiebreak)
     if fixed is not None:
-        fixed = make_ranking(fixed, len(tiebreak))
+        fixed = _ranking_bytes(fixed, len(tiebreak))
     check_budget(0, budget)
-    return _reachable(rules._resolve(rule, len(tiebreak), check_int(n, "n", 1)), n, fixed, tiebreak, budget)
+    rule = rules._resolve(rule, len(tiebreak), check_int(n, "n", 1))
+    return frozenset(_reachable(rule, n, fixed, tiebreak, budget))
 
 
-def _reachable(rule, n: int, fixed, tiebreak, budget) -> frozenset:
-    # possible_outcomes on a checked query (tie-break, fixed ballot or None, both tuples or both bytes, int n >= 1)
-    # and its resolved rule; a k-approval one is counted on bytes, the tie-break checked against MAX_M first, and a
-    # summed one is read under the identity, the fixed ballot relabeled by places in the tie-break
-    if rule.k is not None:
-        order = _as_bytes(tiebreak)
-        return frozenset(_kapproval_reachable(rule.k, n, None if fixed is None else bytes(fixed), order))
+def _reachable(rule, n: int, fixed, tiebreak, budget) -> bytes:
+    # possible_outcomes on a checked query (the fixed ballot or None and the tie-break as bytes, int n >= 1) and its
+    # resolved rule, as bytes in priority order: a k-approval one counted in closed form, a summed one read under the
+    # identity, the fixed ballot relabeled by places in the tie-break and the answer mapped back.  Bytes hold no
+    # query past MAX_M outcomes, so one is refused here by its length, as its route always refused it
     m = len(tiebreak)
-    if tiebreak == tuple(range(m)):
-        return _possible_outcomes(rule, n, fixed, m, budget)
-    relabeled = None if fixed is None else tuple(map(_relabel(tiebreak), fixed))
-    return frozenset(map(tiebreak.__getitem__, _possible_outcomes(rule, n, relabeled, m, budget)))
-
-
-def _identity_reachable(rule, n: int, fixed, m: int, budget) -> frozenset:
-    # _reachable under the identity priority of m outcomes, with no relabel to test for
+    if m > MAX_M:
+        if rule.k is not None:
+            raise InvalidParametersError(f"k-approval reachability holds outcomes in bytes, so m must be at most "
+                                         f"{MAX_M}, got {m}")
+        _weigh(rule, m, n, budget, table=fixed is None)
+        check_enumerable(m)
     if rule.k is not None:
-        return _reachable(rule, n, fixed, tuple(range(m)), budget)
-    return _possible_outcomes(rule, n, fixed, m, budget)
+        return _kapproval_reachable(rule.k, n, fixed, tiebreak)
+    relabeled = None if fixed is None else fixed.translate(_places(tiebreak))
+    return _possible_outcomes(rule, n, relabeled, m, budget).translate(_back(tiebreak))
 
 
 @lru_cache(maxsize=2048, typed=True)  # typed: a float budget is its own key, so it meets check_budget
-def _possible_outcomes(rule, n: int, fixed, m: int, budget) -> frozenset:
-    # the summed query under the identity priority
+def _possible_outcomes(rule, n: int, fixed, m: int, budget) -> bytes:
+    # the summed query under the identity priority, as bytes in that order
     _weigh(rule, m, n, budget, table=fixed is None)
     if fixed is None:  # the first ballot is free too: the rows of all its tallies
-        return frozenset().union(*(_row(rule, m, n, u) for u in _units(rule, m, n)))
+        return bytes(sorted(set().union(*(_row(rule, m, n, u) for u in _units(rule, m, n)))))
     return _row(rule, m, n, rules._tally(rule, m, n, (fixed,)))
 
 
 @lru_cache(maxsize=512)
 def _units(rule, m: int, n: int, top=None) -> tuple:
-    # the distinct one-ballot tallies, for n voters, of the m! rankings, or of those ranking *top* first
-    return tuple(dict.fromkeys(rules._tally(rule, m, n, (r,)) for r in enumerate_rankings(m) if top in (None, r[0])))
+    # the distinct one-ballot tallies, for n voters, of the m! rankings as bytes, or of those ranking *top* first
+    rankings = map(bytes, enumerate_rankings(m))
+    return tuple(dict.fromkeys(rules._tally(rule, m, n, (r,)) for r in rankings if top in (None, r[0])))
 
 
 def _distinct(rule, m: int, n: int, top=None) -> int:
@@ -320,14 +309,14 @@ def _sums(rule, m: int, n: int, top=None) -> frozenset:
 
 
 @lru_cache(maxsize=2048)
-def _row(rule, m: int, n: int, tally) -> frozenset:
-    # the winners under the identity of one ballot's tally plus each sum, cut short once all m are found
-    decide, identity, found = rules._decider(rule, m, n), tuple(range(m)), set()
+def _row(rule, m: int, n: int, tally) -> bytes:
+    # the winners under the identity of one ballot's tally plus each sum, cut short once all m are found, sorted
+    decide, identity, found = rules._decider(rule, m, n), _RANGE[m], set()
     for s in _sums(rule, m, n):
         found.add(decide(tally + s, identity))
         if len(found) == m:
             break
-    return frozenset(found)
+    return bytes(sorted(found))
 
 
 # Each report's row of a brute-force table is the summed search, k-approval included (its one-ballot tallies are
@@ -337,17 +326,18 @@ def _row(rule, m: int, n: int, tally) -> frozenset:
 
 @lru_cache(maxsize=64, typed=True)  # typed, as _possible_outcomes
 def _bruteforce_feasible_map(rule: rules.RuleSpec, n: int, m: int, budget=None) -> dict:
-    # the identity's table, keyed by all m! rankings in enumerate_rankings order, which the WOM scans rely on
+    # the identity's table, keyed by all m! rankings as bytes in enumerate_rankings order, which the WOM scans rely
+    # on, each row as bytes in that order
     check_enumerable(m)
     _weigh(rule, m, n, budget, table=True)
-    return {r: _possible_outcomes(rule, n, r, m, budget) for r in enumerate_rankings(m)}
+    return {r: _possible_outcomes(rule, n, r, m, budget) for r in map(bytes, enumerate_rankings(m))}
 
 
 def _almost_unanimous(rule, m: int, n: int, budget) -> bool:
     # whether, under the identity, each dissenting ballot's tally plus each sum of n-1 backers ranking t first
     # elects t, for every t; weighed as m tables over the backers' tallies, stopping at the first other winner
     _weigh(rule, m, n, budget, table=True, backed=True)
-    decide, identity = rules._decider(rule, m, n), tuple(range(m))
+    decide, identity = rules._decider(rule, m, n), _RANGE[m]
     return all(decide(u + s, identity) == top
                for top in range(m) for u in _units(rule, m, n) for s in _sums(rule, m, n, top))
 

@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 from . import rules
 from .ccum import _almost_unanimous, _reachable
-from .core import check_budget, check_enumerable, check_int, enumerate_rankings, identity_tiebreak, make_tiebreak
+from .core import _RANGE, check_budget, check_enumerable, check_int, enumerate_rankings, make_tiebreak
 
 OM = "OM"
 NOM = "NOM"
@@ -115,9 +115,10 @@ def has_veto_power(rule: rules.RuleSpec, n: int, m: int, tiebreak=None, budget=N
     if tiebreak is not None:
         make_tiebreak(tiebreak, m)
     check_budget(0, budget)  # a counting route never weighs it, so it is checked here
-    rule, identity = rules._resolve(rules.check_rule(rule), m, check_int(n, "n", 1)), identity_tiebreak(m)
+    rule, identity = rules._resolve(rules.check_rule(rule), m, check_int(n, "n", 1)), _RANGE[m]
     possible = _reachable(rule, n, None, identity, budget)
-    return any(possible - _reachable(rule, n, report, identity, budget) for report in enumerate_rankings(m))
+    return any(possible.translate(None, _reachable(rule, n, report, identity, budget))  # what the report cannot reach
+               for report in map(bytes, enumerate_rankings(m)))
 
 
 def is_almost_unanimous(rule: rules.RuleSpec, n: int, m: int, tiebreak=None, budget=None) -> bool:

@@ -104,8 +104,8 @@ def make_tiebreak(priority: Sequence[int], m: int | None = None) -> TieBreak:
 
 
 def identity_tiebreak(m: int) -> TieBreak:
-    """Priority order 0 > 1 > ... > m-1."""
-    return tuple(range(check_int(m, "m")))
+    """Priority order 0 > 1 > ... > m-1, for m >= 1."""
+    return tuple(range(check_int(m, "m", 1)))
 
 
 def ranking_positions(ranking: Ranking) -> list:
@@ -120,6 +120,11 @@ def _places(ranking: bytes) -> bytes:
     # ranking_positions of a checked byte ranking, as a translate table: byte o holds outcome o's place, and the
     # bytes past m map to themselves.  The one places table of bytes
     return bytes.maketrans(ranking, _RANGE[len(ranking)])
+
+
+def _back(tiebreak: bytes) -> bytes:
+    # the translate table that maps an identity label o back to the caller's, tiebreak[o]: the tie-break's own bytes
+    return tiebreak + _PLACES[len(tiebreak):]
 
 
 _set = object.__setattr__
@@ -170,14 +175,14 @@ def check_profile(profile) -> Profile:
 
 
 def make_profile(ballots: Sequence[Sequence[int]], m: int | None = None) -> Profile:
-    """Validate every ballot and assemble a Profile (n >= 1)."""
+    """Validate every ballot and assemble a Profile (n >= 1, m >= 1)."""
     ballots = _ballots(ballots)
     if not ballots:
         raise InvalidParametersError("a profile needs at least one ballot")
     if m is None:
         m = len(make_ranking(ballots[0]))
     ballots = tuple(make_ranking(b, m) for b in ballots)
-    return Profile(ballots, len(ballots[0]))  # an int even where m is 3.0
+    return Profile(ballots, check_int(len(ballots[0]), "m", 1))  # an int even where m is 3.0
 
 
 def _ballots(ballots) -> tuple:

@@ -516,7 +516,7 @@ def _summed(rule, n, fixed, tiebreak):
     # the summed route itself, k-approval too: the identity's cached set of the fixed ballot relabeled by places
     # in the tie-break, mapped back through it
     m, place = len(tiebreak), {o: i for i, o in enumerate(tiebreak)}
-    relabeled = None if fixed is None else tuple(place[o] for o in fixed)
+    relabeled = None if fixed is None else bytes(place[o] for o in fixed)
     return frozenset(tiebreak[o] for o in ccum._possible_outcomes(rules._resolve(rule, m, n), n, relabeled, m, None))
 
 
@@ -544,6 +544,13 @@ class TestSummedTallies:
         expected = _enumerated(rule, n, fixed, tiebreak)
         assert possible_outcomes(rule, n, fixed, tiebreak) == expected
         assert _summed(rule, n, fixed, tiebreak) == expected  # k-approval too
+        # the query as bytes, its one form: distinct outcomes in the tie-break's priority order, k-approval's
+        # closed form and the summed route alike
+        query = None if fixed is None else bytes(fixed), bytes(tiebreak)
+        reachable = ccum._reachable(rules._resolve(rule, m, n), n, *query, None)
+        assert type(reachable) is bytes and len(set(reachable)) == len(reachable)
+        assert list(reachable) == sorted(reachable, key=tiebreak.index)
+        assert set(reachable) == expected
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -571,7 +578,8 @@ class TestSummedTallies:
         resolved = rules._resolve(rule, 3, 3)
         assert rules._layout(resolved, 3, 3)[1].step == 72
         for fixed in (None, (2, 1, 0), (1, 0, 2)):
-            assert ccum._possible_outcomes(resolved, 3, fixed, 3, None) == _enumerated(rule, 3, fixed, identity)
+            row = ccum._possible_outcomes(resolved, 3, None if fixed is None else bytes(fixed), 3, None)
+            assert set(row) == _enumerated(rule, 3, fixed, identity)
 
     @pytest.mark.parametrize("label", ["borda", "dowdall", "paperfamily", "kapproval:k=2",
                                        "vetofamily:omega=30,eps=1", "stv", "runoff", "copeland"])

@@ -153,12 +153,13 @@ def test_non_integer_n_rejected(detector, n):
 @pytest.mark.parametrize("m", [9, 10**30])
 @pytest.mark.parametrize("detector", [has_veto_power, is_almost_unanimous])
 def test_too_many_outcomes_rejected_first(detector, m, monkeypatch):
-    # m is weighed against the enumeration cap before anything of size m is built
+    # m is weighed against the enumeration cap before anything of size m is built, or the identity's bytes read
     def unreachable(*args):
         raise AssertionError("built before the cap was checked")
 
-    for name in ("identity_tiebreak", "_reachable"):
+    for name in ("_reachable", "_almost_unanimous"):
         monkeypatch.setattr(characterization, name, unreachable)
+    monkeypatch.setattr(characterization, "_RANGE", type("Unread", (), {"__getitem__": unreachable})())
     with pytest.raises(TooLargeError):
         detector(kapproval(2), 3, m)
 

@@ -528,6 +528,10 @@ class TestShapeBeforeLength:
         lambda: parse_profile(None),
         lambda: omvote.rows_to_csv(None),
         lambda: omvote.rows_to_csv([None]),
+        lambda: make_profile([()]),  # zero outcomes: no rule could elect one, and its text would not parse back
+        lambda: make_profile([()], 0),
+        lambda: core.identity_tiebreak(0),
+        lambda: core.identity_tiebreak(-2),
     ], ids=["winner-none", "winner-int", "ccum-instance", "ccum-none-ballots", "ccum-int-ballots",
             "randomized-truth", "scores-none", "cowinners-int", "scoring-winner-none", "profile-none-ballot",
             "profile-none", "fixed-none", "format-int-tiebreak", "format-short-tiebreak",
@@ -535,7 +539,8 @@ class TestShapeBeforeLength:
             "unanimous-none-rule", "ccum-none-rule", "classify-list-rule", "possible-list-rule",
             "kapproval-k-none-rule", "winner-tuple-profile", "parse-rule-none", "rule-label-none",
             "scores-none-profile", "scoring-winner-none-profile", "cowinners-tuple-profile", "parse-profile-none",
-            "csv-none", "csv-none-row"])
+            "csv-none", "csv-none-row", "profile-no-outcomes", "profile-m-zero", "identity-zero",
+            "identity-negative"])
     def test_rejected(self, call):
         with pytest.raises(VotingError):
             call()
@@ -582,11 +587,11 @@ class TestOneTiebreakCheckPerSearch:
         return sites
 
     def test_tiebreak_positions_only_to_relabel(self):
-        # kernels walk the tie-break itself: positions of a tuple are taken of the co-winner classifier's truths, and
-        # of a tie-break only by the one relabel that _possible_outcomes and the greedy share; the grid and both routes
-        # of classify take places of bytes, and every places table of bytes is built by the one helper, core._places
+        # kernels walk the tie-break itself: positions of a tuple are taken of a tie-break only by the greedy's one
+        # relabel; reachable sets, the grid, both routes of classify and the co-winner classifier take places of
+        # bytes, and every places table of bytes is built by the one helper, core._places
         calls = self._sites(lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == "ranking_positions")
-        assert calls == {("ccum", "_relabel"), ("manipulability", "classify_randomized_tiebreak")}
+        assert calls == {("ccum", "_relabel")}
         tables = self._sites(lambda node: isinstance(node, ast.Call) and ast.unparse(node.func).endswith("maketrans"))
         assert tables == {("core", "_places")}
         named = self._sites(lambda node: "prank" in {getattr(node, a, None) for a in ("id", "arg", "attr", "name")})
@@ -637,6 +642,27 @@ class TestOneTiebreakCheckPerSearch:
         assert namers["_canonical_weights"] == {"rules"}
         for name in ("is_scoring", "_kapproval_k"):
             assert not namers[name] & {"ccum", "manipulability", "characterization"}, name
+
+    def test_every_memo_is_bounded(self):
+        # every lru_cache names a finite int maxsize, so no memo grows with the queries a long run asks, and no
+        # functools.cache stands in for one; the CLI's parser alone is unbounded, built once per process
+        def finite(call):
+            if ast.unparse(call.func).rpartition(".")[2] != "lru_cache":
+                return False
+            size = call.args[0] if call.args else next((k.value for k in call.keywords if k.arg == "maxsize"), None)
+            return isinstance(size, ast.Constant) and type(size.value) is int and size.value > 0
+
+        sized = set()  # the lru_cache names of finite calls, met before their names as the walk is pre-order
+
+        def unbounded(node):
+            if isinstance(node, ast.Call) and finite(node):
+                sized.add(id(node.func))
+            name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+            return name in ("lru_cache", "cache") and id(node) not in sized
+
+        assert self._sites(unbounded) == {("cli", "build_parser")}
+        memos = self._sites(lambda node: isinstance(node, ast.Call) and finite(node))
+        assert {("ccum", "_possible_outcomes"), ("manipulability", "_verdict"), ("rules", "_layout")} <= memos
 
     @pytest.fixture
     def checks(self, monkeypatch):

@@ -135,7 +135,8 @@ class TestFindWom:
         # reference: the first report in enumeration order whose worst reachable outcome, by a max over
         # positions, beats o_w
         cut = pos[o_w]
-        return next((r for r in enumerate_rankings(len(pos)) if max(map(pos.__getitem__, table[r])) < cut), None)
+        return next((r for r in enumerate_rankings(len(pos))
+                     if max(map(pos.__getitem__, table[bytes(r)])) < cut), None)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -144,10 +145,11 @@ class TestFindWom:
         rankings = list(enumerate_rankings(m))
         masks = data.draw(st.lists(st.integers(1, 2**m - 1), min_size=len(rankings), max_size=len(rankings)),
                           label="rows")
-        table = {r: frozenset(o for o in range(m) if mask >> o & 1) for r, mask in zip(rankings, masks)}
+        table = {bytes(r): bytes(o for o in range(m) if mask >> o & 1) for r, mask in zip(rankings, masks)}
         pos = ranking_positions(data.draw(st.permutations(range(m)), label="truth"))
         o_w = data.draw(st.integers(0, m - 1), label="o_w")
-        assert manipulability._first_wom(table, pos, o_w) == self._first_wom_by_max(table, pos, o_w)
+        better = bytes(o for o in range(m) if pos[o] < pos[o_w])  # the outcomes the truth ranks above o_w, sorted
+        assert manipulability._first_wom(table, better) == self._first_wom_by_max(table, pos, o_w)
 
     @pytest.mark.parametrize("table", [
         lambda: manipulability._bruteforce_feasible_map(rules._resolve(kapproval(2), 4, 3), 3, 4),
@@ -156,7 +158,7 @@ class TestFindWom:
     ], ids=["approval-sets", "possible-outcomes", "cowinners"])
     def test_tables_keep_enumeration_order(self, table):
         # the subset scan returns the first match in key order, which must be the lexicographic one
-        assert list(table()) == list(enumerate_rankings(4))
+        assert list(table()) == list(map(bytes, enumerate_rankings(4)))
 
 
 class TestClassify:
@@ -750,7 +752,7 @@ class TestVerificationFaults:
         # the truthful worst case of (0, 1, 2, 3) is 2, so the truth itself does not improve it: a table whose
         # row of the truth claims {0} makes the match memo list it, and the check reads its reachable set again
         monkeypatch.setattr(manipulability, "_bruteforce_feasible_map",
-                            lambda rule, n, m, budget=None: {IDENTITY4: frozenset({0})})
+                            lambda rule, n, m, budget=None: {bytes(IDENTITY4): bytes((0,))})
         with pytest.raises(VerificationError, match="worst-case witness"):
             classify(IDENTITY4, kapproval(2), 3, IDENTITY4, mode="bruteforce")
 
@@ -758,12 +760,12 @@ class TestVerificationFaults:
         # with the verdict and its matches kept, a fault in the witness's row is still caught: the check reads that
         # row on every call, not only when the verdict is derived
         assert classify((0, 1, 3, 2), paperfamily(), 3, IDENTITY4, mode="bruteforce").wom_witness == (0, 3, 1, 2)
-        reachable = manipulability._identity_reachable
+        reachable = manipulability._reachable
 
-        def faulty(rule, n, fixed, m, budget):
-            return frozenset(range(m)) if fixed == (0, 3, 1, 2) else reachable(rule, n, fixed, m, budget)
+        def faulty(rule, n, fixed, tiebreak, budget):  # the witness's row claims every outcome
+            return tiebreak if fixed == bytes((0, 3, 1, 2)) else reachable(rule, n, fixed, tiebreak, budget)
 
-        monkeypatch.setattr(manipulability, "_identity_reachable", faulty)
+        monkeypatch.setattr(manipulability, "_reachable", faulty)
         with pytest.raises(VerificationError, match="worst-case witness"):
             classify((0, 1, 3, 2), paperfamily(), 3, IDENTITY4, mode="bruteforce")
 
@@ -771,13 +773,13 @@ class TestVerificationFaults:
         # the truth's report is kept with its table, yet the co-winner check reads the table's row on every call
         classify_randomized_tiebreak(IDENTITY3, (2, 1, 0), 3)
         table = manipulability._cowinner_feasible_map((2, 1, 0), 3, 3, None)
-        assert IDENTITY3 in table.reports
-        monkeypatch.setitem(table, IDENTITY3, frozenset({1, 2}))
+        assert bytes(IDENTITY3) in table.reports
+        monkeypatch.setitem(table, bytes(IDENTITY3), bytes((1, 2)))
         with pytest.raises(VerificationError, match="not a co-winner"):
             classify_randomized_tiebreak(IDENTITY3, (2, 1, 0), 3)
 
     def test_randomized_truthful_top_not_a_cowinner(self, monkeypatch):
         monkeypatch.setattr(manipulability, "_cowinner_feasible_map",
-                            lambda weights, n, m, budget=None: {IDENTITY3: frozenset({1, 2})})
+                            lambda weights, n, m, budget=None: {bytes(IDENTITY3): bytes((1, 2))})
         with pytest.raises(VerificationError, match="not a co-winner"):
             classify_randomized_tiebreak(IDENTITY3, (2, 1, 0), 3)
